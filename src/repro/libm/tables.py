@@ -47,7 +47,6 @@ import hashlib
 import json
 import os
 import struct
-import time
 import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
@@ -56,7 +55,7 @@ import numpy as np
 
 from ..fp.format import FPFormat
 from ..fp.rounding import RoundingMode
-from ..resilience.checkpoint import fsync_dir
+from ..resilience.checkpoint import fsync_dir, quarantine_file
 from .artifacts import ARTIFACT_DIR, load_generated
 from .vectorized import VectorizedFunction
 from .vround import (
@@ -267,19 +266,7 @@ def open_table(
 def quarantine_table(path: Union[str, Path], reason: str) -> Path:
     """Move a damaged table aside (``<name>.corrupt-<stamp>``) so serving
     discovery stops tripping over it; mirrors the oracle-cache idiom."""
-    path = Path(path)
-    target = path.with_name(f"{path.name}.corrupt-{int(time.time())}")
-    try:
-        os.replace(path, target)
-    except OSError:  # pragma: no cover - racing quarantines / ro media
-        return path
-    fsync_dir(path.parent)
-    import logging
-
-    logging.getLogger(__name__).warning(
-        "quarantined table %s -> %s (%s)", path.name, target.name, reason
-    )
-    return target
+    return quarantine_file(path, reason, "table")
 
 
 def _record_mapped(table: LoadedTable) -> None:

@@ -174,7 +174,8 @@ class VectorizedFunction:
                 exact_ok = float(10**k) == val and val < 2.0 ** (pipe.family.largest.emax + 2)
                 if not exact_ok:
                     break
-                out = np.where(x == float(k), val, out)
+                # Below the overflow clamp only, as in the scalar runtime.
+                out = np.where((x == float(k)) & (x < pipe.x_overflow), val, out)
                 k += 1
         out = np.where(x == 0.0, 1.0, out)
         out = np.where(np.isposinf(x), np.inf, out)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -93,6 +94,24 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         os.fsync(f.fileno())
     os.replace(tmp, path)
     fsync_dir(path.parent)
+
+
+def quarantine_file(path: Union[str, Path], reason: str, kind: str) -> Path:
+    """Move a damaged file aside (``<name>.corrupt-<stamp>``) so that the
+    next reader rebuilds or skips it instead of tripping over it again;
+    ``kind`` names the file in the warning.  Returns the new path (the
+    old one if the rename failed)."""
+    path = Path(path)
+    target = path.with_name(f"{path.name}.corrupt-{int(time.time())}")
+    try:
+        os.replace(path, target)
+    except OSError:  # pragma: no cover - racing quarantines / ro media
+        return path
+    fsync_dir(path.parent)
+    logger.warning(
+        "quarantined %s %s -> %s (%s)", kind, path.name, target.name, reason
+    )
+    return target
 
 
 def atomic_write_json(path: Union[str, Path], obj: object, **dump_kwargs) -> None:

@@ -5,8 +5,8 @@ progressive-polynomial artifacts once, then answer "correctly rounded
 ``fn(x)`` in this format under this rounding mode" for whole batches —
 over TCP (:class:`ServeServer`) or in process (:class:`BatchEvaluator`).
 Concurrent scalar requests coalesce into single vectorized kernel
-sweeps; responses report which tier (table / vector / scalar / oracle,
-see :mod:`repro.serve.tiers`) produced each result; the ``stats`` op
+sweeps; responses report which tier (table / compiled / vector / scalar /
+oracle, see :mod:`repro.serve.tiers`) produced each result; the ``stats`` op
 exposes per-tier counters and batch-size / latency histograms.  Small
 formats can be served from dense precomputed ``.tbl`` tables
 (:mod:`repro.libm.tables`) — one mmap'd ``np.take`` per batch.
@@ -27,36 +27,45 @@ original deadline.
 See the README's "Serving" section for the wire protocol and topology.
 """
 
-from .base import tune_gc_for_serving
-from .client import AsyncServeClient, ServeClient
-from .evaluator import (
-    BatchEvaluator,
-    BatchResult,
-    OracleUnavailable,
-    resolve_mode,
-)
-from .fleet import (
-    DEFAULT_REPLICATION,
-    FleetConfig,
-    FleetRouter,
-    FleetThread,
-    start_fleet_thread,
-)
-from .frames import PROTOCOL_NAME, FrameError
-from .hashring import HashRing, ShardMap
-from .metrics import Histogram, ServerMetrics
-from .registry import ServingRegistry, resolve_family, resolve_level_for
-from .server import (
-    BatchingDispatcher,
-    DEFAULT_BATCH_WINDOW,
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_PENDING,
-    DEFAULT_REQUEST_DEADLINE,
-    ServeServer,
-    ServerThread,
-    start_server_thread,
-)
-from .tiers import Tier, TierRegistry, default_tier_registry
+from importlib import import_module
+
+#: Public names and the submodule each lives in.  Imported on first
+#: access (PEP 562), so an in-process evaluator user never loads the
+#: asyncio/ssl networking stack (about 7 MiB of resident memory).
+_EXPORTS = {
+    "AsyncServeClient": "client",
+    "BatchEvaluator": "evaluator",
+    "BatchResult": "evaluator",
+    "BatchingDispatcher": "server",
+    "DEFAULT_BATCH_WINDOW": "server",
+    "DEFAULT_MAX_BATCH": "server",
+    "DEFAULT_MAX_PENDING": "server",
+    "DEFAULT_REPLICATION": "fleet",
+    "DEFAULT_REQUEST_DEADLINE": "server",
+    "FleetConfig": "fleet",
+    "FleetRouter": "fleet",
+    "FleetThread": "fleet",
+    "FrameError": "frames",
+    "HashRing": "hashring",
+    "Histogram": "metrics",
+    "OracleUnavailable": "evaluator",
+    "PROTOCOL_NAME": "frames",
+    "ServeClient": "client",
+    "ServeServer": "server",
+    "ServerMetrics": "metrics",
+    "ServerThread": "server",
+    "ServingRegistry": "registry",
+    "ShardMap": "hashring",
+    "Tier": "tiers",
+    "TierRegistry": "tiers",
+    "default_tier_registry": "tiers",
+    "resolve_family": "registry",
+    "resolve_level_for": "registry",
+    "resolve_mode": "evaluator",
+    "start_fleet_thread": "fleet",
+    "start_server_thread": "server",
+    "tune_gc_for_serving": "base",
+}
 
 __all__ = [
     "AsyncServeClient",
@@ -99,6 +108,11 @@ _DEPRECATED_TIERS = ("TIERS", "TIER_VECTOR", "TIER_SCALAR", "TIER_ORACLE")
 
 
 def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(import_module(f".{module}", __name__), name)
+        globals()[name] = value
+        return value
     if name in _DEPRECATED_TIERS:
         # evaluator.__getattr__ owns the warning text; re-raise its
         # DeprecationWarning from this import site.
@@ -106,3 +120,7 @@ def __getattr__(name: str):
 
         return getattr(evaluator, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -136,8 +136,15 @@ def _result_to_response(payload: bytes, array_results: bool) -> dict:
     else:
         resp["bits"] = bits.tolist()
         resp["values"] = values.tolist()
-        resp["tiers"] = [TIER_NAMES[c] for c in tiers]
+        resp["tiers"] = [_TIER_NAMES_BY_CODE[c] for c in tiers]
     return resp
+
+
+#: Every uint8 tier code's name.  Codes newer than this client's
+#: ``TIER_NAMES`` (tiers a newer server added) decode as ``"tier<code>"``.
+_TIER_NAMES_BY_CODE = TIER_NAMES + tuple(
+    f"tier{code}" for code in range(len(TIER_NAMES), 256)
+)
 
 
 class ServeClient:

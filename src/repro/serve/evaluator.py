@@ -14,6 +14,13 @@ rounded answer:
     polynomial evaluation at all.  Used when a fresh table for
     ``(fn, format, mode)`` sits next to the artifact.
 
+``compiled``
+    The artifact's generated C, built once by gcc
+    (:mod:`repro.libm.compiled`), evaluates, rounds and decodes member
+    inputs in one fused pass — bit-identical to the vector tier, which
+    answers instead when there is no compiler or the kernel fails its
+    load-time self-check.
+
 ``vector``
     The numpy kernel sweeps the batch in one call and the result
     doubles are rounded to bit patterns with the vectorized integer
@@ -234,7 +241,8 @@ class BatchResult:
 
     @property
     def tiers(self) -> List[str]:
-        """Which tier produced each element: table/vector/scalar/oracle."""
+        """Which tier produced each element: table/compiled/vector/scalar/
+        oracle."""
         return self._tiers.as_names()
 
     @tiers.setter
@@ -308,11 +316,46 @@ class _TierColumn:
         return len(self._names if self._codes is None else self._codes)
 
 
+def _decode(bits: np.ndarray, fmt: FPFormat) -> np.ndarray:
+    """Doubles for result bit patterns (the ``values`` column)."""
+    if supports_vector_rounding(fmt):
+        return decode_bits_to_doubles(bits, fmt)
+    return np.asarray(
+        [FPValue(fmt, int(b)).to_float() for b in bits.tolist()],
+        dtype=np.float64,
+    )
+
+
+def _assemble(answers, n: int, fmt: FPFormat):
+    """Scatter several tiers' ``(sel, (bits, raw, values))`` answers
+    into whole-batch columns."""
+    bits = np.zeros(n, dtype=np.int64)
+    raw = np.zeros(n, dtype=np.float64)
+    values = np.zeros(n, dtype=np.float64)
+    raw_from_values = np.zeros(n, dtype=bool)
+    have_values = np.zeros(n, dtype=bool)
+    for sel, (tier_bits, tier_raw, tier_values) in answers:
+        bits[sel] = tier_bits
+        if tier_values is not None:
+            values[sel] = tier_values
+            have_values[sel] = True
+        if tier_raw is None:
+            raw_from_values[sel] = True
+        else:
+            raw[sel] = tier_raw
+    if not have_values.all():
+        # Decode only where some tier produced bare bit patterns.
+        values = np.where(have_values, values, _decode(bits, fmt))
+    if raw_from_values.any():
+        raw = np.where(raw_from_values, values, raw)
+    return bits, raw, values
+
+
 class BatchEvaluator:
     """In-process batch-evaluation API over a :class:`ServingRegistry`.
 
     ``tiers`` selects the dispatch table: ``None`` (the process-global
-    default registry — table/vector/scalar/oracle), a
+    default registry — table/compiled/vector/scalar/oracle), a
     :class:`~repro.serve.tiers.TierRegistry`, or a sequence of built-in
     tier names (``tiers=("vector", "scalar", "oracle")`` disables the
     table tier without touching wire codes).
@@ -361,14 +404,14 @@ class BatchEvaluator:
         xs = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
         n = xs.size
         result = BatchResult(fn, reg.family.name, fmt, level, mode)
-        ctx = EvalContext(reg, fn, fmt, level, mode, xs, breaker=self.breaker)
+        ctx = EvalContext(
+            reg, fn, fmt, level, mode, xs, breaker=self.breaker,
+            tiers=self.tiers,
+        )
 
         codes = np.full(n, UNCLAIMED, dtype=np.uint8)
-        bits = np.zeros(n, dtype=np.int64)
-        raw = np.zeros(n, dtype=np.float64)
-        values = np.zeros(n, dtype=np.float64)
-        raw_from_values = np.zeros(n, dtype=bool)
-        have_values = np.zeros(n, dtype=bool)
+        answers = []  # (sel, (bits, raw, values)) in dispatch order
+        tier_counts = {}
         remaining = n
         for tier in self.tiers:
             if remaining == 0:
@@ -376,34 +419,27 @@ class BatchEvaluator:
             claim = tier.claims(ctx)
             if claim == CLAIMS_NONE:
                 continue
-            unclaimed = codes == UNCLAIMED
             if claim == CLAIMS_MEMBERS:
-                take = unclaimed & ctx.member
+                take = ctx.member
             elif claim == CLAIMS_ALL:
-                take = unclaimed
+                take = None
             else:  # pragma: no cover - claims verdicts are closed
                 raise ValueError(
                     f"tier {tier.name!r} returned bad claim {claim!r}"
                 )
-            if not take.any():
+            if remaining < n:
+                unclaimed = codes == UNCLAIMED
+                take = unclaimed if take is None else unclaimed & take
+            count = remaining if take is None else int(np.count_nonzero(take))
+            if count == 0:
                 continue
-            if take.all():
-                # The hot path: one tier answers the whole batch — index
-                # with a slice so nothing is copied on the way in.
-                sel = slice(None)
-            else:
-                sel = np.nonzero(take)[0]
-            tier_bits, tier_raw, tier_values = tier.evaluate(ctx, sel)
-            bits[sel] = tier_bits
-            if tier_values is not None:
-                values[sel] = tier_values
-                have_values[sel] = True
-            if tier_raw is None:
-                raw_from_values[sel] = True
-            else:
-                raw[sel] = tier_raw
+            # The hot path: one tier answers the whole batch — index with
+            # a slice so nothing is copied on the way in.
+            sel = slice(None) if count == n else np.nonzero(take)[0]
+            answers.append((sel, tier.evaluate(ctx, sel)))
             codes[sel] = tier.code
-            remaining -= int(take.sum())
+            tier_counts[tier.name] = count
+            remaining -= count
         if remaining:
             raise RuntimeError(
                 f"no serving tier claimed {remaining} of {n} inputs for "
@@ -411,36 +447,23 @@ class BatchEvaluator:
                 f"{', '.join(self.tiers.names())})"
             )
 
-        if not have_values.all():
-            # Decode only when some tier produced bare bit patterns;
-            # tiers that hand over decoded doubles (table, oracle) skip
-            # this pass entirely on full-batch claims.
-            if supports_vector_rounding(fmt):
-                decoded = decode_bits_to_doubles(bits, fmt)
-            else:
-                decoded = np.asarray(
-                    [FPValue(fmt, int(b)).to_float() for b in bits],
-                    dtype=np.float64,
-                )
-            values = (
-                np.where(have_values, values, decoded)
-                if have_values.any() else decoded
-            )
-        if raw_from_values.any():
-            # Tiers with no pre-rounding double (table lookups) report
-            # the decoded rounded value as raw, like the oracle tier.
-            raw = np.where(raw_from_values, values, raw)
+        if len(answers) == 1:
+            # One tier answered everything: its arrays are the result.
+            bits, raw, values = answers[0][1]
+            if values is None:
+                values = _decode(bits, fmt)
+            if raw is None or raw is values:
+                # Tiers with no pre-rounding double (table lookups) report
+                # the decoded rounded value as raw, like the oracle tier
+                # (a copy: the two columns never share memory).
+                raw = values.copy()
+        else:
+            bits, raw, values = _assemble(answers, n, fmt)
         result.bits = bits
         result.raw = raw
         result.values = values
         result.tiers = codes
         result.wall_seconds = time.perf_counter() - t0
-        wire = self.tiers.wire_names()
-        tier_counts = {
-            wire[c]: int(k)
-            for c, k in enumerate(np.bincount(codes, minlength=len(wire)))
-            if k
-        }
         self.metrics.record_batch(
             fn, n, tier_counts, result.wall_seconds, n_requests=n_requests
         )

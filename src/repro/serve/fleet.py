@@ -280,6 +280,21 @@ class _WorkerHandle:
         return "ok"
 
 
+#: Per-key counters of a worker's ``stats`` that the router's ``stats``
+#: reports summed over the live workers (the router evaluates nothing
+#: itself, so its own copies of these stay empty).
+_SUMMED_COUNTERS = ("requests_by_fn", "inputs_by_fn", "results_by_tier")
+
+
+def _add_counters(total: dict, worker: dict) -> None:
+    """Add one worker's per-key counters into the fleet totals."""
+    for field in _SUMMED_COUNTERS:
+        into = total.setdefault(field, {})
+        for key, value in (worker.get(field) or {}).items():
+            into[key] = into.get(key, 0) + value
+        total[field] = dict(sorted(into.items()))
+
+
 class FleetRouter(BaseProtocolServer):
     """The fleet's acceptor: shard-routes evals to worker processes."""
 
@@ -766,6 +781,7 @@ class FleetRouter(BaseProtocolServer):
             resp = row.pop("response", None)
             if resp is not None and resp.get("ok"):
                 row["stats"] = resp.get("stats")
+                _add_counters(stats, row["stats"] or {})
             elif resp is not None:
                 row["error"] = resp.get("error", "worker stats failed")
             workers.append(row)
@@ -799,6 +815,7 @@ class FleetRouter(BaseProtocolServer):
         functions: set = set()
         missing: set = set()
         tables: dict = {}
+        compiled: dict = {}
         rows = await asyncio.gather(
             *(self._worker_op(w, "info") for w in self.workers)
         )
@@ -812,6 +829,7 @@ class FleetRouter(BaseProtocolServer):
                 functions.update(info.get("functions", ()))
                 missing.update(info.get("missing", ()))
                 tables.update(info.get("tables", {}))
+                compiled.update(info.get("compiled", {}))
             elif resp is not None:
                 row["error"] = resp.get("error", "worker info failed")
             workers.append(row)
@@ -824,6 +842,7 @@ class FleetRouter(BaseProtocolServer):
                 "functions": sorted(functions),
                 "missing": sorted(missing),
                 "tables": {k: tables[k] for k in sorted(tables)},
+                "compiled": {k: compiled[k] for k in sorted(compiled)},
                 "fleet": self.shards.describe(),
                 "workers": workers,
             },

@@ -1,10 +1,14 @@
 """Artifact registry for the serving subsystem.
 
 Loads one family's generated artifacts from disk exactly once and keeps
-the three runtimes the evaluator dispatches between:
+the runtimes the evaluator dispatches between:
 
+* the compiled C kernel (:mod:`repro.libm.compiled`), built and
+  self-checked lazily the first time a batch reaches the ``compiled``
+  tier (on a thread of its own when the registry backs a network
+  server);
 * the numpy :class:`~repro.libm.vectorized.VectorizedFunction` kernel
-  (the batch hot path);
+  (the batch path when there is no compiled kernel);
 * the scalar :class:`~repro.libm.runtime.RlibmProgFunction` (the
   element-wise fallback for inputs outside the requested format);
 * the bare :class:`~repro.funcs.base.FunctionPipeline` + mpmath oracle
@@ -23,6 +27,8 @@ to build: functions whose artifact file is absent are tracked in
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
@@ -32,12 +38,26 @@ from ..funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
 from ..funcs.base import FunctionPipeline
 from ..libm import tables as tbl
 from ..libm.artifacts import load_generated
+from ..libm.compiled import CompiledFunction, CompiledUnavailable, load_compiled
 from ..libm.runtime import RlibmProg, RlibmProgFunction
 from ..libm.vectorized import VectorizedFunction
 from ..libm.vround import supports_vector_rounding
 from ..mp.oracle import FUNCTION_NAMES, Oracle
 
 FamilyLike = Union[str, FamilyConfig]
+
+
+class KernelBuilding(Exception):
+    """A batch reached the ``compiled`` tier while the function's kernel
+    is being built on a thread (:attr:`ServingRegistry.
+    build_in_background`).  The caller evaluates the batch again once
+    ``done`` (a :class:`concurrent.futures.Future`) has resolved; the
+    tier then serves it, or claims nothing if the build failed."""
+
+    def __init__(self, fn: str, done: Future):
+        super().__init__(f"compiled kernel for {fn!r} is being built")
+        self.fn = fn
+        self.done = done
 
 
 def resolve_family(family: FamilyLike) -> FamilyConfig:
@@ -125,6 +145,19 @@ class ServingRegistry:
         #: ``"available" | "loaded" | "stale" | "corrupt"``.
         self.table_status: Dict[str, str] = {}
         self._fingerprints: Dict[str, str] = {}
+        #: ``fn -> CompiledFunction | None`` — built, loaded and
+        #: self-checked on first :meth:`compiled_for`; None caches a
+        #: refusal, whose reason is in :attr:`compiled_status`.
+        self.compiled: Dict[str, Optional[CompiledFunction]] = {}
+        #: ``fn -> "building" | "loaded" | "unavailable: <reason>"``, for
+        #: :meth:`describe`.
+        self.compiled_status: Dict[str, str] = {}
+        #: Build compiled kernels on a thread of their own rather than
+        #: in the batch that first reaches the tier (see
+        #: :class:`KernelBuilding`).  A server sets this, so that its
+        #: event loop never waits on gcc.
+        self.build_in_background = False
+        self._builds: Dict[str, Future] = {}
         for name in names:
             pipe = make_pipeline(name, self.family, self.oracle)
             self.pipelines[name] = pipe
@@ -234,6 +267,52 @@ class ServingRegistry:
         self._tables[key] = table
         return table
 
+    def compiled_for(self, fn: str) -> Optional[CompiledFunction]:
+        """The compiled kernel for ``fn``, or ``None``.
+
+        The first call per function emits its C, then loads the cached
+        build or runs gcc, and self-checks the result against the numpy
+        kernel; the verdict is cached for the registry lifetime.  Only
+        batches that reach the ``compiled`` tier call this, so traffic
+        answered by tables never invokes the compiler.  With
+        :attr:`build_in_background`, that work runs on a thread and
+        calls until it has finished raise :class:`KernelBuilding`.
+        """
+        if fn in self.compiled:
+            return self.compiled[fn]
+        kernel = self.kernels.get(fn)
+        if kernel is None:
+            return None
+        if not self.build_in_background:
+            return self._load_compiled(fn, kernel)
+        done = self._builds.get(fn)
+        if done is None:
+            done = self._builds[fn] = Future()
+            self.compiled_status[fn] = "building"
+            threading.Thread(
+                target=self._build_on_thread, args=(fn, kernel, done),
+                name=f"compile-{fn}", daemon=True,
+            ).start()
+        raise KernelBuilding(fn, done)
+
+    def _load_compiled(self, fn: str, kernel) -> Optional[CompiledFunction]:
+        try:
+            lib = load_compiled(kernel)
+            status = "loaded"
+        except CompiledUnavailable as e:
+            lib, status = None, f"unavailable: {e}"
+        self.compiled_status[fn] = status
+        self.compiled[fn] = lib
+        return lib
+
+    def _build_on_thread(self, fn: str, kernel, done: Future) -> None:
+        try:
+            self._load_compiled(fn, kernel)
+        except Exception as e:  # settle the key whatever went wrong
+            self.compiled_status[fn] = f"unavailable: {e}"
+            self.compiled[fn] = None
+        done.set_result(None)
+
     # ------------------------------------------------------------------
     def as_library(self) -> RlibmProg:
         """The loaded functions as a plain :class:`RlibmProg` library."""
@@ -253,6 +332,7 @@ class ServingRegistry:
             "tables": {
                 key: status for key, status in sorted(self.table_status.items())
             },
+            "compiled": dict(sorted(self.compiled_status.items())),
         }
         if self.shard_roles:
             info["shard_roles"] = {

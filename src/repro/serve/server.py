@@ -65,7 +65,7 @@ from .base import (
 from .evaluator import BatchEvaluator, BatchResult, resolve_mode
 from .metrics import ServerMetrics
 from .protocol import parse_eval_request
-from .registry import ServingRegistry
+from .registry import KernelBuilding, ServingRegistry
 
 #: Default coalescing window: long enough to fuse a burst of concurrent
 #: scalar requests, short enough to be invisible next to network latency.
@@ -153,15 +153,21 @@ class BatchingDispatcher:
             return
         if bucket.timer is not None:
             bucket.timer.cancel()
-        fn, level, mode = key
-        n_requests = len(bucket.futures)
-        self.metrics.record_coalesce(n_requests)
+        self.metrics.record_coalesce(len(bucket.futures))
         if len(bucket.chunks) == 1:
             inputs = bucket.chunks[0]
         else:
             inputs = np.concatenate(
                 [np.asarray(c, dtype=np.float64) for c in bucket.chunks]
             )
+        self._answer(key, bucket, inputs)
+
+    def _answer(
+        self, key: Tuple[str, int, str], bucket: _Bucket, inputs
+    ) -> None:
+        """Evaluate one flushed bucket and resolve its callers."""
+        fn, level, mode = key
+        n_requests = len(bucket.futures)
         try:
             with obs_span(
                 "serve.flush", fn=fn, level=level, mode=mode,
@@ -171,6 +177,14 @@ class BatchingDispatcher:
                     fn, inputs, level=level, mode=mode,
                     n_requests=n_requests,
                 )
+        except KernelBuilding as e:
+            # The batch reached the compiled tier while its kernel is
+            # built on a thread: answer it once the build has settled,
+            # and keep serving everything else meanwhile.
+            asyncio.wrap_future(e.done).add_done_callback(
+                lambda _: self._answer(key, bucket, inputs)
+            )
+            return
         except Exception as e:  # propagate to every fused caller
             for _, _, fut in bucket.futures:
                 if not fut.done():
@@ -236,6 +250,8 @@ class ServeServer(BaseProtocolServer):
             binary=binary,
         )
         self.registry = registry
+        # A kernel build runs gcc: keep it off the event loop.
+        registry.build_in_background = True
         self.evaluator = BatchEvaluator(registry, self.metrics)
         self.dispatcher = BatchingDispatcher(
             self.evaluator, max_batch=max_batch, batch_window=batch_window

@@ -12,10 +12,11 @@ derives its wire tables from.
 
 Wire codes are append-only and frozen forever — old clients decode new
 servers' responses by index, so ``vector=0, scalar=1, oracle=2`` keep
-the codes they have had since the protocol shipped, and the ``table``
-tier takes the next free code (3).  Dispatch *rank* is independent of
-code: the table tier dispatches *before* vector (a mapped ``np.take``
-beats a kernel sweep) despite carrying the highest code.
+the codes they have had since the protocol shipped, the ``table`` tier
+took the next free code (3) and the ``compiled`` tier the one after
+(4).  Dispatch *rank* is independent of code: table (a mapped
+``np.take``) dispatches first, then compiled (one fused C pass), then
+vector (numpy kernel sweep), despite their higher codes.
 
 Capability model
 ----------------
@@ -71,16 +72,21 @@ class EvalContext:
     target format and the member-value mask — are computed lazily and
     exactly once: the table tier indexes with :attr:`enc`, and
     :attr:`member` falls out of the same round-trip, so a table-served
-    batch pays one vectorized rounding pass total.
+    batch pays one vectorized rounding pass total.  A tier in ``tiers``
+    with an :attr:`Tier.encode` hook may supply that pass instead (the
+    compiled tier does, once the function's kernel is loaded).
     """
 
     __slots__ = (
-        "registry", "fn", "fmt", "level", "mode", "xs", "n", "breaker",
-        "_enc", "_member",
+        "registry", "tiers", "fn", "fmt", "level", "mode", "xs", "n",
+        "breaker", "_enc", "_member",
     )
 
-    def __init__(self, registry, fn, fmt, level, mode, xs, breaker=None):
+    def __init__(
+        self, registry, fn, fmt, level, mode, xs, breaker=None, tiers=(),
+    ):
         self.registry = registry
+        self.tiers = tiers
         self.fn = fn
         self.fmt = fmt
         self.level = level
@@ -118,6 +124,12 @@ class EvalContext:
         return self._member
 
     def _encode(self) -> None:
+        for tier in self.tiers:
+            if tier.encode is not None:
+                out = tier.encode(self)
+                if out is not None:
+                    self._enc, self._member = out
+                    return
         self._enc, self._member = round_doubles_to_bits_checked(
             self.xs, self.fmt, RoundingMode.RTZ
         )
@@ -142,6 +154,10 @@ class Tier:
     evaluator decodes them — tiers that already hold the decoded
     doubles (the table tier's memoized body, the oracle's exact
     results) hand them over and skip that pass.
+
+    ``encode(ctx)``, when set, may return :attr:`EvalContext.enc` and
+    :attr:`EvalContext.member` for the batch, bit-identical to the
+    vectorized RTZ pass, or ``None`` to leave that pass to numpy.
     """
 
     name: str
@@ -153,6 +169,9 @@ class Tier:
         Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]],
     ]
     doc: str = ""
+    encode: Optional[
+        Callable[[EvalContext], Optional[Tuple[np.ndarray, np.ndarray]]]
+    ] = None
 
     def __post_init__(self):
         if not 0 <= self.code < UNCLAIMED:
@@ -174,6 +193,9 @@ class TierRegistry:
 
     def __init__(self, tiers: Sequence[Tier] = ()):
         self._by_name: Dict[str, Tier] = {}
+        #: Dispatch order, rebuilt on :meth:`register` (read at least
+        #: once per evaluated batch).
+        self._ordered: Tuple[Tier, ...] = ()
         for tier in tiers:
             self.register(tier)
 
@@ -187,6 +209,9 @@ class TierRegistry:
                     f"tier code {tier.code} already taken by {other.name!r}"
                 )
         self._by_name[tier.name] = tier
+        self._ordered = tuple(
+            sorted(self._by_name.values(), key=lambda t: (t.rank, t.name))
+        )
         return tier
 
     def get(self, name: str) -> Tier:
@@ -205,7 +230,7 @@ class TierRegistry:
 
     def __iter__(self) -> Iterator[Tier]:
         """Tiers in dispatch order (ascending rank, name tie-break)."""
-        return iter(sorted(self._by_name.values(), key=lambda t: (t.rank, t.name)))
+        return iter(self._ordered)
 
     def names(self) -> Tuple[str, ...]:
         """Tier names in dispatch order."""
@@ -250,6 +275,28 @@ def _table_eval(ctx: EvalContext, sel):
     # doubles off the table's memoized decode.
     enc = ctx.enc[sel]
     return table.lookup(enc), None, table.lookup_values(enc, ctx.fmt)
+
+
+def _compiled_claims(ctx: EvalContext) -> str:
+    if not ctx.registry.vector_capable(ctx.fn, ctx.fmt):
+        return CLAIMS_NONE
+    if ctx.registry.compiled_for(ctx.fn) is None:
+        return CLAIMS_NONE
+    return CLAIMS_MEMBERS
+
+
+def _compiled_eval(ctx: EvalContext, sel):
+    lib = ctx.registry.compiled[ctx.fn]
+    return lib.evaluate(ctx.xs[sel], ctx.level, ctx.mode)
+
+
+def _compiled_encode(ctx: EvalContext):
+    # Only an already-loaded kernel: the member test also runs for
+    # table-served batches, which must never start a build.
+    lib = ctx.registry.compiled.get(ctx.fn)
+    if lib is None or not supports_vector_rounding(ctx.fmt):
+        return None
+    return lib.encode(ctx.xs, ctx.level)
 
 
 def _vector_claims(ctx: EvalContext) -> str:
@@ -323,11 +370,17 @@ def _oracle_eval(ctx: EvalContext, sel):
 
 
 #: The built-in tiers.  Codes are the frozen wire contract (vector /
-#: scalar / oracle predate the registry; table appended at 3); ranks
-#: order dispatch — the table's O(1) gather outranks the kernel sweep.
+#: scalar / oracle predate the registry; table appended at 3, compiled
+#: at 4); ranks order dispatch — the table's O(1) gather outranks the
+#: fused C pass, which outranks the numpy kernel sweep.
 TIER_TABLE_DEF = Tier(
     "table", code=3, rank=0, claims=_table_claims, evaluate=_table_eval,
     doc="dense precomputed .tbl lookup (np.take on an mmap'd array)",
+)
+TIER_COMPILED_DEF = Tier(
+    "compiled", code=4, rank=5, claims=_compiled_claims,
+    evaluate=_compiled_eval, encode=_compiled_encode,
+    doc="gcc-built C kernel: evaluate, round and decode in one pass",
 )
 TIER_VECTOR_DEF = Tier(
     "vector", code=0, rank=10, claims=_vector_claims, evaluate=_vector_eval,
@@ -342,14 +395,15 @@ TIER_ORACLE_DEF = Tier(
     doc="mpmath Ziv oracle (artifact missing), behind a circuit breaker",
 )
 
-_DEFAULT = TierRegistry(
-    [TIER_TABLE_DEF, TIER_VECTOR_DEF, TIER_SCALAR_DEF, TIER_ORACLE_DEF]
-)
+_DEFAULT = TierRegistry([
+    TIER_TABLE_DEF, TIER_COMPILED_DEF, TIER_VECTOR_DEF, TIER_SCALAR_DEF,
+    TIER_ORACLE_DEF,
+])
 
 
 def default_tier_registry() -> TierRegistry:
-    """The process-global registry of built-in tiers (table / vector /
-    scalar / oracle).  Shared: registering here affects every evaluator
+    """The process-global registry of built-in tiers (table / compiled /
+    vector / scalar / oracle).  Shared: registering here affects every evaluator
     constructed without an explicit ``tiers=``."""
     return _DEFAULT
 

@@ -4,7 +4,6 @@ The generated C is swept over *every* finite input of every tiny-family
 format at every progressive level; its outputs must be bit-identical to
 the Python reference runtime."""
 
-import shutil
 import subprocess
 
 import pytest
@@ -13,8 +12,9 @@ from repro.core import evaluate_generated
 from repro.fp import all_finite
 from repro.funcs import TINY_CONFIG
 from repro.libm.codegen import emit_function, emit_selftest
+from repro.libm.compiled import CFLAGS, find_compiler
 
-GCC = shutil.which("gcc") or shutil.which("cc")
+GCC = find_compiler()
 
 ALL_NAMES = ("ln", "log2", "log10", "exp", "exp2", "exp10", "sinh", "cosh", "sinpi", "cospi")
 
@@ -23,8 +23,10 @@ def compile_and_run(source: str, tmp_path) -> str:
     src = tmp_path / "gen.c"
     exe = tmp_path / "gen"
     src.write_text(source)
+    # The compiled serving tier's code-generation flags, with warnings
+    # as errors on top.
     subprocess.run(
-        [GCC, "-O2", "-std=c99", "-Wall", "-Werror", str(src), "-o", str(exe), "-lm"],
+        [GCC, *CFLAGS, "-Wall", "-Werror", str(src), "-o", str(exe), "-lm"],
         check=True,
         capture_output=True,
         text=True,

@@ -19,6 +19,8 @@ from repro.serve import (
     ServingRegistry,
 )
 
+from ..helpers import POLY_TIER
+
 
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory):
@@ -56,7 +58,7 @@ class TestEvaluatorBreaker:
             with pytest.raises(InjectedFault):
                 ev.evaluate("exp2", [0.5], level=0)
         res = ev.evaluate("log2", [1.5], level=0)  # has an artifact
-        assert res.bits and res.tiers[0] in ("vector", "scalar")
+        assert res.bits and res.tiers == [POLY_TIER]
 
     def test_breaker_recovers_after_faults_clear(self, artifact_dir, faults):
         from repro.resilience.breaker import CircuitBreaker

@@ -10,9 +10,12 @@ from repro.funcs import TINY_CONFIG
 from repro.libm.runtime import RlibmProg
 from repro.serve import BatchEvaluator, ServingRegistry
 
+from ..helpers import POLY_TIER
+
 # Tier names are plain strings (repro.serve.tiers); the old TIER_*
-# constants are deprecated shims, tested in test_tiers.py.
-TIER_VECTOR, TIER_SCALAR, TIER_ORACLE = "vector", "scalar", "oracle"
+# constants are deprecated shims, tested in test_tiers.py.  Member
+# inputs go to POLY_TIER: compiled where gcc is on PATH, else vector.
+TIER_SCALAR, TIER_ORACLE = "scalar", "oracle"
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,7 @@ def test_bit_identical_all_formats_and_modes(fn, evaluator, scalar_lib):
             res = evaluator.evaluate(fn, xs, fmt=fmt.display_name, mode=mode)
             want = [scalar_fn.rounded(v, mode).bits for v in vals]
             assert res.bits == want, (fn, fmt, mode)
-            assert res.tiers == [TIER_VECTOR] * len(xs)
+            assert res.tiers == [POLY_TIER] * len(xs)
 
 
 def test_level_resolution_aliases(evaluator):
@@ -60,7 +63,7 @@ def test_out_of_format_inputs_fall_back_to_scalar(evaluator):
     # so the element must take the scalar tier (and still round the
     # scalar runtime's double).
     res = evaluator.evaluate("exp2", [1.0, math.pi], level=1)
-    assert res.tiers == [TIER_VECTOR, TIER_SCALAR]
+    assert res.tiers == [POLY_TIER, TIER_SCALAR]
     scalar = evaluator.registry.scalars["exp2"]
     from repro.libm.runtime import round_double_to
 
@@ -76,7 +79,7 @@ def test_specials_round_trip(evaluator):
     assert res.values[1] == math.inf
     assert res.values[2] == 0.0
     assert res.values[3] == res.values[4] == 1.0
-    assert all(t == TIER_VECTOR for t in res.tiers)
+    assert all(t == POLY_TIER for t in res.tiers)
 
 
 def test_missing_artifact_uses_oracle_tier(tmp_path):
@@ -128,7 +131,7 @@ def test_metrics_accumulate(registry):
     snap = ev.metrics.snapshot()
     assert snap["requests_by_fn"] == {"exp2": 1, "log2": 1}
     assert snap["inputs_by_fn"] == {"exp2": 3, "log2": 1}
-    assert snap["results_by_tier"][TIER_VECTOR] == 4
+    assert snap["results_by_tier"][POLY_TIER] == 4
     assert snap["batch_sizes"]["count"] == 2
     assert snap["eval_latency_s"]["count"] == 2
 

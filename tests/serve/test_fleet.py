@@ -264,6 +264,27 @@ def test_fleet_stats_aggregate_workers(fleet):
         assert worker_requests >= 1
 
 
+def test_fleet_stats_totals_sum_live_workers(fleet):
+    # The router evaluates nothing itself: its top-level per-key
+    # counters are the sums of its live workers' counters.
+    with ServeClient("127.0.0.1", fleet.port) as c:
+        assert c.eval("exp2", [1.0, 2.0], fmt="t8")["ok"]
+        assert c.eval("log2", [1.0, 2.0, 4.0], fmt="t8")["ok"]
+        stats = c.stats()
+    for field in ("requests_by_fn", "inputs_by_fn", "results_by_tier"):
+        want = {}
+        for row in stats["workers"]:
+            for key, n in ((row.get("stats") or {}).get(field) or {}).items():
+                want[key] = want.get(key, 0) + n
+        assert stats[field] == want, field
+    assert stats["inputs_by_fn"]["exp2"] >= 2
+    assert stats["inputs_by_fn"]["log2"] >= 3
+    assert stats["requests_by_fn"]["log2"] >= 1
+    assert sum(stats["results_by_tier"].values()) == sum(
+        stats["inputs_by_fn"].values()
+    )
+
+
 def test_unknown_function_fails_fast(fleet):
     with ServeClient("127.0.0.1", fleet.port) as c:
         resp = c.eval("not_a_function", [1.0], fmt="t8")

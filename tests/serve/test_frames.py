@@ -123,6 +123,23 @@ class TestEvalResultRoundtrip:
         assert ovalues.view(np.uint64).tolist() == SPECIAL_BITS
         assert ocodes.tolist() == codes.tolist()
 
+    def test_client_decodes_tier_codes_it_does_not_know(self):
+        # A server newer than the client may answer with a tier code
+        # past the client's TIER_NAMES: it decodes as "tier<code>"
+        # instead of failing the whole response.
+        from repro.serve.client import _result_to_response
+
+        codes = [TIER_CODES["vector"], TIER_CODES["compiled"],
+                 len(TIER_NAMES), 255]
+        frame = encode_eval_result(
+            {"id": 7, "ok": True}, [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0], codes
+        )
+        resp = _result_to_response(_roundtrip(frame)[1], array_results=False)
+        assert resp["tiers"] == [
+            "vector", "compiled", f"tier{len(TIER_NAMES)}", "tier255",
+        ]
+        assert resp["bits"] == [1, 2, 3, 4]
+
     def test_empty_result(self):
         meta, bits, values, codes = decode_eval_result(
             _roundtrip(encode_eval_result({"id": 1}, [], [], []))[1]
@@ -139,9 +156,9 @@ class TestEvalResultRoundtrip:
         # moving an existing one would silently corrupt every
         # mixed-version fleet.  New tiers must extend, never reorder.
         assert TIER_NAMES[:3] == ("vector", "scalar", "oracle")
-        assert TIER_NAMES == ("vector", "scalar", "oracle", "table")
+        assert TIER_NAMES == ("vector", "scalar", "oracle", "table", "compiled")
         assert TIER_CODES == {
-            "vector": 0, "scalar": 1, "oracle": 2, "table": 3,
+            "vector": 0, "scalar": 1, "oracle": 2, "table": 3, "compiled": 4,
         }
 
 

@@ -11,6 +11,8 @@ from repro.funcs import TINY_CONFIG
 from repro.libm.runtime import RlibmProg
 from repro.serve import ServeClient, ServerThread, ServingRegistry
 
+from ..helpers import POLY_TIER
+
 FNS = ("exp2", "log2", "sinpi")
 
 
@@ -48,7 +50,7 @@ def test_round_trip_bit_identical_all_formats_and_modes(fn, server, scalar_lib):
                 assert resp["mode"] == mode.value
                 want = [scalar_fn.rounded(v, mode).bits for v in vals]
                 assert resp["bits"] == want, (fn, fmt, mode)
-                assert set(resp["tiers"]) == {"vector"}
+                assert set(resp["tiers"]) == {POLY_TIER}
 
 
 def test_values_decode_and_specials(client):
@@ -131,7 +133,7 @@ def test_stats_and_info_ops(client):
     client.eval("exp2", [1.0])
     stats = client.stats()
     assert stats["requests_by_fn"]["exp2"] >= 1
-    assert stats["results_by_tier"].get("vector", 0) >= 1
+    assert stats["results_by_tier"].get(POLY_TIER, 0) >= 1
     for key in (
         "errors", "coalesced_flushes", "coalesced_requests",
         "batch_sizes", "eval_latency_s", "request_latency_s",
@@ -198,4 +200,4 @@ def test_missing_artifact_server_reports_oracle_tier(tmp_path):
 
 def test_out_of_format_inputs_report_scalar_tier(client):
     resp = client.eval("exp2", [1.0, math.pi], fmt="t10")
-    assert resp["tiers"] == ["vector", "scalar"]
+    assert resp["tiers"] == [POLY_TIER, "scalar"]

@@ -25,6 +25,8 @@ from repro.libm.artifacts import ARTIFACT_DIR, available_artifacts
 from repro.libm.vround import decode_bits_to_doubles
 from repro.serve import BatchEvaluator, FleetThread, ServeClient, ServingRegistry
 
+from ..helpers import POLY_TIER
+
 #: Paper-family functions with shipped artifacts (ln and log2 today);
 #: discovering them keeps the exhaustive test covering "every served fn"
 #: as more artifacts land.
@@ -188,14 +190,14 @@ class TestServingDegradation:
     def test_absent_table_falls_through_to_vector(self, tiny_dir):
         ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
         res = ev.evaluate("log2", [1.0, 2.0], fmt="t8")
-        assert res.tiers == ["vector"] * 2
+        assert res.tiers == [POLY_TIER] * 2
 
     def test_other_modes_fall_through(self, tiny_dir):
         # A table answers exactly its (fmt, mode); rtz requests must not
         # read the rne table.
         tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
         ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
-        assert ev.evaluate("log2", [3.0], fmt="t8", mode="rtz").tiers == ["vector"]
+        assert ev.evaluate("log2", [3.0], fmt="t8", mode="rtz").tiers == [POLY_TIER]
         assert ev.evaluate("log2", [3.0], fmt="t8", mode="rne").tiers == ["table"]
 
     def test_corrupt_table_quarantined_and_served_from_vector(self, tiny_dir):
@@ -205,7 +207,7 @@ class TestServingDegradation:
         path.write_bytes(bytes(raw))
         ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
         res = ev.evaluate("log2", [1.0, 2.0], fmt="t8")
-        assert res.tiers == ["vector"] * 2
+        assert res.tiers == [POLY_TIER] * 2
         assert ev.registry.describe()["tables"]["log2@t8/rne"] == "corrupt"
         assert not path.exists()
         quarantined = list(tiny_dir.glob("*.corrupt-*"))
@@ -216,7 +218,7 @@ class TestServingDegradation:
         path.write_bytes(path.read_bytes()[:100])
         ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
         res = ev.evaluate("exp2", [1.0], fmt="t8")
-        assert res.tiers == ["vector"]
+        assert res.tiers == [POLY_TIER]
         assert not path.exists()
         assert list(tiny_dir.glob("*.corrupt-*"))
 
@@ -229,7 +231,7 @@ class TestServingDegradation:
         artifact.write_text(json.dumps(json.loads(artifact.read_text()), indent=4))
         ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
         res = ev.evaluate("log2", [1.0, 2.0], fmt="t8")
-        assert res.tiers == ["vector"] * 2
+        assert res.tiers == [POLY_TIER] * 2
         assert ev.registry.describe()["tables"]["log2@t8/rne"] == "stale"
         assert path.exists()
         # Rebuilding against the regenerated artifact revives the tier.
@@ -241,7 +243,7 @@ class TestServingDegradation:
         path = tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
         path.write_bytes(b"junk")
         ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
-        assert ev.evaluate("log2", [1.0], fmt="t8").tiers == ["vector"]
+        assert ev.evaluate("log2", [1.0], fmt="t8").tiers == [POLY_TIER]
         tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
         ev2 = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
         assert ev2.evaluate("log2", [1.0], fmt="t8").tiers == ["table"]
@@ -263,7 +265,7 @@ class TestFleetWithTables:
                 rt = c.eval("log2", [1.0, 2.0, 4.0], fmt="t8")
                 rv = c.eval("exp2", [1.0, 2.0, 3.0], fmt="t8")
                 assert rt["ok"] and rt["tiers"] == ["table"] * 3
-                assert rv["ok"] and rv["tiers"] == ["vector"] * 3
+                assert rv["ok"] and rv["tiers"] == [POLY_TIER] * 3
                 # The merged info advertises the sidecar; the owning
                 # worker reports it loaded, its peers merely available.
                 info = c.info()
@@ -275,4 +277,4 @@ class TestFleetWithTables:
                     worker = (row.get("stats") or {}).get("results_by_tier", {})
                     for tier, count in worker.items():
                         by_tier[tier] = by_tier.get(tier, 0) + count
-                assert by_tier["table"] == 3 and by_tier["vector"] == 3
+                assert by_tier["table"] == 3 and by_tier[POLY_TIER] == 3

@@ -25,20 +25,23 @@ def _tier(name, code, rank):
 
 class TestDefaultRegistry:
     def test_dispatch_order_is_cheapest_first(self):
-        # The table gather outranks the kernel sweep; the oracle is last.
+        # The table gather outranks the fused C pass, which outranks the
+        # numpy kernel sweep; the oracle is last.
         assert default_tier_registry().names() == (
-            "table", "vector", "scalar", "oracle",
+            "table", "compiled", "vector", "scalar", "oracle",
         )
 
     def test_wire_codes_are_the_frozen_contract(self):
         # vector/scalar/oracle predate the registry and keep their codes
-        # forever; table was appended at 3.  Changing any of these
-        # numbers breaks every mixed-version fleet.
+        # forever; table was appended at 3, compiled at 4.  Changing any
+        # of these numbers breaks every mixed-version fleet.
         reg = default_tier_registry()
         assert reg.wire_codes() == {
-            "vector": 0, "scalar": 1, "oracle": 2, "table": 3,
+            "vector": 0, "scalar": 1, "oracle": 2, "table": 3, "compiled": 4,
         }
-        assert reg.wire_names() == ("vector", "scalar", "oracle", "table")
+        assert reg.wire_names() == (
+            "vector", "scalar", "oracle", "table", "compiled",
+        )
 
     def test_resolve_tiers_spellings(self):
         reg = default_tier_registry()

@@ -13,6 +13,8 @@ from repro.fp.format import T8
 from repro.mp import Oracle
 from repro.parallel import CachedOracle
 
+from .helpers import POLY_TIER
+
 
 def test_resolve_family():
     assert api.resolve_family("tiny") is TINY_CONFIG
@@ -76,7 +78,7 @@ def test_generate_verify_evaluate_round_trip(tmp_path, oracle):
         directory=tmp_path, oracle=oracle,
     )
     assert res.values == [8.0, 2.0]
-    assert res.tiers == ["vector", "vector"]
+    assert res.tiers == [POLY_TIER, POLY_TIER]
 
 
 def test_generate_without_save(tmp_path, oracle):
