@@ -18,7 +18,11 @@ a machine-readable verdict::
 Three payload shapes are understood, auto-detected by their keys:
 
 * generation (``bench_generation_time.py --json``): per-function
-  ``wall_seconds`` plus the summary total — lower is better;
+  ``wall_seconds`` plus the summary total — lower is better.  When both
+  payloads generated the same family, each function's ``lp_solves`` and
+  ``constraints`` must also equal the baseline's: that work is
+  deterministic, and a solver change that alters any LP answer shifts
+  Clarkson's sample trajectory and with it the solve count;
 * serve (``bench_serve.py --json``): per-batch-size ``inputs_per_sec``
   and the batched-vs-single speedup — higher is better;
 * serve_fleet (``bench_serve_fleet.py --json``): per-worker-count,
@@ -45,8 +49,13 @@ import json
 import sys
 from pathlib import Path
 
-#: metric direction: "higher" (throughput) or "lower" (wall time)
-HIGHER, LOWER = "higher", "lower"
+#: metric direction: "higher" (throughput), "lower" (wall time) or
+#: "equal" (deterministic work counts, which must not move at all)
+HIGHER, LOWER, EQUAL = "higher", "lower", "equal"
+
+#: Per-function generation counters that are a pure function of the
+#: family, the function and the generator, so they gate exactly.
+DETERMINISTIC_GENERATION_KEYS = ("lp_solves", "constraints")
 
 
 def _generation_metrics(payload):
@@ -59,6 +68,29 @@ def _generation_metrics(payload):
             summary["total_wall_seconds"], LOWER,
         )
     return out
+
+
+def deterministic_generation_rows(base_payload, cur_payload):
+    """Exact-equality verdict rows for the deterministic per-function
+    generation counters; none unless both payloads ran the same family."""
+    if base_payload.get("family") != cur_payload.get("family"):
+        return []
+    rows = []
+    cur_functions = cur_payload.get("functions", {})
+    for fn, base_row in sorted(base_payload.get("functions", {}).items()):
+        cur_row = cur_functions.get(fn, {})
+        for key in DETERMINISTIC_GENERATION_KEYS:
+            if key not in base_row:
+                continue
+            rows.append({
+                "name": f"generation.{fn}.{key}",
+                "baseline": base_row[key],
+                "current": cur_row.get(key),
+                "direction": EQUAL,
+                "change": None,
+                "ok": cur_row.get(key) == base_row[key],
+            })
+    return rows
 
 
 def _serve_metrics(payload):
@@ -199,6 +231,8 @@ def compare_payloads(base_payload, cur_payload, tolerance=0.25):
                 "change": None,
                 "ok": True,   # new metric: informational only
             })
+    if base_kind == "generation":
+        rows += deterministic_generation_rows(base_payload, cur_payload)
     regressions = [r["name"] for r in rows if not r["ok"]]
     return {
         "ok": not regressions,
@@ -222,7 +256,9 @@ def format_verdict(verdict):
             # Positive change is always an improvement (see compare_metric).
             sign = "+" if r["change"] >= 0 else ""
             change = f"{sign}{100.0 * r['change']:.1f}%"
-        flag = "" if r["ok"] else "REGRESSED"
+        flag = "" if r["ok"] else (
+            "CHANGED" if r["direction"] == EQUAL else "REGRESSED"
+        )
         lines.append(
             f"{r['name']:<42} {base:>12} {cur:>12} {change:>8}  {flag}"
         )

@@ -2,11 +2,12 @@
 
 Clarkson's method for linear programs in low dimensions, extended to the
 progressive-polynomial setting: sample ``6k^2`` constraints by weight,
-solve the sample *exactly* with the rational LP solver, count violations
-over the full multiset; on a "lucky" iteration — violated weight at most
-``1/(3k-1)`` of the satisfied weight — double the violated constraints'
-weights.  When the system is full-rank this finds a polynomial satisfying
-every constraint in ``6 k log n`` iterations in expectation.
+solve the sample *exactly* with the margin LP (a certified float guess,
+else the exact rational simplex), count violations over the full
+multiset; on a "lucky" iteration — violated weight at most ``1/(3k-1)``
+of the satisfied weight — double the violated constraints' weights.
+When the system is full-rank this finds a polynomial satisfying every
+constraint in ``6 k log n`` iterations in expectation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..lp.model import solve_margin_lp
+from ..lp.model import CERTIFIED, EXACT, solve_margin_lp
 from ..obs import get_registry
 from ..obs import span as obs_span
 from .constraints import ConstraintSystem
@@ -27,12 +28,14 @@ from .sampling import WeightState, weighted_sample_indices
 
 @dataclass
 class ClarksonStats:
-    """Per-run counters (iterations, lucky steps, LP solves) plus the
-    wall-clock split between exact LP solving and violation screening."""
+    """Per-run counters (iterations, lucky steps, LP solves, how many of
+    those a certified float guess answered) plus the wall-clock split
+    between exact LP solving and violation screening."""
 
     iterations: int = 0
     lucky_iterations: int = 0
     lp_solves: int = 0
+    lp_certified: int = 0
     infeasible_samples: int = 0
     violation_history: List[int] = field(default_factory=list)
     lp_seconds: float = 0.0
@@ -109,9 +112,15 @@ def solve_constraints(
         "repro_clarkson_lucky_total",
         help="Lucky iterations (violated weight within 1/(3k-1)).",
     )
-    lp_solves_total = registry.counter(
-        "repro_lp_solves_total", help="Exact rational margin-LP solves."
-    )
+    lp_solves_total = {
+        path: registry.counter(
+            "repro_lp_solves_total",
+            help="Exact rational margin-LP solves, by the path that "
+            "answered: a certified float guess or the exact simplex.",
+            path=path,
+        )
+        for path in (CERTIFIED, EXACT)
+    }
     while stats.iterations < max_iterations:
         stats.iterations += 1
         iterations_total.inc()
@@ -125,12 +134,16 @@ def solve_constraints(
             )
             sample_rows = [system.rows[int(i)] for i in idx]
             stats.lp_solves += 1
-            lp_solves_total.inc()
             t_lp = time.perf_counter()
             sol = solve_margin_lp(sample_rows, system.ncols)
             lp_seconds = time.perf_counter() - t_lp
             stats.lp_seconds += lp_seconds
-            isp.set(sample_size=len(idx), lp_seconds=lp_seconds)
+            lp_path = EXACT if sol is None else sol.path
+            stats.lp_certified += lp_path == CERTIFIED
+            lp_solves_total[lp_path].inc()
+            isp.set(
+                sample_size=len(idx), lp_seconds=lp_seconds, lp_path=lp_path
+            )
             if sol is None:
                 # The sample is a subset of the full multiset: an
                 # infeasible sample *proves* the whole system infeasible.

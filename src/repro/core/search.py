@@ -128,7 +128,7 @@ def collect_constraints(
     bit-identical to the serial sweep for any worker count.
     """
     from ..funcs.base import chunk_outcomes, merge_constraints
-    from ..parallel.timing import PhaseTimings
+    from ..obs import PhaseTimings
 
     timings = timings if timings is not None else PhaseTimings()
     jobs = max(1, int(jobs or 1))
@@ -230,7 +230,7 @@ def _generate_function(
     checkpoint_path: Optional[str],
     resume: bool,
 ) -> GeneratedFunction:
-    from ..parallel.timing import PhaseTimings
+    from ..obs import PhaseTimings
     from ..resilience.checkpoint import (
         SearchCheckpoint,
         delete_checkpoint,

@@ -205,7 +205,11 @@ def ilog2(x: Fraction) -> int:
     """floor(log2(x)) for a positive rational, computed exactly."""
     if x <= 0:
         raise ValueError("ilog2 of non-positive value")
-    a, b = x.numerator, x.denominator
+    return ilog2_ratio(x.numerator, x.denominator)
+
+
+def ilog2_ratio(a: int, b: int) -> int:
+    """floor(log2(a / b)) for positive integers a and b."""
     e = a.bit_length() - b.bit_length()
     # Now 2**(e-1) < a/b < 2**(e+1); fix up so 2**e <= a/b < 2**(e+1).
     if e >= 0:

@@ -11,15 +11,19 @@ would compute, while remaining exact; it is the engine behind
 many-column) dual of the generator's margin LPs.
 
 Problem form: maximize c.x subject to A x <= b, x >= 0, with integer data.
+
+:func:`solve_square_int` applies the same update to a square linear
+system; the margin LP's certificate (:mod:`repro.lp.model`) uses it for
+its d x d basis solves.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .simplex import LPResult, LPStatus
+from .simplex import LPError, LPResult, LPStatus
 
 
 def solve_lp_int(
@@ -59,6 +63,50 @@ def scale_to_integers(
         Ai.append(scaled[:-1])
         bi.append(scaled[-1])
     return ci, Ai, bi
+
+
+def solve_square_int(
+    M: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Optional[Tuple[int, List[int]]]:
+    """Solve the square integer system ``M x = rhs`` fraction-free.
+
+    Returns ``(D, num)`` with ``D > 0`` and ``x = num / D`` exactly, or
+    None when M is singular.  Forward elimination is Bareiss's (every
+    division exact, entries stay minors of ``[M | rhs]``); the last pivot
+    is ``+-det(M)``, so by Cramer's rule ``det(M) * x`` is integral and
+    the back substitution divides exactly too.
+    """
+    n = len(M)
+    a = [[int(v) for v in row] + [int(r)] for row, r in zip(M, rhs)]
+    if len(a) != n or any(len(row) != n + 1 for row in a):
+        raise ValueError("solve_square_int needs a square system")
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        prow = a[k]
+        piv = prow[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            a[i] = row[:k] + [0] + [
+                (piv * row[j] - f * prow[j]) // prev for j in range(k + 1, n + 1)
+            ]
+        prev = piv
+    D = prev
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = D * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        q, r = divmod(acc, row[i])
+        if r:
+            raise LPError("inexact Bareiss back substitution")
+        x[i] = q
+    if D < 0:
+        D, x = -D, [-v for v in x]
+    return D, x
 
 
 def _scale_row(vals: Sequence[Fraction]) -> List[int]:

@@ -9,8 +9,8 @@ Three pillars, one substrate:
 * **Metrics** — a :class:`MetricsRegistry` of counters, gauges and
   histograms, exported as JSON or Prometheus text
   (:func:`get_registry`; ``repro obs`` CLI and the server ``metrics``
-  op).  Replaces the bespoke ``serve/metrics.py`` internals and
-  ``parallel/timing.py``.
+  op).  Replaces the bespoke ``serve/metrics.py`` internals and the
+  old ``parallel/timing.py``.
 * **Profiling** — per-span cProfile opt-in via ``REPRO_PROFILE``
   (:func:`write_profile`, :func:`profile_stats_text`).
 

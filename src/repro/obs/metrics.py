@@ -16,11 +16,11 @@ deliberately Prometheus-shaped while staying dependency-free:
 
 This module absorbs the two bespoke metric systems that predate it:
 ``repro.serve.metrics`` (whose :class:`ServerMetrics` is now a facade
-over a registry) and ``repro.parallel.timing`` (whose
-:class:`~repro.obs.phases.PhaseTimings` now also feeds the process-global
-registry).  The process-global registry is reached via
-:func:`get_registry`; subsystem instrumentation (oracle cache, pool
-recovery, Clarkson solver) records there.
+over a registry) and the old ``repro.parallel.timing`` (whose
+:class:`~repro.obs.phases.PhaseTimings` now lives in :mod:`repro.obs` and
+also feeds the process-global registry).  The process-global registry is
+reached via :func:`get_registry`; subsystem instrumentation (oracle
+cache, pool recovery, Clarkson solver) records there.
 """
 
 from __future__ import annotations

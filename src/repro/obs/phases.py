@@ -8,8 +8,8 @@ violation-screening time, runtime-check time — flows into
 ``GenerationStats.phase_seconds`` and the CLI's ``--timings`` report, so
 speedups are measured rather than asserted.
 
-This is the successor of ``repro.parallel.timing`` (now a shim importing
-from here), wired into the observability layer twice over: every
+This is the successor of the removed ``repro.parallel.timing``, wired
+into the observability layer twice over: every
 :meth:`PhaseTimings.add` also charges the process-global
 ``repro_phase_seconds_total{phase=...}`` counter, and every
 :meth:`PhaseTimings.phase` block opens a ``phase.<name>`` trace span —

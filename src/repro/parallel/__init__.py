@@ -1,16 +1,17 @@
-"""Parallel execution layer: process pools, oracle cache, phase timing.
+"""Parallel execution layer: process pools and the oracle cache.
 
-Three orthogonal pieces used by the generator, the verifier and the CLI:
+Two orthogonal pieces used by the generator, the verifier and the CLI:
 
 * :mod:`repro.parallel.pool` — deterministic multi-core sharding of the
   constraint-generation and exhaustive-verification input sweeps;
 * :mod:`repro.parallel.cache` — a persistent sqlite oracle cache keyed by
-  ``(fn, x, format, mode)`` so warm re-runs skip the Ziv loops;
-* :mod:`repro.parallel.timing` — deprecated shim for the phase-level
-  wall-clock instrumentation that now lives in :mod:`repro.obs.phases`
-  (oracle / LP / screening / runtime-check breakdowns).
+  ``(fn, x, format, mode)`` so warm re-runs skip the Ziv loops.
+
+``PhaseTimings`` and ``format_phase_report`` are re-exported from
+:mod:`repro.obs`, where the phase-level wall-clock instrumentation lives.
 """
 
+from ..obs import PhaseTimings, format_phase_report
 from .cache import (
     CachedOracle,
     OracleCache,
@@ -19,7 +20,6 @@ from .cache import (
     persistent_cache_path,
 )
 from .pool import resolve_jobs, shard_outcomes, shard_verify, start_method
-from .timing import PhaseTimings, format_phase_report
 
 __all__ = [
     "CachedOracle",

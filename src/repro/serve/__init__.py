@@ -102,10 +102,6 @@ __all__ = [
     "tune_gc_for_serving",
 ]
 
-#: Deprecated tier constants, forwarded lazily so importing them warns
-#: (mirrors the ``parallel/timing.py`` → ``obs/phases.py`` shim).
-_DEPRECATED_TIERS = ("TIERS", "TIER_VECTOR", "TIER_SCALAR", "TIER_ORACLE")
-
 
 def __getattr__(name: str):
     module = _EXPORTS.get(name)
@@ -113,12 +109,6 @@ def __getattr__(name: str):
         value = getattr(import_module(f".{module}", __name__), name)
         globals()[name] = value
         return value
-    if name in _DEPRECATED_TIERS:
-        # evaluator.__getattr__ owns the warning text; re-raise its
-        # DeprecationWarning from this import site.
-        from . import evaluator
-
-        return getattr(evaluator, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

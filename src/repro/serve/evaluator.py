@@ -53,16 +53,11 @@ opens and oracle-tier batches are *shed* with
 ``oracle_unavailable`` error) instead of queuing unbounded slow work.
 The artifact-backed tiers are never shed — they carry the correctness
 proof and their latency is bounded.
-
-The historical module constants (``TIERS``, ``TIER_VECTOR``, ...) are
-deprecated re-exports over the tier registry; import tier names as
-plain strings or use :func:`repro.serve.tiers.default_tier_registry`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -98,29 +93,6 @@ __all__ = [
 #: lists or code arrays convert through this.
 _WIRE_NAMES = default_tier_registry().wire_names()
 _WIRE_CODES = default_tier_registry().wire_codes()
-
-#: Deprecated module constants, served via ``__getattr__`` so importing
-#: them warns exactly once per site without breaking old code.
-_DEPRECATED = {
-    "TIERS": ("vector", "scalar", "oracle"),
-    "TIER_VECTOR": "vector",
-    "TIER_SCALAR": "scalar",
-    "TIER_ORACLE": "oracle",
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.serve.evaluator.{name} is deprecated; tier names are "
-            f"plain strings and the tier table lives in "
-            f"repro.serve.tiers.default_tier_registry()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def resolve_mode(mode: Union[str, RoundingMode]) -> RoundingMode:
     """A :class:`RoundingMode` from its enum or wire spelling (``"rne"``)."""

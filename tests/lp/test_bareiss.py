@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp import LPStatus, solve_lp
-from repro.lp.bareiss import scale_to_integers, solve_lp_int
+from repro.lp import LPStatus
+from repro.lp.bareiss import scale_to_integers, solve_lp_int, solve_square_int
+
+from .reference import solve_lp, solve_square
 
 F = Fraction
 
@@ -95,3 +97,37 @@ class TestSolveLpInt:
             for row, bi in zip(A, b):
                 assert sum(F(v) * x for v, x in zip(row, fast.x)) <= bi
             assert all(x >= 0 for x in fast.x)
+
+
+class TestSolveSquareInt:
+    def test_fractional_solution(self):
+        # 2x + y = 3, x + 3y = 5 -> x = 4/5, y = 7/5.
+        D, x = solve_square_int([[2, 1], [1, 3]], [3, 5])
+        assert D > 0 and [F(v, D) for v in x] == [F(4, 5), F(7, 5)]
+
+    def test_needs_row_swap(self):
+        D, x = solve_square_int([[0, 1], [1, 0]], [2, 3])
+        assert [F(v, D) for v in x] == [3, 2]
+
+    def test_singular(self):
+        assert solve_square_int([[1, 2], [2, 4]], [1, 2]) is None
+        assert solve_square_int([[0, 0], [0, 1]], [0, 1]) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_solution_is_exact(self, data):
+        n = data.draw(st.integers(1, 6))
+        ints = st.integers(-(1 << 70), 1 << 70)
+        M = [[data.draw(ints) for _ in range(n)] for _ in range(n)]
+        if n > 1 and data.draw(st.booleans()):
+            # Make the last row a combination of the others: singular.
+            f = [data.draw(st.integers(-3, 3)) for _ in range(n - 1)]
+            M[-1] = [sum(c * row[j] for c, row in zip(f, M)) for j in range(n)]
+        rhs = [data.draw(ints) for _ in range(n)]
+        out = solve_square_int(M, rhs)
+        ref = solve_square(M, rhs)
+        if out is None:
+            assert ref is None
+            return
+        D, x = out
+        assert D > 0 and [F(v, D) for v in x] == ref

@@ -1,13 +1,19 @@
 """Exact simplex vs scipy.linprog cross-checks and hand cases."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.lp import LPStatus, solve_lp, solve_lp_wide
+from repro.lp import LPError, LPResult, LPStatus, bareiss, solve_lp_wide
+
+from .reference import solve_lp
 
 F = Fraction
 
@@ -137,3 +143,43 @@ class TestAgainstScipy:
             for row, bi in zip(A, b):
                 assert sum(r * x for r, x in zip(row, wide.x)) <= bi
             assert all(x >= 0 for x in wide.x)
+
+
+def _forge_duality_gap(real):
+    """Wrap ``solve_lp_int`` so its optimal objective is off by one."""
+    def forged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return LPResult(res.status, res.x, res.objective + 1, res.duals)
+    return forged
+
+
+class TestChecksRaise:
+    LP = ([F(1), F(1)], [[F(1), F(1)], [F(1), F(0)]], [F(4), F(3)])
+
+    def test_forged_duality_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            bareiss, "solve_lp_int", _forge_duality_gap(bareiss.solve_lp_int)
+        )
+        with pytest.raises(LPError, match="duality gap"):
+            solve_lp_wide(*self.LP)
+
+    def test_duality_gap_raises_under_python_O(self):
+        # The check is a raise, not an assert: -O must keep it.
+        script = (
+            "import pytest\n"
+            "from fractions import Fraction as F\n"
+            "from repro.lp import LPError, bareiss, solve_lp_wide\n"
+            "from tests.lp.test_simplex import TestChecksRaise, "
+            "_forge_duality_gap\n"
+            "bareiss.solve_lp_int = _forge_duality_gap(bareiss.solve_lp_int)\n"
+            "with pytest.raises(LPError):\n"
+            "    solve_lp_wide(*TestChecksRaise.LP)\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

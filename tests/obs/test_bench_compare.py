@@ -18,6 +18,17 @@ def generation_payload(wall=10.0, total=None):
     }
 
 
+def counted_generation_payload(lp_solves=13, constraints=24, family="tiny"):
+    return {
+        "family": family,
+        "functions": {"log2": {
+            "wall_seconds": 1.0, "lp_solves": lp_solves,
+            "constraints": constraints,
+        }},
+        "summary": {"total_wall_seconds": 1.0},
+    }
+
+
 def serve_payload(ips=1000.0, speedup=50.0):
     return {
         "bench": "serve",
@@ -140,6 +151,51 @@ class TestComparePayloads:
         new = [m for m in v["metrics"]
                if m["name"] == "serve.batch_64.inputs_per_sec"]
         assert new and new[0]["baseline"] is None and new[0]["ok"]
+
+
+class TestDeterministicWork:
+    def test_equal_counts_pass(self):
+        v = bench_compare.compare_payloads(
+            counted_generation_payload(), counted_generation_payload()
+        )
+        assert v["ok"]
+        names = {r["name"]: r for r in v["metrics"]}
+        assert names["generation.log2.lp_solves"]["direction"] == "equal"
+        assert names["generation.log2.constraints"]["ok"]
+
+    @pytest.mark.parametrize("changed", [
+        {"lp_solves": 12}, {"lp_solves": 14}, {"constraints": 25},
+    ])
+    def test_any_change_fails_even_when_faster(self, changed):
+        # Fewer LP solves is not "better": the trajectory moved.
+        v = bench_compare.compare_payloads(
+            counted_generation_payload(),
+            counted_generation_payload(**changed),
+        )
+        (key,) = changed
+        assert not v["ok"]
+        assert v["regressions"] == [f"generation.log2.{key}"]
+        assert "CHANGED" in bench_compare.format_verdict(v)
+
+    def test_missing_count_fails(self):
+        cur = counted_generation_payload()
+        del cur["functions"]["log2"]["lp_solves"]
+        v = bench_compare.compare_payloads(counted_generation_payload(), cur)
+        assert v["regressions"] == ["generation.log2.lp_solves"]
+
+    def test_other_family_is_not_gated(self):
+        v = bench_compare.compare_payloads(
+            counted_generation_payload(family="tiny"),
+            counted_generation_payload(lp_solves=99, family="mini"),
+        )
+        assert v["ok"]
+        assert not any(r["direction"] == "equal" for r in v["metrics"])
+
+    def test_baseline_without_counts_is_not_gated(self):
+        v = bench_compare.compare_payloads(
+            generation_payload(), counted_generation_payload(lp_solves=99)
+        )
+        assert v["ok"]
 
 
 class TestMain:

@@ -2,12 +2,21 @@
 
 import json
 import os
+from fractions import Fraction
+
+import numpy as np
 
 from repro.core import generate_function
+from repro.core.clarkson import solve_constraints
+from repro.core.constraints import ConstraintSystem, ReducedConstraint
+from repro.core.polynomial import PolyShape
 from repro.funcs import TINY_CONFIG, make_pipeline
 from repro.mp import Oracle
+
+from ..core.test_clarkson import exp_like_system
 from repro.obs import (
     configure_tracing,
+    get_registry,
     get_tracer,
     propagate_to_children,
     read_trace,
@@ -236,6 +245,42 @@ class TestSpawnWorkers:
             # that was open when the pool was created.
             parent = by_id[chunk["parent"]]
             assert parent["name"] == "search.constraints"
+
+
+class TestLpPath:
+    def test_each_solve_reports_its_path(self, tmp_path):
+        # Which LP path answered shows up three ways, all in agreement:
+        # ClarksonStats, the labelled counter and the iteration spans.
+        # One unsatisfiable constraint makes every sample that draws it
+        # infeasible (answered by the exact simplex); the rest certify.
+        system = exp_like_system(n=600, width=Fraction(1, 10**8))
+        poisoned = ConstraintSystem(
+            list(system.constraints)
+            + [ReducedConstraint(Fraction(1, 100), 0, Fraction(10), Fraction(11))],
+            [PolyShape.dense(4)], ((4,),),
+        )
+        path = tmp_path / "trace.jsonl"
+        configure_tracing(str(path))
+        try:
+            res = solve_constraints(
+                poisoned, rng=np.random.default_rng(0),
+                stop_on_infeasible=False, max_iterations=8,
+            )
+        finally:
+            reset_tracing()
+        stats = res.stats
+        assert 0 < stats.lp_certified < stats.lp_solves
+        reg = get_registry()
+        by_path = {
+            p: reg.counter("repro_lp_solves_total", path=p).value
+            for p in ("certified", "exact")
+        }
+        assert by_path["certified"] == stats.lp_certified
+        assert sum(by_path.values()) == stats.lp_solves
+        iters = _spans_by_name(read_trace(path))["clarkson.iteration"]
+        paths = [rec["attrs"]["lp_path"] for rec in iters]
+        assert len(paths) == stats.lp_solves
+        assert paths.count("certified") == stats.lp_certified
 
 
 class TestSummarize:

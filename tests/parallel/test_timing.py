@@ -2,7 +2,7 @@
 
 import time
 
-from repro.parallel import PhaseTimings, format_phase_report
+from repro.obs import PhaseTimings, format_phase_report
 
 
 class TestPhaseTimings:

@@ -1,6 +1,4 @@
-"""TierRegistry: ordering, wire-code stability, shims, custom dispatch."""
-
-import warnings
+"""TierRegistry: ordering, wire-code stability, removed shims, custom dispatch."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,35 +109,18 @@ class TestRegistryInvariants:
 
 
 class TestDeprecatedShims:
-    @pytest.mark.parametrize(
-        "name, want",
-        [
-            ("TIERS", ("vector", "scalar", "oracle")),
-            ("TIER_VECTOR", "vector"),
-            ("TIER_SCALAR", "scalar"),
-            ("TIER_ORACLE", "oracle"),
-        ],
-    )
-    def test_evaluator_constants_warn_and_forward(self, name, want):
-        import repro.serve
-        import repro.serve.evaluator as evaluator
-
-        for module in (evaluator, repro.serve):
-            with warnings.catch_warnings(record=True) as w:
-                warnings.simplefilter("always")
-                assert getattr(module, name) == want
-            assert any(
-                issubclass(x.category, DeprecationWarning) for x in w
-            ), module.__name__
+    """The deprecated ``TIERS``/``TIER_*`` constants were removed: tier
+    names are plain strings and the table is the tier registry."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.serve
         import repro.serve.evaluator as evaluator
 
-        with pytest.raises(AttributeError):
-            evaluator.TIER_NOPE
-        with pytest.raises(AttributeError):
-            repro.serve.TIER_NOPE
+        for name in ("TIER_NOPE", "TIERS", "TIER_VECTOR"):
+            with pytest.raises(AttributeError):
+                getattr(evaluator, name)
+            with pytest.raises(AttributeError):
+                getattr(repro.serve, name)
 
 
 class TestCustomDispatch:
