@@ -10,7 +10,6 @@ of thousands of rows, with exact rational recheck near the boundaries).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -105,9 +104,9 @@ class ConstraintSystem:
                 if v:
                     self.M[i, j] = to_double_nearest(v)
             if row.lo is not None:
-                self.lo[i] = _down(row.lo)
+                self.lo[i] = to_double_down(row.lo)
             if row.hi is not None:
-                self.hi[i] = _up(row.hi)
+                self.hi[i] = to_double_up(row.hi)
         self.absM = np.abs(self.M)
 
     # ------------------------------------------------------------------
@@ -147,15 +146,3 @@ class ConstraintSystem:
         return len(self.rows)
 
 
-def _down(x: Fraction) -> float:
-    try:
-        return to_double_down(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
-
-
-def _up(x: Fraction) -> float:
-    try:
-        return to_double_up(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf

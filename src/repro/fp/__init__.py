@@ -1,8 +1,9 @@
 """Floating-point substrate: formats, encoding, rounding, intervals.
 
 This package is the exact-arithmetic model of IEEE-754-style binary
-formats that the rest of the reproduction is built on.  Everything is
-computed with :class:`fractions.Fraction`, so results are bit-exact.
+formats that the rest of the reproduction is built on.  Values are exact
+:class:`fractions.Fraction` objects; rounding works on their integer
+numerators and denominators, so results are bit-exact.
 """
 
 from .format import (
@@ -22,8 +23,8 @@ from .format import (
     T8,
     T10,
 )
-from .encode import FPValue, Kind, exact_bits, float_to_fraction, float_to_fpvalue, ilog2
-from .rounding import RoundingMode, IEEE_MODES, round_real, round_nearest_even
+from .encode import FPValue, Kind, float_to_fraction, float_to_fpvalue, ilog2
+from .rounding import RoundingMode, IEEE_MODES, exact_bits, round_real, round_nearest_even
 from .intervals import Interval, rounding_interval
 from .enumerate import all_finite, all_patterns, count_finite, sample_finite, stratified_sample
 

@@ -3,9 +3,9 @@
 Python's ``float`` *is* IEEE binary64 with correctly rounded ``+ - * /``
 and ``math.sqrt``, so the generated libraries' double-precision runtime is
 simulated exactly by ordinary Python float arithmetic.  This module
-provides exact conversions between doubles and rationals plus directed
-conversions used when rational interval endpoints must be materialized as
-doubles.
+provides directed conversions used when exact interval endpoints must be
+materialized as doubles.  Each accepts an int, a Fraction or a finite
+float and reads the double straight off the rounded binary64 pattern.
 """
 
 from __future__ import annotations
@@ -13,30 +13,27 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .encode import FPValue, float_to_bits, bits_to_float
+from .encode import bits_to_float
 from .format import FLOAT64
-from .rounding import RoundingMode, round_real
-
-MAX_DOUBLE = FLOAT64.max_value
+from .rounding import RoundingMode, exact_bits, exact_ratio, round_ratio_bits
 
 
-def to_double_nearest(x: Fraction) -> float:
+def to_double_nearest(x) -> float:
     """Round a rational to the nearest double (ties to even)."""
-    return _to_float(round_real(x, FLOAT64, RoundingMode.RNE))
+    n, d = exact_ratio(x)
+    return bits_to_float(round_ratio_bits(n, d, FLOAT64, RoundingMode.RNE))
 
 
-def to_double_down(x: Fraction) -> float:
-    """Largest double <= x."""
-    return _to_float(round_real(x, FLOAT64, RoundingMode.RTN))
+def to_double_down(x) -> float:
+    """Largest double <= x (``-inf`` below the finite range)."""
+    n, d = exact_ratio(x)
+    return bits_to_float(round_ratio_bits(n, d, FLOAT64, RoundingMode.RTN))
 
 
-def to_double_up(x: Fraction) -> float:
-    """Smallest double >= x."""
-    return _to_float(round_real(x, FLOAT64, RoundingMode.RTP))
-
-
-def _to_float(v: FPValue) -> float:
-    return v.to_float()
+def to_double_up(x) -> float:
+    """Smallest double >= x (``+inf`` above the finite range)."""
+    n, d = exact_ratio(x)
+    return bits_to_float(round_ratio_bits(n, d, FLOAT64, RoundingMode.RTP))
 
 
 def next_double_up(x: float) -> float:
@@ -51,24 +48,4 @@ def next_double_down(x: float) -> float:
 
 def double_is_exact(x: Fraction) -> bool:
     """True if the rational is exactly a finite double."""
-    if x == 0:
-        return True
-    try:
-        return Fraction(to_double_nearest(x)) == x
-    except OverflowError:
-        return False
-
-
-def ulp_double(x: float) -> float:
-    """math.ulp with a name that reads well next to the Fraction helpers."""
-    return math.ulp(x)
-
-
-def double_bits(x: float) -> int:
-    """Raw binary64 bit pattern of a double."""
-    return float_to_bits(x)
-
-
-def double_from_bits(bits: int) -> float:
-    """Double from a raw binary64 bit pattern."""
-    return bits_to_float(bits)
+    return exact_bits(x, FLOAT64) is not None

@@ -11,7 +11,6 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .format import FLOAT64, FPFormat
 
@@ -83,21 +82,21 @@ class FPValue:
     @property
     def value(self) -> Fraction:
         """Exact value of a finite datum (``±0`` both map to ``Fraction(0)``)."""
-        kind = self.kind
-        if kind is Kind.ZERO:
-            return Fraction(0)
-        if kind in (Kind.INFINITY, Kind.NAN):
-            raise ValueError(f"{kind.value} has no finite value")
         fmt = self.fmt
         m = fmt.mantissa_bits
-        if kind is Kind.SUBNORMAL:
-            mag = Fraction(self.mantissa_field, 1 << m) * Fraction(2) ** fmt.emin
+        bits = self.bits
+        biased = bits & fmt.exponent_mask
+        sig = bits & fmt.mantissa_mask
+        if biased == 0:
+            if sig == 0:
+                return Fraction(0)
+            q = fmt.emin - m
+        elif biased == fmt.exponent_mask:
+            raise ValueError(f"{self.kind.value} has no finite value")
         else:
-            mag = (
-                Fraction((1 << m) + self.mantissa_field, 1 << m)
-                * Fraction(2) ** (self.exponent_field - fmt.bias)
-            )
-        return -mag if self.sign else mag
+            sig |= 1 << m
+            q = (biased >> m) - fmt.bias - m
+        return dyadic(-sig if bits & fmt.sign_mask else sig, q)
 
     @property
     def significand(self) -> int:
@@ -116,7 +115,7 @@ class FPValue:
 
     def ulp(self) -> Fraction:
         """Unit in the last place: the quantum of this datum."""
-        return Fraction(2) ** self.quantum_exponent
+        return dyadic(1, self.quantum_exponent)
 
     # -- neighbours on the extended real line -----------------------------
     def next_up(self) -> "FPValue":
@@ -201,6 +200,11 @@ class FPValue:
         return -mag if self.sign else mag
 
 
+def dyadic(n: int, q: int) -> Fraction:
+    """The exact value ``n * 2**q`` as a Fraction."""
+    return Fraction(n << q) if q >= 0 else Fraction(n, 1 << -q)
+
+
 def ilog2(x: Fraction) -> int:
     """floor(log2(x)) for a positive rational, computed exactly."""
     if x <= 0:
@@ -221,32 +225,6 @@ def ilog2_ratio(a: int, b: int) -> int:
     return e
 
 
-def exact_bits(x: Fraction, fmt: FPFormat) -> Optional[int]:
-    """Bit pattern of ``x`` if exactly representable (finite) in ``fmt``, else None.
-
-    Returns the positive-zero pattern for ``x == 0``.
-    """
-    if x == 0:
-        return 0
-    sign = 1 if x < 0 else 0
-    mag = -x if sign else x
-    if mag > fmt.max_value:
-        return None
-    m = fmt.mantissa_bits
-    e = ilog2(mag)
-    if e < fmt.emin:
-        qe = fmt.emin - m  # subnormal quantum
-    else:
-        qe = e - m
-    scaled = mag / (Fraction(2) ** qe)
-    if scaled.denominator != 1:
-        return None
-    sig = scaled.numerator
-    if e < fmt.emin:
-        return FPValue.from_parts(fmt, sign, 0, sig).bits
-    return FPValue.from_parts(fmt, sign, e + fmt.bias, sig - (1 << m)).bits
-
-
 def float_to_fraction(x: float) -> Fraction:
     """Exact rational value of a finite Python float."""
     if math.isnan(x) or math.isinf(x):
@@ -254,14 +232,18 @@ def float_to_fraction(x: float) -> Fraction:
     return Fraction(x)
 
 
+_BINARY64 = struct.Struct("<d")
+_UINT64 = struct.Struct("<Q")
+
+
 def float_to_bits(x: float) -> int:
     """Raw binary64 bit pattern of a Python float."""
-    return struct.unpack("<Q", struct.pack("<d", x))[0]
+    return _UINT64.unpack(_BINARY64.pack(x))[0]
 
 
 def bits_to_float(bits: int) -> float:
     """Python float from a raw binary64 bit pattern."""
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+    return _BINARY64.unpack(_UINT64.pack(bits))[0]
 
 
 def float_to_fpvalue(x: float) -> FPValue:

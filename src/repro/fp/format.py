@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True, order=True)
@@ -20,6 +21,8 @@ class FPFormat:
 
     Ordering of formats sorts by ``(total_bits, exponent_bits)``, which is
     convenient for progressive families where smaller formats come first.
+    Derived quantities are computed on first use and kept on the instance,
+    since exact rounding reads them on every call.
     """
 
     total_bits: int
@@ -35,50 +38,50 @@ class FPFormat:
             )
 
     # ------------------------------------------------------------------
-    # Derived structural quantities
+    # Derived structural quantities (cached: the format is immutable)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def mantissa_bits(self) -> int:
         """Number of explicitly stored mantissa (trailing significand) bits."""
         return self.total_bits - self.exponent_bits - 1
 
-    @property
+    @cached_property
     def precision(self) -> int:
         """Significand precision including the implicit leading bit."""
         return self.mantissa_bits + 1
 
-    @property
+    @cached_property
     def bias(self) -> int:
         """Exponent bias 2^(|E|-1) - 1."""
         return (1 << (self.exponent_bits - 1)) - 1
 
-    @property
+    @cached_property
     def emax(self) -> int:
         """Largest unbiased exponent of a normal value."""
         return (1 << self.exponent_bits) - 2 - self.bias
 
-    @property
+    @cached_property
     def emin(self) -> int:
         """Smallest unbiased exponent of a normal value."""
         return 1 - self.bias
 
-    @property
+    @cached_property
     def max_value(self) -> Fraction:
         """Largest finite representable value."""
         m = self.mantissa_bits
         return Fraction((1 << (m + 1)) - 1, 1 << m) * Fraction(2) ** self.emax
 
-    @property
+    @cached_property
     def min_normal(self) -> Fraction:
         """Smallest positive normal value, 2^emin."""
         return Fraction(2) ** self.emin
 
-    @property
+    @cached_property
     def min_subnormal(self) -> Fraction:
         """Smallest positive (subnormal) value."""
         return Fraction(2) ** (self.emin - self.mantissa_bits)
 
-    @property
+    @cached_property
     def overflow_threshold(self) -> Fraction:
         """Boundary ``max_value + ulp/2``: reals at or above it overflow for RN."""
         return self.max_value + Fraction(2) ** (self.emax - self.mantissa_bits - 1)
@@ -121,22 +124,22 @@ class FPFormat:
     # ------------------------------------------------------------------
     # Bit-level layout helpers
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def sign_mask(self) -> int:
         """Bit mask of the sign bit."""
         return 1 << (self.total_bits - 1)
 
-    @property
+    @cached_property
     def exponent_mask(self) -> int:
         """Bit mask covering the exponent field."""
         return ((1 << self.exponent_bits) - 1) << self.mantissa_bits
 
-    @property
+    @cached_property
     def mantissa_mask(self) -> int:
         """Bit mask covering the stored mantissa field."""
         return (1 << self.mantissa_bits) - 1
 
-    @property
+    @cached_property
     def num_bit_patterns(self) -> int:
         """Total number of bit patterns, 2^total_bits."""
         return 1 << self.total_bits

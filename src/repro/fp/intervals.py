@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .encode import FPValue, Kind
+from .encode import FPValue, Kind, dyadic
 from .rounding import RoundingMode
 
 
@@ -127,22 +127,6 @@ class Interval:
 
 Interval.EMPTY = Interval(Fraction(1), Fraction(0))
 
-_HALF = Fraction(1, 2)
-
-
-def _succ_real(v: FPValue) -> Fraction:
-    """The next grid point above a finite non-negative datum, as a real.
-
-    For the largest finite value, this is the virtual next point
-    ``max_value + ulp``, so that the RNE midpoint is the IEEE overflow
-    threshold.
-    """
-    nxt = v.next_up()
-    if nxt.is_infinity:
-        return v.value + v.ulp()
-    return nxt.value
-
-
 def rounding_interval(v: FPValue, mode: RoundingMode) -> Interval:
     """The set of reals rounding to the bit pattern ``v`` under ``mode``."""
     kind = v.kind
@@ -169,31 +153,39 @@ _MIRROR = {RoundingMode.RTP: RoundingMode.RTN, RoundingMode.RTN: RoundingMode.RT
 
 
 def _positive_interval(v: FPValue, mode: RoundingMode) -> Interval:
-    val = v.value
-    succ = _succ_real(v)
-    pred = v.next_down().value  # v > 0, so this is finite (possibly 0)
+    fmt = v.fmt
+    # pred, v and succ as integers at one quantum 2**q.  At the bottom of
+    # a normal binade pred lies one binade lower, so count in half-ulps
+    # there.  For the largest finite value succ is the virtual next point
+    # max_value + ulp, so that the RNE midpoint is the overflow threshold.
+    sig, q = v.significand, v.quantum_exponent
+    if v.mantissa_field == 0 and v.exponent_field > 1:
+        pred, val, succ, q = 2 * sig - 1, 2 * sig, 2 * sig + 2, q - 1
+    else:
+        pred, val, succ = sig - 1, sig, sig + 1
     # For the largest finite value, every overflowing real rounds back to
     # it under the truncating modes and round-to-odd.
-    is_max = v.next_up().is_infinity
-    if mode is RoundingMode.RNE:
-        even = v.mantissa_field & 1 == 0
-        return Interval((pred + val) / 2, (val + succ) / 2, not even, not even)
-    if mode is RoundingMode.RNA:
+    is_max = v.bits == fmt.exponent_mask - 1
+    if mode is RoundingMode.RNE or mode is RoundingMode.RNA:
+        lo_tie, hi_tie = dyadic(pred + val, q - 1), dyadic(val + succ, q - 1)
+        if mode is RoundingMode.RNE:
+            odd = v.mantissa_field & 1 == 1
+            return Interval(lo_tie, hi_tie, odd, odd)
         # Ties round away from zero: the lower tie belongs to v, the upper
         # tie belongs to succ.
-        return Interval((pred + val) / 2, (val + succ) / 2, False, True)
+        return Interval(lo_tie, hi_tie, False, True)
     if mode is RoundingMode.RTZ or mode is RoundingMode.RTN:
         if is_max:
-            return Interval(val, None)
-        return Interval(val, succ, False, True)
+            return Interval(dyadic(val, q), None)
+        return Interval(dyadic(val, q), dyadic(succ, q), False, True)
     if mode is RoundingMode.RTP:
-        return Interval(pred, val, True, False)
+        return Interval(dyadic(pred, q), dyadic(val, q), True, False)
     if mode is RoundingMode.RTO:
         if is_max:
-            return Interval(pred, None, True, False)
+            return Interval(dyadic(pred, q), None, True, False)
         if v.mantissa_field & 1:
-            return Interval(pred, succ, True, True)
-        return Interval(val, val)
+            return Interval(dyadic(pred, q), dyadic(succ, q), True, True)
+        return Interval(dyadic(val, q), dyadic(val, q))
     raise ValueError(f"unsupported mode {mode}")
 
 

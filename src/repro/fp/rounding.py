@@ -4,14 +4,19 @@ Implements the five IEEE-754 rounding modes plus the *round-to-odd* mode
 used by RLibm-All: a real that is exactly representable rounds to itself;
 any other real rounds to whichever of its two neighbours has an odd bit
 pattern when interpreted as an unsigned integer.
+
+Every rounding goes through :func:`round_ratio_bits`, which works on the
+integer numerator and denominator of the exact value and never builds a
+:class:`~fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
+import math
+from typing import Optional, Tuple
 
-from .encode import FPValue, ilog2
+from .encode import FPValue, ilog2_ratio
 from .format import FPFormat
 
 
@@ -36,91 +41,114 @@ IEEE_MODES = (
 )
 
 
-def round_real(x: Fraction, fmt: FPFormat, mode: RoundingMode) -> FPValue:
-    """Round the exact rational ``x`` to ``fmt`` under ``mode``.
+def exact_ratio(x) -> Tuple[int, int]:
+    """``(n, d)`` with ``d > 0`` and ``n / d`` exactly ``x``.
+
+    Accepts anything with ``as_integer_ratio``: ints, :class:`Fraction`
+    and finite floats.  NaN and infinities have no rational value.
+    """
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x!r} has no exact rational value")
+    return x.as_integer_ratio()
+
+
+def round_real(x, fmt: FPFormat, mode: RoundingMode) -> FPValue:
+    """Round the exact value of ``x`` (int, Fraction or finite float) to
+    ``fmt`` under ``mode``.
 
     Overflow follows IEEE-754 semantics for the standard modes (the near-to
     modes overflow to infinity only at or beyond ``max_value + ulp/2``).
     For round-to-odd, a magnitude beyond the largest finite value rounds to
     the largest finite value, whose bit pattern (all-ones mantissa) is odd.
+    A real zero rounds to ``+0``; an inexact tiny value keeps its sign.
     """
-    if x == 0:
-        return FPValue.zero(fmt)
-    sign = 1 if x < 0 else 0
-    mag = -x if sign else x
-    fpv = _round_magnitude(mag, fmt, mode, sign)
-    if sign and not fpv.is_nan:
-        fpv = FPValue(fmt, fpv.bits | fmt.sign_mask)
-    return fpv
+    n, d = exact_ratio(x)
+    return FPValue(fmt, round_ratio_bits(n, d, fmt, mode))
 
 
-def _round_magnitude(mag: Fraction, fmt: FPFormat, mode: RoundingMode, sign: int) -> FPValue:
-    """Round a positive magnitude; ``sign`` only steers the directed modes."""
-    m = fmt.mantissa_bits
-    # Directed modes depend on the sign of the original value: rounding a
-    # negative value toward +inf truncates its magnitude, and vice versa.
-    if mode is RoundingMode.RTP:
-        away = not sign
-    elif mode is RoundingMode.RTN:
-        away = bool(sign)
+def round_ratio_bits(n: int, d: int, fmt: FPFormat, mode: RoundingMode) -> int:
+    """Bit pattern of ``n / d`` (``d > 0``) rounded to ``fmt`` under ``mode``.
+
+    The whole computation is on integers; see :func:`_quantize`.
+    """
+    if n > 0:
+        sign = 0
+        away = mode is RoundingMode.RTP
+    elif n < 0:
+        n = -n
+        sign = fmt.sign_mask
+        away = mode is RoundingMode.RTN
     else:
-        away = False  # RTZ truncates; near/odd modes ignore this flag
-
-    if mag > fmt.max_value:
-        if mode in (RoundingMode.RNE, RoundingMode.RNA):
-            if mag < fmt.overflow_threshold:
-                return FPValue.max_finite(fmt)
-            return FPValue.infinity(fmt)
-        if mode is RoundingMode.RTO:
-            return FPValue.max_finite(fmt)
-        if away:
-            return FPValue.infinity(fmt)
-        return FPValue.max_finite(fmt)
-
-    e = ilog2(mag)
-    qe = (fmt.emin if e < fmt.emin else e) - m
-    scaled = mag * (Fraction(2) ** -qe)
-    sig = scaled.numerator // scaled.denominator
-    rem = scaled - sig
-    if _should_round_up(sig, rem, mode, away):
-        sig += 1
-    # Renormalize: the significand may have crossed a power of two.
-    if e >= fmt.emin and sig == (1 << (m + 1)):
-        sig = 1 << m
-        e += 1
-        if e > fmt.emax:
-            # Only directed-away rounding can land here (the near modes
-            # were screened by the max_value test above, and round-to-odd
-            # never rounds an odd max significand upward).
-            return FPValue.infinity(fmt)
-    if sig == 0:
-        return FPValue.zero(fmt)
-    if e < fmt.emin:
-        if sig == (1 << m):
-            # Subnormal rounded up into the smallest normal.
-            return FPValue.from_parts(fmt, 0, 1, 0)
-        return FPValue.from_parts(fmt, 0, 0, sig)
-    return FPValue.from_parts(fmt, 0, e + fmt.bias, sig - (1 << m))
+        return 0
+    q = _quantize(n, d, fmt)
+    if q is None:
+        # |x| >= 2**(emax+1), beyond the overflow threshold: the near
+        # modes and directed rounding away from zero give infinity, the
+        # truncating modes and round-to-odd the largest finite value.
+        if away or mode is RoundingMode.RNE or mode is RoundingMode.RNA:
+            return sign | fmt.exponent_mask
+        return sign | (fmt.exponent_mask - 1)
+    base, sig, rem, div = q
+    if rem:
+        if mode is RoundingMode.RNE:
+            rem += rem
+            if rem > div or (rem == div and sig & 1):
+                sig += 1
+        elif mode is RoundingMode.RNA:
+            if rem + rem >= div:
+                sig += 1
+        elif mode is RoundingMode.RTO:
+            # Land on the neighbour with an odd pattern.  The neighbours
+            # have significands sig and sig+1, so exactly one is odd (a
+            # carry into the next binade only happens from an odd sig).
+            sig |= 1
+        elif away:
+            sig += 1
+    return sign | (base + sig)
 
 
-def _should_round_up(sig: int, rem: Fraction, mode: RoundingMode, away: bool) -> bool:
-    if rem == 0:
-        return False
-    if mode is RoundingMode.RNE:
-        if rem > Fraction(1, 2):
-            return True
-        if rem < Fraction(1, 2):
-            return False
-        return sig & 1 == 1  # tie: go to even significand
-    if mode is RoundingMode.RNA:
-        return rem >= Fraction(1, 2)
-    if mode is RoundingMode.RTO:
-        # Inexact: land on the neighbour with an odd bit pattern.  The two
-        # neighbours have significands sig and sig+1; exactly one is odd.
-        # (If sig+1 crossed a binade its stored pattern would be even, but
-        # then sig itself is odd and we keep it.)
-        return sig & 1 == 0
-    return away
+def _quantize(n: int, d: int, fmt: FPFormat) -> Optional[Tuple[int, int, int, int]]:
+    """Split ``x = n / d > 0`` at the quantum ``2**qe`` of its binade.
+
+    Returns ``(base, sig, rem, div)`` with ``x = (sig + rem/div) * 2**qe``
+    and ``0 <= rem < div``, where ``base + sig`` is the bit pattern of
+    ``sig * 2**qe``.  ``base + sig + 1`` is then always the next pattern
+    up, even when ``sig + 1`` leaves the binade: the carry runs into the
+    exponent field, turning the largest subnormal into the smallest normal
+    and the largest finite value into infinity.  Returns None for
+    ``x >= 2**(emax+1)``, which overflows every format.
+    """
+    e = ilog2_ratio(n, d)
+    if e > fmt.emax:
+        return None
+    emin = fmt.emin
+    if e < emin:
+        e = emin
+    m = fmt.mantissa_bits
+    qe = e - m
+    if qe < 0:
+        div = d
+        sig, rem = divmod(n << -qe, d)
+    else:
+        div = d << qe
+        sig, rem = divmod(n, div)
+    # Normal: pattern = (e + bias) << m | (sig - 2**m) = ((e - emin) << m) + sig,
+    # because emin + bias = 1; a subnormal (e clamped to emin) is just sig.
+    return (e - emin) << m, sig, rem, div
+
+
+def exact_bits(x, fmt: FPFormat) -> Optional[int]:
+    """Bit pattern of ``x`` if exactly representable (finite) in ``fmt``, else None.
+
+    Returns the positive-zero pattern for ``x == 0``.
+    """
+    n, d = exact_ratio(x)
+    if n == 0:
+        return 0
+    q = _quantize(abs(n), d, fmt)
+    if q is None or q[2]:
+        return None
+    return (fmt.sign_mask if n < 0 else 0) | (q[0] + q[1])
 
 
 def round_nearest_even(x: Fraction, fmt: FPFormat) -> FPValue:

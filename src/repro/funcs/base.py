@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -69,7 +70,13 @@ class FamilyConfig:
 
     def ro_target(self, level: int) -> FPFormat:
         """The round-to-odd oracle format for one level: two extra bits."""
-        return self.formats[level].widen(2)
+        return self._ro_targets[level]
+
+    @cached_property
+    def _ro_targets(self) -> Tuple[FPFormat, ...]:
+        # One instance per level, so the format's cached constants are
+        # computed once rather than for every constraint.
+        return tuple(f.widen(2) for f in self.formats)
 
 
 @dataclass(frozen=True)

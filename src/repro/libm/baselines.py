@@ -240,7 +240,7 @@ def wide_inputs_for(family: FamilyConfig, wide_family: FamilyConfig):
     in W.  Returns a one-level ``inputs_per_level`` list for
     :func:`repro.core.generate_function`.
     """
-    from ..fp.encode import exact_bits
+    from ..fp.rounding import exact_bits
     from ..fp.enumerate import all_finite
 
     wide_fmt = wide_family.largest

@@ -9,14 +9,13 @@ construction, rounds correctly everywhere).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Iterable, Optional
 
 from ..core.search import GeneratedFunction, evaluate_generated
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.rounding import RoundingMode, round_real
+from ..fp.rounding import RoundingMode, round_ratio_bits
 from ..funcs import FamilyConfig, make_pipeline
 from ..mp.oracle import FUNCTION_NAMES, Oracle
 from .artifacts import load_generated
@@ -73,7 +72,8 @@ def round_double_to(y: float, fmt: FPFormat, mode: RoundingMode) -> FPValue:
     if y == 0.0:
         sign = 1 if math.copysign(1.0, y) < 0 else 0
         return FPValue.zero(fmt, sign)
-    return round_real(Fraction(y), fmt, mode)
+    n, d = y.as_integer_ratio()
+    return FPValue(fmt, round_ratio_bits(n, d, fmt, mode))
 
 
 class RlibmProg:

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.rounding import RoundingMode, round_real
+from ..fp.rounding import RoundingMode, round_ratio_bits, round_real
 from . import consts, functions
 
 
@@ -205,10 +205,10 @@ class Oracle:
         prec = self.initial_precision(fn, x, fmt)
         while prec <= self.max_prec:
             fi = self.enclosure(fn, x, prec)
-            lo = round_real(fi.lo_fraction, fmt, mode)
-            hi = round_real(fi.hi_fraction, fmt, mode)
-            if lo.bits == hi.bits:
-                return lo
+            scale = 1 << fi.prec
+            lo = round_ratio_bits(fi.lo, scale, fmt, mode)
+            if lo == round_ratio_bits(fi.hi, scale, fmt, mode):
+                return FPValue(fmt, lo)
             prec *= 2
         raise OraclePrecisionError(
             f"{fn}({x}) undecided at {self.max_prec} bits for {fmt} {mode}"
@@ -289,13 +289,12 @@ class Oracle:
         remaining = list(modes)
         while prec <= self.max_prec and remaining:
             fi = self.enclosure(fn, x, prec)
-            lo_f, hi_f = fi.lo_fraction, fi.hi_fraction
+            scale = 1 << fi.prec
             still = []
             for m in remaining:
-                lo = round_real(lo_f, fmt, m)
-                hi = round_real(hi_f, fmt, m)
-                if lo.bits == hi.bits:
-                    out[m] = lo
+                lo = round_ratio_bits(fi.lo, scale, fmt, m)
+                if lo == round_ratio_bits(fi.hi, scale, fmt, m):
+                    out[m] = FPValue(fmt, lo)
                 else:
                     still.append(m)
             remaining = still

@@ -39,6 +39,7 @@ import os
 import sqlite3
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..obs import get_registry
@@ -84,8 +85,15 @@ def decode_raw_entry(
 ) -> Tuple[Tuple[str, Fraction, FPFormat, RoundingMode], FPValue]:
     """Inverse of :func:`raw_entry`: the memo key and its FPValue."""
     fn, num, den, total, ebits, mode, bits = entry
-    fmt = FPFormat(total, ebits)
+    fmt = _format(total, ebits)
     return (fn, Fraction(num, den), fmt, RoundingMode(mode)), FPValue(fmt, bits)
+
+
+@lru_cache(maxsize=64)
+def _format(total_bits: int, exponent_bits: int) -> FPFormat:
+    # One shared instance per layout: a format caches its derived
+    # constants, and the memo holds one FPValue per decoded entry.
+    return FPFormat(total_bits, exponent_bits)
 
 
 class OracleCache:

@@ -54,6 +54,19 @@ class TestRowBuilding:
         assert sys.lo[2] == -np.inf
         assert sys.hi[2] == 5.0
 
+    def test_bounds_beyond_double_range(self):
+        # Directed rounding keeps every row sound: a lower bound past the
+        # largest double becomes that double, an upper bound becomes inf.
+        big = F(2) ** 1100
+        cons = [
+            ReducedConstraint(F(1), 0, big, big),
+            ReducedConstraint(F(1), 0, -big, -big),
+        ]
+        sys = ConstraintSystem(cons, [PolyShape.dense(1)], ((1,),))
+        top = np.finfo(float).max
+        assert (sys.lo[0], sys.hi[0]) == (top, np.inf)
+        assert (sys.lo[1], sys.hi[1]) == (-np.inf, -top)
+
     def test_ncols(self):
         shapes = [PolyShape.dense(3), PolyShape.odd(2)]
         c = ReducedConstraint(F(1), 0, F(0), F(1), mults=(F(1), F(1)))

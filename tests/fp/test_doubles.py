@@ -45,6 +45,24 @@ class TestDirectedConversions:
         x = Fraction(2) ** 1100
         assert to_double_down(x) == pytest.approx(1.7976931348623157e308)
         assert math.isinf(to_double_up(x))
+        assert to_double_up(-x) == -1.7976931348623157e308
+        assert to_double_nearest(x) == math.inf
+        assert to_double_nearest(-x) == -math.inf
+
+
+class TestInputTypes:
+    def test_float_and_int_inputs(self):
+        for x in (0.0, -0.0, 1.5, -0.1, 5e-324, 1e308):
+            assert to_double_nearest(x) == to_double_down(x) == to_double_up(x) == x
+        assert to_double_nearest(3) == 3.0
+        assert to_double_up(2**1100) == math.inf
+        assert to_double_down(-(2**1100)) == -math.inf
+
+    def test_non_finite_raise(self):
+        for conv in (to_double_nearest, to_double_down, to_double_up):
+            for x in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    conv(x)
 
 
 class TestNextDouble:

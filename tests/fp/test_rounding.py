@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fp import (
@@ -235,6 +236,35 @@ class TestSpecificCases:
         for mode in list(IEEE_MODES) + [RTO]:
             v = round_real(Fraction(0), FLOAT16, mode)
             assert v.bits == 0
+
+
+class TestInputTypes:
+    """Any int, Fraction or finite float rounds by its exact value."""
+
+    def test_float_matches_fraction(self):
+        for x in (1.5, -1.5, 0.1, 3e-5, -7.25, 1e300, 5e-324):
+            for mode in list(IEEE_MODES) + [RTO]:
+                for fmt in (T8, FLOAT16, FLOAT64):
+                    assert round_real(x, fmt, mode) == round_real(Fraction(x), fmt, mode)
+
+    def test_int_matches_fraction(self):
+        for x in (1, -3, 17, 2**40, -(2**1100)):
+            for mode in list(IEEE_MODES) + [RTO]:
+                assert round_real(x, T8, mode) == round_real(Fraction(x), T8, mode)
+
+    def test_zeros(self):
+        for x in (0, 0.0, -0.0, Fraction(0)):
+            assert round_real(x, T8, RNE).bits == 0
+
+    def test_float_rounds_in_format(self):
+        assert round_real(1.5, T8, RNE).value == Fraction(3, 2)
+        assert round_real(1.0625, T8, RNE).value == 1  # tie to even
+        assert round_real(1.0625, T8, RNA).value == Fraction(9, 8)
+
+    def test_non_finite_floats_raise(self):
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                round_real(x, T8, RNE)
 
 
 class TestRoundToOddDoubleRounding:
