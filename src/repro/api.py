@@ -195,17 +195,24 @@ def verify(
 
     Checks every input of every family format (or just ``levels``) under
     ``modes``; returns the per-level
-    :class:`~repro.verify.exhaustive.VerificationReport` list.
+    :class:`~repro.verify.exhaustive.VerificationReport` list.  Raises
+    ``ValueError`` for a level the family does not have.
     """
     from .libm.baselines import GeneratedLibrary
     from .verify import verify_exhaustive
 
     config = resolve_family(family)
+    wanted = range(config.levels) if levels is None else list(levels)
+    bad = [lv for lv in wanted if not 0 <= lv < config.levels]
+    if bad:
+        raise ValueError(
+            f"levels {bad} out of range for family {config.name!r} "
+            f"(has levels 0..{config.levels - 1})"
+        )
     oracle = oracle or Oracle()
     gen = load_generated(fn, config.name, directory)
     pipe = make_pipeline(fn, config, oracle)
     lib = GeneratedLibrary({fn: pipe}, {fn: gen}, label="rlibm-prog")
-    wanted = range(config.levels) if levels is None else levels
     reports = []
     with obs_span("api.verify", fn=fn, family=config.name, jobs=jobs) as sp:
         for level in wanted:

@@ -205,20 +205,16 @@ def cmd_verify(args) -> int:
     config = _family_of(args.family)
     jobs = resolve_jobs(args.jobs)
     levels = args.levels if args.levels else None
-    if levels is not None:
-        bad = [lv for lv in levels if not 0 <= lv < config.levels]
-        if bad:
-            raise SystemExit(
-                f"--levels {bad} out of range for family {config.name!r} "
-                f"(has levels 0..{config.levels - 1})"
-            )
     wrong = 0
     with _cli_oracle_session(args.oracle_cache) as oracle:
         for fn in args.functions:
-            reports = api.verify(
-                fn, config, directory=args.dir, oracle=oracle, jobs=jobs,
-                levels=levels,
-            )
+            try:
+                reports = api.verify(
+                    fn, config, directory=args.dir, oracle=oracle, jobs=jobs,
+                    levels=levels,
+                )
+            except ValueError as e:
+                raise SystemExit(str(e))
             for rep in reports:
                 print(rep.summary())
                 if args.timings:

@@ -26,7 +26,6 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..fp.enumerate import all_finite
-from ..fp.intervals import rounding_interval
 from ..fp.rounding import RoundingMode
 from ..obs import span as obs_span
 from .clarkson import ClarksonResult, solve_constraints
@@ -571,43 +570,71 @@ def runtime_interval_failures(
 
     Every input merged into every constraint is re-checked individually:
     merged twins (e.g. cosh(x) and cosh(-x)) share polynomial constraints
-    but have their own oracle intervals.
+    but have their own oracle intervals.  The runtime is the vector
+    kernel, one pass per level; the check compares the round-to-odd
+    rounding of each output with the oracle's round-to-odd result.
     """
-    bad = []
+    from ..libm.vectorized import VectorizedFunction
+
+    tags = []
     seen = set()
     for c in constraints:
         for tag in c.tags:
             if tag in seen or tag in gen.specials:
                 continue
             seen.add(tag)
-            level, xd = tag
-            _check_one(pipeline, gen, level, xd, bad)
-    return bad
+            tags.append(tag)
+    if not tags:
+        return []
+    ro_targets = pipeline.family.ro_target
+    want = [
+        pipeline.oracle.correctly_rounded(
+            pipeline.name, Fraction(xd), ro_targets(level), RoundingMode.RTO
+        ).bits
+        for level, xd in tags
+    ]
+    levels = np.array([level for level, _ in tags])
+    xs = np.array([xd for _, xd in tags], dtype=np.float64)
+    kernel = VectorizedFunction(pipeline, gen)
+    bad = np.zeros(len(tags), dtype=bool)
+    for level in sorted({level for level, _ in tags}):
+        sel = np.flatnonzero(levels == level)
+        bad[sel] = _escapes_ro(
+            kernel(xs[sel], level), [want[i] for i in sel.tolist()],
+            ro_targets(level),
+        )
+    return [tags[i] for i in np.flatnonzero(bad).tolist()]
 
 
-def _check_one(
-    pipeline: "FunctionPipeline",
-    gen: GeneratedFunction,
-    level: int,
-    xd: float,
-    bad: List[Tuple[int, float]],
-) -> None:
-    import math
+def _escapes_ro(y: np.ndarray, want: List[int], target) -> np.ndarray:
+    """Which doubles ``y`` fall outside the round-to-odd rounding interval
+    of the matching ``want`` pattern of ``target``.
 
-    y = evaluate_generated(pipeline, gen, xd, level)
-    target = pipeline.family.ro_target(level)
-    want = pipeline.oracle.correctly_rounded(
-        pipeline.name, Fraction(xd), target, RoundingMode.RTO
-    )
-    iv = rounding_interval(want, RoundingMode.RTO)
-    if math.isinf(y):
-        good = (iv.hi is None) if y > 0 else (iv.lo is None)
-    elif math.isnan(y):
-        good = False
+    A double lies in the interval exactly when it rounds to ``want``, with
+    the interval's conventions at the edges: a zero of either sign is the
+    real zero, so only ``+0`` holds it; an infinity lies beyond every
+    finite value, so only the largest finite value of its sign holds it;
+    NaN lies in no interval.
+    """
+    from ..libm.runtime import round_double_to
+    from ..libm.vround import round_doubles_to_bits, supports_vector_rounding
+
+    y = np.asarray(y, dtype=np.float64)
+    real = np.where(y == 0.0, 0.0, y)
+    real = np.where(np.isinf(real), np.copysign(_DOUBLE_MAX, real), real)
+    if supports_vector_rounding(target):
+        got = round_doubles_to_bits(real, target, RoundingMode.RTO)
+        want = np.array(want, dtype=np.int64)
     else:
-        good = iv.contains(Fraction(y))
-    if not good:
-        bad.append((level, xd))
+        got = np.array(
+            [round_double_to(v, target, RoundingMode.RTO).bits for v in real.tolist()],
+            dtype=object,
+        )
+        want = np.array(want, dtype=object)
+    return np.isnan(y) | (got != want)
+
+
+_DOUBLE_MAX = float(np.finfo(np.float64).max)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .encode import FPValue, ilog2_ratio
 from .format import FPFormat
@@ -105,6 +105,55 @@ def round_ratio_bits(n: int, d: int, fmt: FPFormat, mode: RoundingMode) -> int:
         elif away:
             sig += 1
     return sign | (base + sig)
+
+
+def round_interval_bits(
+    lo: int, hi: int, d: int, fmt: FPFormat, modes: Sequence[RoundingMode]
+) -> Optional[Dict[RoundingMode, int]]:
+    """Bit patterns of every real in ``[lo / d, hi / d]`` under each of
+    ``modes``, from one :func:`_quantize` split per endpoint.
+
+    The interval decides every mode at once when both endpoints have the
+    same sign and the same truncated pattern, with nonzero remainders on
+    the same side of the half-ulp: every real between them then lies
+    strictly inside one half of one quantum.  Returns None otherwise
+    (zero or sign change inside, overflow, an exact or tie endpoint, or
+    two patterns), and the caller decides mode by mode.
+    """
+    if lo > 0:
+        sign = 0
+    elif hi < 0:
+        sign = fmt.sign_mask
+        lo, hi = -hi, -lo
+    else:
+        return None
+    a = _quantize(lo, d, fmt)
+    b = _quantize(hi, d, fmt)
+    if a is None or b is None:
+        return None
+    base, sig, rem, div = a
+    if base + sig != b[0] + b[1] or not rem or not b[2]:
+        return None
+    rem += rem
+    rem_hi = b[2] + b[2]
+    if rem == div or rem_hi == b[3] or (rem > div) != (rem_hi > b[3]):
+        return None
+    down = sign | (base + sig)
+    up = down + 1
+    near = up if rem > div else down
+    out = {}
+    for mode in modes:
+        if mode is RoundingMode.RNE or mode is RoundingMode.RNA:
+            out[mode] = near
+        elif mode is RoundingMode.RTO:
+            out[mode] = sign | (base + (sig | 1))
+        elif mode is RoundingMode.RTZ:
+            out[mode] = down
+        elif mode is RoundingMode.RTP:
+            out[mode] = down if sign else up
+        else:
+            out[mode] = up if sign else down
+    return out
 
 
 def _quantize(n: int, d: int, fmt: FPFormat) -> Optional[Tuple[int, int, int, int]]:

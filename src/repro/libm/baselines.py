@@ -19,9 +19,11 @@ strategy:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.polynomial import ProgressivePolynomial
 from ..core.remez import fit_shape
@@ -33,6 +35,12 @@ from ..funcs import FamilyConfig, make_pipeline
 from ..funcs.base import FunctionPipeline
 from ..mp.oracle import Oracle
 from .runtime import round_double_to
+from .vectorized import VectorizedFunction
+from .vround import (
+    decode_bits_to_doubles,
+    round_doubles_to_bits,
+    supports_vector_rounding,
+)
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +134,20 @@ class Library:
             return FPValue.nan(v.fmt)
         return round_double_to(self.raw(fn, v.to_float(), level), v.fmt, mode)
 
+    def rounded_bits(
+        self, fn: str, xs: np.ndarray, fmt: FPFormat, level: int,
+        mode: RoundingMode,
+    ) -> np.ndarray:
+        """Bit patterns of :meth:`rounded` for an array ``xs`` of ``fmt``
+        bit patterns, one element at a time."""
+        return np.array(
+            [
+                self.rounded(fn, FPValue(fmt, b), mode, level).bits
+                for b in xs.tolist()
+            ],
+            dtype=xs.dtype,
+        )
+
 
 @dataclass
 class GeneratedLibrary(Library):
@@ -137,14 +159,46 @@ class GeneratedLibrary(Library):
     label: str = "rlibm-prog"
     progressive: bool = True
     correctly_rounded_claim = True
+    #: The last kernel pass, ``(fn, fmt, level, xs, raw)``: the modes of
+    #: one verification sweep share it.
+    _last_pass: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _level(self, fn: str, level: int) -> int:
+        if self.progressive:
+            return level
+        return self.pipelines[fn].family.levels - 1
 
     def raw(self, fn: str, xd: float, level: int) -> float:
         """Progressive evaluation (or full, for baseline adapters)."""
-        if not self.progressive:
-            level = self.pipelines[fn].family.levels - 1
         return evaluate_generated(
-            self.pipelines[fn], self.functions[fn], xd, level
+            self.pipelines[fn], self.functions[fn], xd, self._level(fn, level)
         )
+
+    def rounded_bits(
+        self, fn: str, xs: np.ndarray, fmt: FPFormat, level: int,
+        mode: RoundingMode,
+    ) -> np.ndarray:
+        """The vector tier's path: one :class:`VectorizedFunction` pass
+        per input array and level, rounded with
+        :func:`round_doubles_to_bits` per mode.  Formats outside the
+        vector-rounding envelope take the scalar runtime."""
+        if not supports_vector_rounding(fmt):
+            return super().rounded_bits(fn, xs, fmt, level, mode)
+        return round_doubles_to_bits(self._raw_pass(fn, xs, fmt, level), fmt, mode)
+
+    def _raw_pass(
+        self, fn: str, xs: np.ndarray, fmt: FPFormat, level: int
+    ) -> np.ndarray:
+        level = self._level(fn, level)
+        last = self._last_pass
+        if last is not None and last[:3] == (fn, fmt, level) and last[3] is xs:
+            return last[4]
+        kernel = VectorizedFunction(self.pipelines[fn], self.functions[fn])
+        raw = kernel(decode_bits_to_doubles(xs, fmt), level)
+        self._last_pass = (fn, fmt, level, xs, raw)
+        return raw
 
 
 @dataclass

@@ -19,7 +19,12 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.rounding import RoundingMode, round_ratio_bits, round_real
+from ..fp.rounding import (
+    RoundingMode,
+    round_interval_bits,
+    round_ratio_bits,
+    round_real,
+)
 from . import consts, functions
 
 
@@ -102,7 +107,7 @@ def exact_value(fn: str, x: Fraction) -> Optional[Fraction]:
 
 def _log2_magnitude_estimate(fn: str, x: Fraction) -> float:
     """Rough log2(|f(x)|), used only to seed the working precision."""
-    xf = float(x) if abs(x) < Fraction(10) ** 300 else math.copysign(1e300, x)
+    xf = float(x) if abs(x) < _FLOAT_SAFE else math.copysign(1e300, x)
     try:
         if fn == "exp":
             return xf / _LN2
@@ -135,6 +140,8 @@ def _log2_magnitude_estimate(fn: str, x: Fraction) -> float:
     return 0.0
 
 
+#: Below this magnitude ``float(x)`` cannot overflow.
+_FLOAT_SAFE = Fraction(10) ** 300
 _LN2 = math.log(2.0)
 _LOG2_10 = math.log2(10.0)
 _SMALL_RESULT_BITS = 80.0
@@ -264,7 +271,8 @@ class Oracle:
         """Correctly rounded results for several modes from one enclosure.
 
         Much cheaper than per-mode calls: the Ziv refinement runs once and
-        every mode's decision is read off the same interval.
+        every mode's decision is read off the same interval, usually from
+        one split of each endpoint (:func:`round_interval_bits`).
         """
         modes = tuple(modes) if modes is not None else tuple(RoundingMode)
         self.stats.calls += 1
@@ -290,6 +298,11 @@ class Oracle:
         while prec <= self.max_prec and remaining:
             fi = self.enclosure(fn, x, prec)
             scale = 1 << fi.prec
+            decided = round_interval_bits(fi.lo, fi.hi, scale, fmt, remaining)
+            if decided is not None:
+                for m, bits in decided.items():
+                    out[m] = FPValue(fmt, bits)
+                return out
             still = []
             for m in remaining:
                 lo = round_ratio_bits(fi.lo, scale, fmt, m)

@@ -1,7 +1,6 @@
 """Exhaustive verification of generated and baseline libraries."""
 
 from .exhaustive import Failure, VerificationReport, verify_exhaustive, verify_matrix
-from .fast import FastVerifyReport, fast_verify, fast_verify_level
 from .theorem import (
     DerivedFormatReport,
     derived_formats,
@@ -11,9 +10,6 @@ from .theorem import (
 
 __all__ = [
     "DerivedFormatReport",
-    "FastVerifyReport",
-    "fast_verify",
-    "fast_verify_level",
     "Failure",
     "VerificationReport",
     "derived_formats",

@@ -4,17 +4,25 @@ For every input bit pattern of a format (or a provided sample), compare
 the library's rounded result with the oracle under the requested rounding
 modes.  Zero results are compared by value rather than sign by default
 (the IEEE sign-of-zero conventions for sinpi differ between sources and
-carry no numeric information)."""
+carry no numeric information).
+
+The sweep works on arrays: the inputs are one bit array, the oracle
+answers every mode of an input in one call, the library rounds the whole
+array once per mode (:meth:`~repro.libm.baselines.Library.rounded_bits`),
+and the comparison is one ``(inputs, modes)`` boolean matrix.
+"""
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.enumerate import all_finite
 from ..fp.rounding import IEEE_MODES, RoundingMode
 from ..mp.oracle import Oracle
 
@@ -73,6 +81,7 @@ def verify_exhaustive(
 ) -> VerificationReport:
     """Check ``library``'s ``fn`` on every input of ``fmt`` for ``modes``.
 
+    Failures are recorded input-major, then in ``modes`` order.
     ``jobs > 1`` shards the sweep across worker processes; the merged
     report (counters, per-mode counts, recorded failures) is identical
     to the serial one for any worker count.
@@ -86,61 +95,93 @@ def verify_exhaustive(
         )
     t0 = time.perf_counter()
     oracle_sec0 = oracle.stats.seconds
+    modes = tuple(modes)
     report = VerificationReport(library.label, fn, fmt)
     report.by_mode = {m: 0 for m in modes}
-    inputs = inputs if inputs is not None else all_finite(fmt)
-    for v in inputs:
-        expected_special = _domain_result(fn, v, fmt)
-        if expected_special is not None:
-            for mode in modes:
-                got = library.rounded(fn, v, mode, level)
-                report.total_checks += 1
-                if got.bits != expected_special.bits and not (
-                    got.is_nan and expected_special.is_nan
-                ):
-                    report.wrong += 1
-                    report.by_mode[mode] += 1
-                    if len(report.failures) < max_recorded_failures:
-                        report.failures.append(
-                            Failure(v.bits, mode, got.bits, expected_special.bits)
-                        )
-            continue
-        want = oracle.correctly_rounded_all(fn, v.value, fmt, modes)
-        for mode in modes:
-            got = library.rounded(fn, v, mode, level)
-            report.total_checks += 1
-            if _same(got, want[mode], fmt, canonical_zeros):
-                continue
-            report.wrong += 1
-            report.by_mode[mode] += 1
-            if len(report.failures) < max_recorded_failures:
-                report.failures.append(
-                    Failure(v.bits, mode, got.bits, want[mode].bits)
-                )
+    xs = _input_bits(fmt, inputs)
+    want = _expected_bits(fn, xs, fmt, oracle, modes)
+    rounded_bits = getattr(library, "rounded_bits", None)
+    if rounded_bits is None:  # a library object that only rounds scalars
+        from ..libm.baselines import Library
+
+        rounded_bits = functools.partial(Library.rounded_bits, library)
+    got = np.empty_like(want)
+    for j, mode in enumerate(modes):
+        got[:, j] = rounded_bits(fn, xs, fmt, level, mode)
+    bad = ~_same(got, want, fmt, canonical_zeros)
+    report.total_checks = bad.size
+    report.wrong = int(bad.sum())
+    for mode, n in zip(modes, bad.sum(axis=0).tolist()):
+        report.by_mode[mode] += n
+    rows, cols = np.nonzero(bad)
+    for i, j in zip(
+        rows[:max_recorded_failures].tolist(),
+        cols[:max_recorded_failures].tolist(),
+    ):
+        report.failures.append(
+            Failure(int(xs[i]), modes[j], int(got[i, j]), int(want[i, j]))
+        )
     report.wall_seconds = time.perf_counter() - t0
     report.oracle_seconds = oracle.stats.seconds - oracle_sec0
     return report
 
 
-def _domain_result(fn: str, v: FPValue, fmt: FPFormat) -> Optional[FPValue]:
-    """Expected result for inputs outside the oracle's real domain
-    (IEEE special semantics), or None when the oracle applies."""
+def _input_bits(fmt: FPFormat, inputs: Optional[Iterable[FPValue]]) -> np.ndarray:
+    """The inputs' bit patterns in sweep order: by default every finite
+    pattern, positive magnitudes ascending, then the negatives."""
+    if inputs is not None:
+        dtype = np.int64 if fmt.total_bits < 64 else object
+        return np.array([v.bits for v in inputs], dtype=dtype)
+    mags = np.arange(FPValue.max_finite(fmt).bits + 1, dtype=np.int64)
+    return np.concatenate([mags, mags | fmt.sign_mask])
+
+
+def _expected_bits(
+    fn: str,
+    xs: np.ndarray,
+    fmt: FPFormat,
+    oracle: Oracle,
+    modes: Tuple[RoundingMode, ...],
+) -> np.ndarray:
+    """The ``(inputs, modes)`` matrix of correct patterns: IEEE special
+    results outside the oracle's real domain (a logarithm of zero is -inf,
+    of a negative value NaN), the oracle's for every other input."""
+    want = np.empty((len(xs), len(modes)), dtype=xs.dtype)
+    real = np.ones(len(xs), dtype=bool)
     if fn in ("ln", "log2", "log10"):
-        if v.kind is not None and v.is_finite and v.value < 0:
-            return FPValue.nan(fmt)
-        if v.is_finite and v.value == 0:
-            return FPValue.infinity(fmt, sign=1)
-    return None
+        finite = (xs & fmt.exponent_mask) != fmt.exponent_mask
+        zero = (xs & (fmt.sign_mask - 1)) == 0
+        negative = finite & ~zero & ((xs & fmt.sign_mask) != 0)
+        want[zero] = FPValue.infinity(fmt, sign=1).bits
+        want[negative] = FPValue.nan(fmt).bits
+        real = ~(zero | negative)
+    idx = np.flatnonzero(real)
+    rows = []
+    for b in xs[idx].tolist():
+        right = oracle.correctly_rounded_all(fn, FPValue(fmt, b).value, fmt, modes)
+        rows.append([right[m].bits for m in modes])
+    if rows:
+        want[idx] = rows
+    return want
 
 
-def _same(got: FPValue, want: FPValue, fmt: FPFormat, canonical_zeros: bool) -> bool:
-    if got.bits == want.bits:
-        return True
+def _same(
+    got: np.ndarray, want: np.ndarray, fmt: FPFormat, canonical_zeros: bool
+) -> np.ndarray:
+    """Element-wise match: equal patterns, any two NaNs, and (with
+    ``canonical_zeros``) zeros of either sign."""
+    ok = got == want
+    ok |= _is_nan(got, fmt) & _is_nan(want, fmt)
     if canonical_zeros:
-        mask = ~fmt.sign_mask
-        if (got.bits & mask) == 0 and (want.bits & mask) == 0:
-            return True
-    return False
+        magnitude = fmt.sign_mask - 1
+        ok |= ((got & magnitude) == 0) & ((want & magnitude) == 0)
+    return ok
+
+
+def _is_nan(bits: np.ndarray, fmt: FPFormat) -> np.ndarray:
+    return ((bits & fmt.exponent_mask) == fmt.exponent_mask) & (
+        (bits & fmt.mantissa_mask) != 0
+    )
 
 
 def verify_matrix(

@@ -19,10 +19,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.enumerate import all_finite
 from ..fp.rounding import IEEE_MODES, RoundingMode
 from ..mp.oracle import Oracle
-from .exhaustive import _domain_result
+from .exhaustive import verify_exhaustive
 
 
 @dataclass
@@ -64,35 +63,23 @@ def verify_derived_format(
     max_examples: int = 8,
 ) -> DerivedFormatReport:
     """Evaluate the level's polynomial on every ``fmt`` input and compare
-    the re-rounded double against the oracle for all requested modes."""
-    from ..core.search import evaluate_generated
-    from ..libm.runtime import round_double_to
+    the re-rounded double against the oracle for all requested modes
+    (the :func:`verify_exhaustive` sweep, at a format that has no level of
+    its own)."""
+    from ..libm.baselines import GeneratedLibrary
 
-    report = DerivedFormatReport(fmt)
-    inputs = inputs if inputs is not None else all_finite(fmt)
-    for v in inputs:
-        xd = v.to_float()
-        y = evaluate_generated(pipeline, generated, xd, level)
-        expected_special = _domain_result(pipeline.name, v, fmt)
-        if expected_special is not None:
-            want_all = {m: expected_special for m in modes}
-        else:
-            want_all = oracle.correctly_rounded_all(pipeline.name, v.value, fmt, modes)
-        for mode in modes:
-            got = round_double_to(y, fmt, mode)
-            want = want_all[mode]
-            report.total_checks += 1
-            if got.bits == want.bits:
-                continue
-            if got.is_nan and want.is_nan:
-                continue
-            mask = ~fmt.sign_mask
-            if (got.bits & mask) == 0 and (want.bits & mask) == 0:
-                continue
-            report.wrong += 1
-            if len(report.examples) < max_examples:
-                report.examples.append((v.bits, mode, got.bits, want.bits))
-    return report
+    fn = pipeline.name
+    library = GeneratedLibrary({fn: pipeline}, {fn: generated})
+    rep = verify_exhaustive(
+        library, fn, fmt, level, oracle, modes, inputs,
+        max_recorded_failures=max_examples,
+    )
+    return DerivedFormatReport(
+        fmt,
+        rep.total_checks,
+        rep.wrong,
+        [(f.input_bits, f.mode, f.got_bits, f.want_bits) for f in rep.failures],
+    )
 
 
 def verify_theorem(

@@ -30,6 +30,7 @@ from repro.fp import (
 )
 from repro.fp.doubles import to_double_down, to_double_nearest, to_double_up
 from repro.fp.encode import ilog2_ratio
+from repro.fp.rounding import round_interval_bits
 
 from . import reference
 
@@ -211,6 +212,51 @@ class TestAgainstReference:
         v = reference.round_real(x, fmt, RoundingMode.RTN)
         if v.is_finite:
             assert exact_bits(reference.value(v), fmt) == v.bits or v.kind is Kind.ZERO
+
+
+class TestIntervalDecision:
+    """``round_interval_bits`` decides an interval only when every mode's
+    rounding of both endpoints agrees, and then gives that pattern."""
+
+    @staticmethod
+    def _check(lo, hi, fmt):
+        d = lo.denominator * hi.denominator
+        n_lo, n_hi = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        decided = round_interval_bits(n_lo, n_hi, d, fmt, ALL_MODES)
+        if decided is None:
+            return False
+        for mode in ALL_MODES:
+            want = reference.round_real(lo, fmt, mode).bits
+            assert reference.round_real(hi, fmt, mode).bits == want
+            assert decided[mode] == want, (lo, hi, fmt, mode)
+        return True
+
+    @settings(max_examples=400)
+    @given(st.data(), st.sampled_from(DIFF_FORMATS), st.integers(1, 2**70))
+    def test_narrow_enclosures(self, data, fmt, width):
+        # Enclosure-like intervals: a random point and a width far below
+        # one quantum, so most draws are decided.
+        x = data.draw(scaled_rationals(fmt))
+        self._check(x, x + Fraction(abs(x), 2**20 * width), fmt)
+
+    @pytest.mark.parametrize("fmt", [T8, T10], ids=lambda f: f.display_name)
+    def test_edges_of_every_pattern_stay_undecided(self, fmt):
+        decided = 0
+        for v in all_finite(fmt):
+            val = reference.value(v)
+            half = Fraction(2) ** v.quantum_exponent / 2
+            for lo, hi in (
+                (val, val + NUDGE),  # exact endpoint
+                (val + half - NUDGE, val + half + NUDGE),  # straddles a tie
+                (val - NUDGE, val + NUDGE),  # straddles a value
+            ):
+                assert not self._check(lo, hi, fmt)
+            decided += self._check(val + NUDGE, val + 2 * NUDGE, fmt)
+        assert decided > 0
+
+    def test_zero_and_sign_change_undecided(self):
+        for lo, hi in ((Fraction(0), NUDGE), (-NUDGE, NUDGE), (-NUDGE, Fraction(0))):
+            assert not self._check(lo, hi, T8)
 
 
 class TestDoublesAgainstReference:

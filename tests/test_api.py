@@ -1,5 +1,6 @@
 """The repro.api facade: sessions, round trips, and root re-exports."""
 
+import re
 import sqlite3
 from fractions import Fraction
 
@@ -79,6 +80,17 @@ def test_generate_verify_evaluate_round_trip(tmp_path, oracle):
     )
     assert res.values == [8.0, 2.0]
     assert res.tiers == [POLY_TIER, POLY_TIER]
+
+
+@pytest.mark.parametrize("levels", [[-1], [2], [0, 5]])
+def test_verify_rejects_levels_the_family_lacks(levels, tmp_path):
+    # Checked before any artifact is read: -1 must not wrap around to
+    # the top format, and 2 must not surface as an IndexError.
+    bad = [lv for lv in levels if lv not in (0, 1)]
+    with pytest.raises(
+        ValueError, match=rf"levels {re.escape(str(bad))} out of range .* 0\.\.1"
+    ):
+        api.verify("exp2", "tiny", directory=tmp_path, levels=levels)
 
 
 def test_generate_without_save(tmp_path, oracle):

@@ -73,6 +73,14 @@ class TestVerify:
         assert code == 0
         assert "OK" in out
 
+    @pytest.mark.parametrize("level", ["-1", "2"])
+    def test_verify_rejects_missing_level(self, artifact_dir, level):
+        with pytest.raises(SystemExit, match=r"out of range .* 0\.\.1"):
+            run_cli(
+                "verify", "--family", "tiny", "--functions", "exp2",
+                "--dir", str(artifact_dir), "--levels", level,
+            )
+
 
 class TestTables:
     def test_build_then_list(self, artifact_dir):
