@@ -10,8 +10,8 @@ float and reads the double straight off the rounded binary64 pattern.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from typing import Tuple
 
 from .encode import bits_to_float
 from .format import FLOAT64
@@ -36,16 +36,40 @@ def to_double_up(x) -> float:
     return bits_to_float(round_ratio_bits(n, d, FLOAT64, RoundingMode.RTP))
 
 
-def next_double_up(x: float) -> float:
-    """The double after ``x`` toward +infinity."""
-    return math.nextafter(x, math.inf)
-
-
-def next_double_down(x: float) -> float:
-    """The double before ``x`` toward -infinity."""
-    return math.nextafter(x, -math.inf)
-
-
 def double_is_exact(x: Fraction) -> bool:
     """True if the rational is exactly a finite double."""
     return exact_bits(x, FLOAT64) is not None
+
+
+def dyadic_parts(x: float) -> Tuple[int, int]:
+    """``(m, e)`` with the finite double ``x`` worth ``m * 2**e``."""
+    n, d = x.as_integer_ratio()
+    return n, 1 - d.bit_length()
+
+
+def double_past(n: int, q: int, up: bool) -> Tuple[int, int]:
+    """The double nearest to ``n * 2**q`` strictly above it (``up``) or
+    strictly below it, as ``(m, e)`` worth ``m * 2**e``.
+
+    A value that is itself a double steps one double on integers; any
+    other value rounds toward the side asked for.
+    """
+    if n == 0:
+        return (1 if up else -1), -1074
+    mag = abs(n)
+    top = q + mag.bit_length() - 1  # floor(log2 |value|)
+    qd = max(top - 52, -1074)  # the quantum of the doubles in its binade
+    if top <= 1023 and (q >= qd or not mag & ((1 << (qd - q)) - 1)):
+        m = n << (q - qd) if q >= qd else n >> (qd - q)
+        step = 1 if up else -1
+        if (n > 0) != up and abs(m) == 1 << 52 and qd > -1074:
+            # Toward zero from a normal power of two: the binade below
+            # has half the quantum.
+            return 2 * m + step, qd - 1
+        return m + step, qd
+    if q >= 0:
+        num, den = n << q, 1
+    else:
+        num, den = n, 1 << -q
+    mode = RoundingMode.RTP if up else RoundingMode.RTN
+    return dyadic_parts(bits_to_float(round_ratio_bits(num, den, FLOAT64, mode)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional, Tuple
 
 from .encode import FPValue, Kind, dyadic
 from .rounding import RoundingMode
@@ -29,7 +29,19 @@ class Interval:
     lo_open: bool = False
     hi_open: bool = False
 
-    EMPTY: "Interval" = None  # type: ignore[assignment]  # set below
+    #: The empty interval (set below the class body).
+    EMPTY: ClassVar["Interval"]
+
+    @classmethod
+    def from_bounds(cls, bounds: "Bounds") -> "Interval":
+        """The interval that integer :data:`Bounds` describe."""
+        lo, hi, q, lo_open, hi_open = bounds
+        return cls(
+            None if lo is None else dyadic(lo, q),
+            None if hi is None else dyadic(hi, q),
+            lo_open,
+            hi_open,
+        )
 
     @property
     def is_empty(self) -> bool:
@@ -127,32 +139,48 @@ class Interval:
 
 Interval.EMPTY = Interval(Fraction(1), Fraction(0))
 
+#: An interval's endpoints as integers at one quantum: ``(lo, hi, q,
+#: lo_open, hi_open)`` is the interval from ``lo * 2**q`` to ``hi * 2**q``,
+#: with ``None`` for an unbounded side.
+Bounds = Tuple[Optional[int], Optional[int], int, bool, bool]
+
+#: :data:`Interval.EMPTY` as bounds.
+_EMPTY: Bounds = (1, 0, 0, False, False)
+
+
 def rounding_interval(v: FPValue, mode: RoundingMode) -> Interval:
     """The set of reals rounding to the bit pattern ``v`` under ``mode``."""
+    return Interval.from_bounds(rounding_bounds(v, mode))
+
+
+def rounding_bounds(v: FPValue, mode: RoundingMode) -> Bounds:
+    """:func:`rounding_interval` as integer :data:`Bounds`."""
     kind = v.kind
     if kind is Kind.NAN:
         raise ValueError("NaN has no rounding interval")
     if kind is Kind.ZERO:
-        return _zero_interval(v, mode)
+        return _zero_bounds(v, mode)
     if kind is Kind.INFINITY:
-        return _infinity_interval(v, mode)
+        return _infinity_bounds(v, mode)
     if v.sign == 0:
-        return _positive_interval(v, mode)
+        return _positive_bounds(v, mode)
     # Negative: mirror the positive-pattern interval of |v|.
-    mirrored = _MIRROR.get(mode, mode)
-    pos = _positive_interval(FPValue(v.fmt, v.bits ^ v.fmt.sign_mask), mirrored)
-    return Interval(
-        None if pos.hi is None else -pos.hi,
-        None if pos.lo is None else -pos.lo,
-        pos.hi_open,
-        pos.lo_open,
+    lo, hi, q, lo_open, hi_open = _positive_bounds(
+        FPValue(v.fmt, v.bits ^ v.fmt.sign_mask), _MIRROR.get(mode, mode)
+    )
+    return (
+        None if hi is None else -hi,
+        None if lo is None else -lo,
+        q,
+        hi_open,
+        lo_open,
     )
 
 
 _MIRROR = {RoundingMode.RTP: RoundingMode.RTN, RoundingMode.RTN: RoundingMode.RTP}
 
 
-def _positive_interval(v: FPValue, mode: RoundingMode) -> Interval:
+def _positive_bounds(v: FPValue, mode: RoundingMode) -> Bounds:
     fmt = v.fmt
     # pred, v and succ as integers at one quantum 2**q.  At the bottom of
     # a normal binade pred lies one binade lower, so count in half-ulps
@@ -166,68 +194,72 @@ def _positive_interval(v: FPValue, mode: RoundingMode) -> Interval:
     # For the largest finite value, every overflowing real rounds back to
     # it under the truncating modes and round-to-odd.
     is_max = v.bits == fmt.exponent_mask - 1
-    if mode is RoundingMode.RNE or mode is RoundingMode.RNA:
-        lo_tie, hi_tie = dyadic(pred + val, q - 1), dyadic(val + succ, q - 1)
-        if mode is RoundingMode.RNE:
-            odd = v.mantissa_field & 1 == 1
-            return Interval(lo_tie, hi_tie, odd, odd)
+    if mode is RoundingMode.RNE:
+        odd = v.mantissa_field & 1 == 1
+        return pred + val, val + succ, q - 1, odd, odd
+    if mode is RoundingMode.RNA:
         # Ties round away from zero: the lower tie belongs to v, the upper
         # tie belongs to succ.
-        return Interval(lo_tie, hi_tie, False, True)
+        return pred + val, val + succ, q - 1, False, True
     if mode is RoundingMode.RTZ or mode is RoundingMode.RTN:
         if is_max:
-            return Interval(dyadic(val, q), None)
-        return Interval(dyadic(val, q), dyadic(succ, q), False, True)
+            return val, None, q, False, False
+        return val, succ, q, False, True
     if mode is RoundingMode.RTP:
-        return Interval(dyadic(pred, q), dyadic(val, q), True, False)
+        return pred, val, q, True, False
     if mode is RoundingMode.RTO:
         if is_max:
-            return Interval(dyadic(pred, q), None, True, False)
+            return pred, None, q, True, False
         if v.mantissa_field & 1:
-            return Interval(dyadic(pred, q), dyadic(succ, q), True, True)
-        return Interval(dyadic(val, q), dyadic(val, q))
+            return pred, succ, q, True, True
+        return val, val, q, False, False
     raise ValueError(f"unsupported mode {mode}")
 
 
-def _zero_interval(v: FPValue, mode: RoundingMode) -> Interval:
-    """Intervals for ±0 bit patterns.
+def _zero_bounds(v: FPValue, mode: RoundingMode) -> Bounds:
+    """Bounds for ±0 bit patterns, in units of half the smallest
+    subnormal (so ``1`` is the rounding midpoint and ``2`` the subnormal).
 
     Real zero always rounds to +0 here (we never materialize a signed zero
     from an exact-zero real), and the sign of an inexact tiny result
     follows the sign of the real.
     """
-    tiny = v.fmt.min_subnormal
+    q = v.fmt.emin - v.fmt.mantissa_bits - 1
     if v.sign == 0:
         if mode is RoundingMode.RNE:
-            return Interval(Fraction(0), tiny / 2)
+            return 0, 1, q, False, False
         if mode is RoundingMode.RNA:
-            return Interval(Fraction(0), tiny / 2, False, True)
+            return 0, 1, q, False, True
         if mode in (RoundingMode.RTZ, RoundingMode.RTN):
-            return Interval(Fraction(0), tiny, False, True)
+            return 0, 2, q, False, True
         # RTP and RTO round any positive inexact value up/odd, away from 0.
-        return Interval(Fraction(0), Fraction(0))
+        return 0, 0, q, False, False
     # -0: only inexact negative reals land here.
     if mode is RoundingMode.RNE:
-        return Interval(-tiny / 2, Fraction(0), False, True)
+        return -1, 0, q, False, True
     if mode is RoundingMode.RNA:
-        return Interval(-tiny / 2, Fraction(0), True, True)
+        return -1, 0, q, True, True
     if mode in (RoundingMode.RTZ, RoundingMode.RTP):
-        return Interval(-tiny, Fraction(0), True, True)
+        return -2, 0, q, True, True
     # RTN sends negative inexact values down (away); RTO sends them to the
     # odd neighbour, which is -min_subnormal, never -0.
-    return Interval.EMPTY
+    return _EMPTY
 
 
-def _infinity_interval(v: FPValue, mode: RoundingMode) -> Interval:
+def _infinity_bounds(v: FPValue, mode: RoundingMode) -> Bounds:
     fmt = v.fmt
+    m = fmt.mantissa_bits
+    # max_value = (2**(m+1) - 1) * 2**(emax-m); the overflow threshold
+    # max_value + ulp/2 = (2**(m+2) - 1) * 2**(emax-m-1).
+    top, q = (1 << (m + 1)) - 1, fmt.emax - m
     if v.sign == 0:
         if mode in (RoundingMode.RNE, RoundingMode.RNA):
-            return Interval(fmt.overflow_threshold, None)
+            return 2 * top + 1, None, q - 1, False, False
         if mode is RoundingMode.RTP:
-            return Interval(fmt.max_value, None, True, False)
-        return Interval.EMPTY  # RTZ / RTN / RTO never produce +inf
+            return top, None, q, True, False
+        return _EMPTY  # RTZ / RTN / RTO never produce +inf
     if mode in (RoundingMode.RNE, RoundingMode.RNA):
-        return Interval(None, -fmt.overflow_threshold)
+        return None, -(2 * top + 1), q - 1, False, False
     if mode is RoundingMode.RTN:
-        return Interval(None, -fmt.max_value, False, True)
-    return Interval.EMPTY
+        return None, -top, q, False, True
+    return _EMPTY

@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.intervals import Interval, rounding_interval
+from ..fp.doubles import double_past, dyadic_parts
+from ..fp.intervals import Bounds, rounding_bounds
 from ..fp.rounding import RoundingMode
 from ..mp.oracle import Oracle
 from ..core.constraints import ReducedConstraint
@@ -100,8 +101,8 @@ class GenOutcome:
 
 
 #: Relative slop absorbing the runtime's few double roundings on top of
-#: the ideal linear output compensation.
-_EVAL_SLOP = Fraction(1, 1 << 48)
+#: the ideal linear output compensation: 2**-_SLOP_BITS.
+_SLOP_BITS = 48
 
 
 class FunctionPipeline:
@@ -178,16 +179,18 @@ class FunctionPipeline:
                 f"{self.name}({xd}) overflows the oracle target; the"
                 " pipeline's clamps should have caught it"
             )
-        interval = rounding_interval(result, RoundingMode.RTO)
-        pulled = _pull_back(interval, red)
-        if pulled is None or pulled.is_empty:
+        pulled = _pull_back(rounding_bounds(result, RoundingMode.RTO), red)
+        if pulled is None:
             return GenOutcome(special=(level, xd, result.to_float()))
+        lo, hi, den = pulled
         constraint = ReducedConstraint(
-            x=Fraction(red.r),
+            # A zero reduced input is +0.0, whatever its sign.
+            x=red.r or 0.0,
             level=level,
-            lo=pulled.lo,
-            hi=pulled.hi,
-            mults=tuple(Fraction(m) for m in red.mults),
+            lo=lo,
+            hi=hi,
+            den=den,
+            mults=red.mults,
             tags=((level, xd),),
         )
         return GenOutcome(constraint=constraint)
@@ -222,9 +225,14 @@ class FunctionPipeline:
         return acc
 
 
-def _pull_back(interval: Interval, red: Reduction) -> Optional[Interval]:
+def _pull_back(
+    bounds: Bounds, red: Reduction
+) -> Optional[Tuple[Optional[int], Optional[int], int]]:
     """Map an output rounding interval through the inverse of the ideal
-    linear output compensation.
+    linear output compensation, on integers.
+
+    Returns ``(lo, hi, den)``: the closed interval ``[lo/den, hi/den]``
+    (None = unbounded), or None when it is empty.
 
     Open endpoints are stepped *one binary64 ulp* inward: the runtime's
     output is a double, so ``out > lo`` is exactly ``out >= nextafter(lo)``.
@@ -234,38 +242,63 @@ def _pull_back(interval: Interval, red: Reduction) -> Optional[Interval]:
     absorbs the runtime's few double roundings, but only when the interval
     can afford it: feasibility always wins, and the post-generation
     runtime verification catches any boundary-sitters.
-    """
-    from ..fp.doubles import next_double_down, next_double_up, to_double_down, to_double_up
 
-    lo, hi = interval.lo, interval.hi
-    if lo is not None and interval.lo_open:
-        lo_d = to_double_up(lo)  # smallest double >= lo
-        if Fraction(lo_d) == lo:
-            lo_d = next_double_up(lo_d)  # endpoint was a double: step past it
-        lo = Fraction(lo_d)
-    if hi is not None and interval.hi_open:
-        hi_d = to_double_down(hi)  # largest double <= hi
-        if Fraction(hi_d) == hi:
-            hi_d = next_double_down(hi_d)
-        hi = Fraction(hi_d)
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    scale = Fraction(red.outer) * Fraction(2) ** red.scale_pow
-    if scale <= 0:
+    Every value is ``n * 2**e / a``, where ``a`` is the odd part of
+    ``outer``'s significand: dividing by ``outer * 2**scale_pow`` only
+    moves the exponent and sets the denominator, with no gcd to take.
+    """
+    lo, hi, q, lo_open, hi_open = bounds
+    lq = hq = q
+    if lo is not None and lo_open:
+        lo, lq = double_past(lo, q, up=True)
+    if hi is not None and hi_open:
+        hi, hq = double_past(hi, q, up=False)
+    if lo is not None and hi is not None:
+        # lo * 2**lq > hi * 2**hq, compared at the finer quantum.
+        if lq >= hq:
+            if lo << (lq - hq) > hi:
+                return None
+        elif lo > hi << (hq - lq):
+            return None
+    num, e = dyadic_parts(red.outer)
+    if num <= 0:
         raise ValueError("output compensation scale must be positive")
-    off = Fraction(red.offset)
-    plo = None if lo is None else lo / scale - off
-    phi = None if hi is None else hi / scale - off
+    zeros = (num & -num).bit_length() - 1
+    a = num >> zeros
+    # scale = a * 2**shift; offset = o * 2**oq.
+    shift = zeros + e + red.scale_pow
+    o, oq = dyadic_parts(red.offset)
+    # Everything at the quantum 2**Q / a: v / scale - offset =
+    # (n * 2**(vq - shift - Q) - o * a * 2**(oq - Q)) * 2**Q / a.
+    Q = min([oq] + [vq - shift for v, vq in ((lo, lq), (hi, hq)) if v is not None])
+    off = (o * a) << (oq - Q)
+    plo = None if lo is None else (lo << (lq - shift - Q)) - off
+    phi = None if hi is None else (hi << (hq - shift - Q)) - off
     # Rounding slop in polynomial space, skipped when it would close the
-    # interval (keyhole constraints keep their exact bounds).
-    mags = [abs(v) for v in (plo, phi) if v is not None] + [abs(off)]
-    slop = max(mags) * _EVAL_SLOP
+    # interval (keyhole constraints keep their exact bounds): the largest
+    # magnitude times 2**-48, so everything moves to 2**(Q - 48) / a.
+    slop = max(abs(v) for v in (plo, phi, off) if v is not None)
     if slop:
-        slo = plo if plo is None else plo + slop
-        shi = phi if phi is None else phi - slop
+        slo = plo if plo is None else (plo << _SLOP_BITS) + slop
+        shi = phi if phi is None else (phi << _SLOP_BITS) - slop
         if slo is None or shi is None or slo <= shi:
-            plo, phi = slo, shi
-    return Interval(plo, phi)
+            plo, phi, Q = slo, shi, Q - _SLOP_BITS
+    # Drop the powers of two every numerator shares with 2**-Q.
+    if Q < 0:
+        common = -Q
+        for v in (plo, phi):
+            if v:
+                common = min(common, (v & -v).bit_length() - 1)
+        if common:
+            plo = plo if plo is None else plo >> common
+            phi = phi if phi is None else phi >> common
+            Q += common
+    up = max(Q, 0)  # a nonnegative quantum goes into the numerators
+    return (
+        plo if plo is None else plo << up,
+        phi if phi is None else phi << up,
+        a << (up - Q),
+    )
 
 
 def chunk_outcomes(
@@ -310,15 +343,42 @@ def merge_constraints(
         if old is None:
             merged[key] = c
             continue
-        inter = Interval(old.lo, old.hi).intersect(Interval(c.lo, c.hi))
-        if inter.is_empty:
+        inter = _intersect(old, c)
+        if inter is None:
             # Keep the established constraint; the newcomer's input is
             # stored as a special case instead.
             level, xd = c.tag
             specials[(level, xd)] = special_output(level, xd)
         else:
+            lo, hi, den = inter
             merged[key] = ReducedConstraint(
-                c.x, c.level, inter.lo, inter.hi, c.mults,
-                tags=old.tags + c.tags,
+                c.x, c.level, lo, hi, den, c.mults, tags=old.tags + c.tags
             )
     return list(merged.values()), specials
+
+
+def _intersect(
+    a: ReducedConstraint, b: ReducedConstraint
+) -> Optional[Tuple[Optional[int], Optional[int], int]]:
+    """The intersection of two constraints' closed intervals as
+    ``(lo, hi, den)``, or None when it is empty.  Bounds are compared by
+    cross-multiplying the denominators."""
+    da, db = a.den, b.den
+    lo, lo_den = a.lo, da
+    if lo is None or (b.lo is not None and b.lo * da > lo * db):
+        lo, lo_den = b.lo, db
+    hi, hi_den = a.hi, da
+    if hi is None or (b.hi is not None and b.hi * da < hi * db):
+        hi, hi_den = b.hi, db
+    if lo_den != hi_den:
+        # One bound from each side: put both over the larger denominator
+        # when the smaller divides it, else over their product.
+        big, small = max(lo_den, hi_den), min(lo_den, hi_den)
+        den = big if big % small == 0 else big * small
+        lo = lo if lo is None else lo * (den // lo_den)
+        hi = hi if hi is None else hi * (den // hi_den)
+    else:
+        den = lo_den
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi, den

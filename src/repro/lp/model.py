@@ -38,12 +38,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fp.encode import ilog2, ilog2_ratio
+from ..fp.encode import ilog2_ratio
 from .bareiss import solve_square_int
 from .simplex import LPError, LPStatus, solve_lp_wide
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: ``ConstraintRow.exps`` entry of a zero coefficient: below every other.
+ZERO_EXP = -(1 << 62)
 
 #: ``MarginSolution.path`` values: which solver produced the answer.
 CERTIFIED = "certified"
@@ -63,11 +66,50 @@ _REPAIRS = 4
 
 @dataclass(frozen=True)
 class ConstraintRow:
-    """One linear constraint: lo <= coeffs . C <= hi (None = unbounded)."""
+    """One linear constraint over one positive denominator:
+    ``lo/den <= (coeffs/den) . C <= hi/den`` (None = unbounded).
 
-    coeffs: Tuple[Fraction, ...]
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    Derived once, when the row is made: ``scale``, the power of two
+    bringing the row's largest magnitude into [1, 2); ``approx``, each
+    coefficient as the nearest double; ``exps``, floor(log2 |coefficient|)
+    of each coefficient (:data:`ZERO_EXP` for zero).
+    """
+
+    coeffs: Tuple[int, ...]
+    lo: Optional[int]
+    hi: Optional[int]
+    den: int = 1
+    scale: int = field(init=False, repr=False, compare=False)
+    approx: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    exps: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        den, coeffs = self.den, self.coeffs
+        biggest = max(map(abs, (*coeffs, self.lo or 0, self.hi or 0)))
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "scale", -ilog2_ratio(biggest, den) if biggest else 0)
+        derive(self, "approx", tuple(_nearest(v, den) for v in coeffs))
+        derive(self, "exps", tuple(
+            ilog2_ratio(abs(v), den) if v else ZERO_EXP for v in coeffs
+        ))
+
+    def exact(self) -> Tuple[List[Fraction], Optional[Fraction], Optional[Fraction]]:
+        """Coefficients, lo and hi as rationals."""
+        den = self.den
+        return (
+            [Fraction(v, den) for v in self.coeffs],
+            None if self.lo is None else Fraction(self.lo, den),
+            None if self.hi is None else Fraction(self.hi, den),
+        )
+
+
+def _nearest(num: int, den: int) -> float:
+    """``num / den`` rounded to the nearest double, ties to even (int
+    true division is correctly rounded); +-inf beyond the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 @dataclass
@@ -83,16 +125,6 @@ class MarginSolution:
     path: str = field(default=EXACT, compare=False)
 
 
-def _row_scale(row: ConstraintRow) -> Fraction:
-    """A power of two bringing the row's largest magnitude near 1."""
-    mags = [abs(c) for c in row.coeffs if c] + [
-        abs(v) for v in (row.lo, row.hi) if v
-    ]
-    if not mags:
-        return ONE
-    return Fraction(2) ** -ilog2(max(mags))
-
-
 def column_scales(rows: Sequence[ConstraintRow], ncols: int) -> List[Fraction]:
     """Per-column powers of two normalizing entry magnitudes.
 
@@ -100,11 +132,19 @@ def column_scales(rows: Sequence[ConstraintRow], ncols: int) -> List[Fraction]:
     tiny columns (x^6 ~ 2^-42); rescaling keeps the exact simplex's
     rationals small and is exactly invertible.
     """
-    scales = []
-    for j in range(ncols):
-        mags = [abs(r.coeffs[j]) for r in rows if r.coeffs[j]]
-        scales.append(Fraction(2) ** -ilog2(max(mags)) if mags else ONE)
-    return scales
+    return [Fraction(2) ** int(s) for s in _column_shifts(_exps(rows, ncols))]
+
+
+def _exps(rows: Sequence[ConstraintRow], ncols: int) -> np.ndarray:
+    """The rows' ``exps`` as an (n, ncols) array."""
+    return np.array([row.exps for row in rows], dtype=np.int64).reshape(-1, ncols)
+
+
+def _column_shifts(exps: np.ndarray) -> np.ndarray:
+    """Per column, minus floor(log2) of its largest magnitude (0 for a
+    column of zeros)."""
+    top = exps.max(axis=0, initial=ZERO_EXP)
+    return np.where(top == ZERO_EXP, 0, -top)
 
 
 def solve_margin_lp(
@@ -141,57 +181,81 @@ def _primal(
 ) -> Tuple[List[List[int]], List[int], np.ndarray, np.ndarray]:
     """The margin LP as ``G z <= h`` over ``z = (C, delta)``, twice.
 
-    Exactly, as integer rows (each row's denominators cleared, a positive
-    scaling that changes neither the feasible set nor dual signs); and
-    as doubles with the exact solver's row and column scaling, for the
-    float guess.  Row order: each constraint's hi row then lo row, then
-    ``delta >= 0``, and last the cap row ``delta <= cap``.
+    Exactly, as the rows' integers (each row over its own denominator, a
+    positive scaling that changes neither the feasible set nor dual
+    signs); and as doubles with the exact solver's row and column
+    scaling, for the float guess.  Row order: each constraint's hi row
+    then lo row, then ``delta >= 0``, and last the cap row
+    ``delta <= cap``.
     """
-    cleared = []
-    col_exp = [None] * ncols
-    for row in rows:
-        # The row over one denominator L: coefficients, lo, hi.
-        vals = (*row.coeffs, row.lo or ZERO, row.hi or ZERO)
-        L = math.lcm(*(v.denominator for v in vals))
-        ints = [v.numerator * (L // v.denominator) for v in vals]
-        for j, v in enumerate(ints[:ncols]):
-            if v:
-                e = ilog2_ratio(abs(v), L)
-                if col_exp[j] is None or e > col_exp[j]:
-                    col_exp[j] = e
-        if row.lo is not None or row.hi is not None:
-            cleared.append((row, L, ints))
-    col_shift = [-e if e is not None else 0 for e in col_exp]
+    scaled = _scaled_coeffs(rows, ncols)
     G: List[List[int]] = []
     h: List[int] = []
-    Gf: List[List[float]] = []
+    pick: List[int] = []
+    signs: List[float] = []
+    sfs: List[float] = []
     hf: List[float] = []
-    for row, L, ints in cleared:
-        biggest = max(map(abs, ints))
-        e = -ilog2_ratio(biggest, L) if biggest else 0
-        a, lo, hi = ints[:ncols], ints[ncols], ints[ncols + 1]
+    for i, row in enumerate(rows):
+        lo, hi = row.lo, row.hi
+        if lo is None and hi is None:
+            continue
+        a, L, e = list(row.coeffs), row.den, row.scale
         s = 0
-        if row.lo is not None and row.hi is not None:
+        if lo is not None and hi is not None:
             # s = (hi - lo)/2: double the row to keep it integral.
             a, lo, hi, s, L = [2 * v for v in a], 2 * lo, 2 * hi, hi - lo, 2 * L
-        af = [_scaled(v, L, e + col_shift[j]) for j, v in enumerate(a)]
         sf = _scaled(s, L, e)
-        if row.hi is not None:
+        if hi is not None:
             G.append(a + [s])
             h.append(hi)
-            Gf.append(af + [sf])
             hf.append(_scaled(hi, L, e))
-        if row.lo is not None:
+            pick.append(i)
+            signs.append(1.0)
+            sfs.append(sf)
+        if lo is not None:
             G.append([-v for v in a] + [s])
             h.append(-lo)
-            Gf.append([-v for v in af] + [sf])
             hf.append(_scaled(-lo, L, e))
+            pick.append(i)
+            signs.append(-1.0)
+            sfs.append(sf)
     unit = [0] * ncols
     G += [unit + [-1], unit + [margin_cap.denominator]]
     h += [0, margin_cap.numerator]
-    Gf += [unit + [-1.0], unit + [1.0]]
+    Gf = np.empty((len(G), ncols + 1))
+    Gf[: len(pick), :ncols] = scaled[pick] * np.array(signs)[:, None]
+    Gf[: len(pick), ncols] = sfs
+    Gf[len(pick):] = [unit + [-1.0], unit + [1.0]]
     hf += [0.0, float(margin_cap)]
-    return G, h, np.array(Gf, dtype=float), np.array(hf, dtype=float)
+    return G, h, Gf, np.array(hf, dtype=float)
+
+
+#: The smallest positive normal double.
+_TINY = 2.0 ** -1022
+
+
+def _scaled_coeffs(rows: Sequence[ConstraintRow], ncols: int) -> np.ndarray:
+    """Every coefficient ``v/den`` times the row's and the column's
+    scaling, as a correctly rounded double.
+
+    Scaling the row's nearest double by a power of two is exact while
+    both stay normal; the few entries where either is not (or is
+    infinite, or underflowed to zero) are rounded from the integers.
+    """
+    exps = _exps(rows, ncols)
+    col_shift = _column_shifts(exps)
+    approx = np.array([row.approx for row in rows], dtype=float).reshape(-1, ncols)
+    shifts = np.array([row.scale for row in rows], dtype=np.int64)[:, None] + col_shift
+    with np.errstate(over="ignore"):
+        out = np.ldexp(approx, shifts)
+    mag, big = np.abs(approx), np.abs(out)
+    redo = (exps != ZERO_EXP) & ~(
+        (mag >= _TINY) & (big >= _TINY) & np.isfinite(mag) & np.isfinite(big)
+    )
+    for i, j in zip(*np.nonzero(redo)):
+        row = rows[i]
+        out[i, j] = _scaled(row.coeffs[j], row.den, int(shifts[i, j]))
+    return out
 
 
 def _scaled(num: int, den: int, e: int) -> float:
@@ -200,7 +264,7 @@ def _scaled(num: int, den: int, e: int) -> float:
     try:
         return (num << e) / den if e >= 0 else num / (den << -e)
     except OverflowError:
-        return math.copysign(math.inf, num)
+        return math.inf if num > 0 else -math.inf
 
 
 def _float_guess(
@@ -315,20 +379,21 @@ def _solve_exact(
     A: List[List[Fraction]] = []
     b: List[Fraction] = []
     for row in rows:
-        rs = _row_scale(row)
-        m = [row.coeffs[j] * col_scale[j] * rs for j in range(ncols)]
-        if row.lo is not None and row.hi is not None:
-            s = (row.hi - row.lo) / 2 * rs
+        coeffs, lo, hi = row.exact()
+        rs = Fraction(2) ** row.scale
+        m = [coeffs[j] * col_scale[j] * rs for j in range(ncols)]
+        if lo is not None and hi is not None:
+            s = (hi - lo) / 2 * rs
         else:
             s = ZERO
-        if row.hi is not None:
+        if hi is not None:
             arow = m + [-mj for mj in m] + [s]
             A.append(arow)
-            b.append(row.hi * rs)
-        if row.lo is not None:
+            b.append(hi * rs)
+        if lo is not None:
             arow = [-mj for mj in m] + list(m) + [s]
             A.append(arow)
-            b.append(-row.lo * rs)
+            b.append(-lo * rs)
     cap_row = [ZERO] * nvars
     cap_row[delta_col] = ONE
     A.append(cap_row)
@@ -353,11 +418,8 @@ def check_rows(
     """Indices of rows violated by an exact coefficient vector."""
     bad = []
     for i, row in enumerate(rows):
-        val = sum(
-            (m * c for m, c in zip(row.coeffs, coeffs) if m), ZERO
-        )
-        if (row.lo is not None and val < row.lo) or (
-            row.hi is not None and val > row.hi
-        ):
+        ms, lo, hi = row.exact()
+        val = sum((m * c for m, c in zip(ms, coeffs) if m), ZERO)
+        if (lo is not None and val < lo) or (hi is not None and val > hi):
             bad.append(i)
     return bad

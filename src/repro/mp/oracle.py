@@ -31,12 +31,14 @@ from . import consts, functions
 @dataclass
 class OracleStats:
     """Per-oracle counters feeding the phase-timing breakdowns: how much
-    wall-clock the Ziv loops cost and how often caches absorbed a call."""
+    wall-clock the Ziv loops cost, how often caches absorbed a call, and
+    how many computes needed more than their starting precision."""
 
     calls: int = 0
     computes: int = 0
     memo_hits: int = 0
     disk_hits: int = 0
+    escalations: int = 0
     seconds: float = 0.0
 
     def merge(self, other: "OracleStats") -> None:
@@ -45,6 +47,7 @@ class OracleStats:
         self.computes += other.computes
         self.memo_hits += other.memo_hits
         self.disk_hits += other.disk_hits
+        self.escalations += other.escalations
         self.seconds += other.seconds
 
 
@@ -106,8 +109,9 @@ def exact_value(fn: str, x: Fraction) -> Optional[Fraction]:
 
 
 def _log2_magnitude_estimate(fn: str, x: Fraction) -> float:
-    """Rough log2(|f(x)|), used only to seed the working precision."""
-    xf = float(x) if abs(x) < _FLOAT_SAFE else math.copysign(1e300, x)
+    """Rough log2(|f(x)|): seeds the working precision and lets the range
+    shortcut skip its enclosure."""
+    xf = float(x) if abs(x) < _FLOAT_SAFE else (1e300 if x > 0 else -1e300)
     try:
         if fn == "exp":
             return xf / _LN2
@@ -145,6 +149,9 @@ _FLOAT_SAFE = Fraction(10) ** 300
 _LN2 = math.log(2.0)
 _LOG2_10 = math.log2(10.0)
 _SMALL_RESULT_BITS = 80.0
+#: Binades a result's log2 estimate must lie inside both range cuts for
+#: ``Oracle._range_shortcut`` to skip its enclosure.
+_SHORTCUT_MARGIN = 8
 
 
 class Oracle:
@@ -209,8 +216,9 @@ class Oracle:
         shortcut = self._range_shortcut(fn, x, fmt)
         if shortcut is not None:
             return round_real(shortcut, fmt, mode)
-        prec = self.initial_precision(fn, x, fmt)
+        prec = start = self.initial_precision(fn, x, fmt)
         while prec <= self.max_prec:
+            self.stats.escalations += prec == 2 * start
             fi = self.enclosure(fn, x, prec)
             scale = 1 << fi.prec
             lo = round_ratio_bits(fi.lo, scale, fmt, mode)
@@ -231,10 +239,21 @@ class Oracle:
         fractional bits); instead a 160-bit enclosure of log2|f(x)| proves
         the result lies strictly inside (0, min_subnormal/4) or beyond
         2*max_value, and any value in that region stands in exactly.
+
+        Most results lie far inside the range: when the double estimate of
+        log2|f(x)| is :data:`_SHORTCUT_MARGIN` binades inside both cuts
+        (it is off by far less than one binade below ``_FLOAT_SAFE``, and
+        by at most two for sinh/cosh), the enclosure is skipped.
         """
         if fn not in ("exp", "exp2", "exp10", "sinh", "cosh"):
             return None
         if x == 0:
+            return None
+        tiny_cut = fmt.emin - fmt.mantissa_bits - 2  # below min_subnormal/4
+        huge_cut = fmt.emax + 2  # beyond 2 * max_value
+        # Beyond _FLOAT_SAFE the estimate reads x as +-1e300: never inside.
+        est = _log2_magnitude_estimate(fn, x)
+        if tiny_cut + _SHORTCUT_MARGIN <= est <= huge_cut - _SHORTCUT_MARGIN:
             return None
         prec = 160
         xi = functions.FI.from_fraction(x, prec)
@@ -255,10 +274,8 @@ class Oracle:
         negative = fn == "sinh" and x < 0
         lo_exp = log2f.lo >> prec  # floor of the log2 lower bound
         hi_exp = -((-log2f.hi) >> prec)  # ceil of the upper bound
-        tiny_cut = fmt.emin - fmt.mantissa_bits - 2  # below min_subnormal/4
-        huge_cut = fmt.emax + 2  # beyond 2 * max_value
         if hi_exp < tiny_cut:
-            rep = Fraction(2) ** int(hi_exp)
+            rep = Fraction(2) ** int(max(hi_exp, tiny_cut - 4))
         elif lo_exp > huge_cut:
             rep = Fraction(2) ** int(min(lo_exp, huge_cut + 4))
         else:
@@ -293,9 +310,10 @@ class Oracle:
         if shortcut is not None:
             return {m: round_real(shortcut, fmt, m) for m in modes}
         out: Dict[RoundingMode, FPValue] = {}
-        prec = self.initial_precision(fn, x, fmt)
+        prec = start = self.initial_precision(fn, x, fmt)
         remaining = list(modes)
         while prec <= self.max_prec and remaining:
+            self.stats.escalations += prec == 2 * start
             fi = self.enclosure(fn, x, prec)
             scale = 1 << fi.prec
             decided = round_interval_bits(fi.lo, fi.hi, scale, fmt, remaining)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core.clarkson import default_sample_size, solve_constraints
-from repro.core.constraints import ConstraintSystem, ReducedConstraint
+from repro.core.constraints import ConstraintSystem
 from repro.core.polynomial import PolyShape, eval_exact
+
+from ..helpers import exact_bounds, reduced
 
 F = Fraction
 
@@ -26,7 +28,7 @@ def exp_like_system(n=4000, k=4, width=F(1, 10**5), seed=3, levels=None):
         level = int(rng.integers(0, len(levels)))
         # Wider intervals for lower levels, like coarser formats.
         w = width * (4 ** (len(levels) - 1 - level))
-        cons.append(ReducedConstraint(x, level, mid - w, mid + w))
+        cons.append(reduced(x, level, mid - w, mid + w))
     return ConstraintSystem(cons, [shape], levels)
 
 
@@ -47,14 +49,15 @@ class TestSolveConstraints:
         # Truncated evaluations stay within their level's intervals.
         shape = PolyShape.dense(4)
         for c, row in zip(sys.constraints, sys.rows):
-            val = eval_exact(shape, res.coefficients, c.x, (2, 3, 4)[c.level])
-            assert c.lo <= val <= c.hi
+            val = eval_exact(shape, res.coefficients, F(c.x), (2, 3, 4)[c.level])
+            lo, hi = exact_bounds(c)
+            assert lo <= val <= hi
 
     def test_infeasible_detected(self):
         shape = PolyShape.dense(1)
         cons = [
-            ReducedConstraint(F(0), 0, F(0), F(1)),
-            ReducedConstraint(F(0), 0, F(2), F(3)),
+            reduced(0.0, 0, F(0), F(1)),
+            reduced(0.0, 0, F(2), F(3)),
         ]
         sys = ConstraintSystem(cons, [shape], ((1,),))
         res = solve_constraints(sys, rng=np.random.default_rng(0))
@@ -69,9 +72,9 @@ class TestSolveConstraints:
             x = F(int(rng.integers(-(1 << 18), 1 << 18)), 1 << 25)
             mid = F(math.exp(float(x))).limit_denominator(10**14)
             w = F(1, 10**4)
-            sys_cons.append(ReducedConstraint(x, 0, mid - w, mid + w))
+            sys_cons.append(reduced(x, 0, mid - w, mid + w))
         # Poison: one constraint demanding a wildly wrong value.
-        sys_cons.append(ReducedConstraint(F(1, 100), 0, F(10), F(11)))
+        sys_cons.append(reduced(0.01, 0, F(10), F(11)))
         sys = ConstraintSystem(sys_cons, [PolyShape.dense(4)], ((4,),))
         res = solve_constraints(sys, max_iterations=12, rng=np.random.default_rng(0))
         assert res.coefficients is not None
@@ -149,7 +152,7 @@ class TestTwoPolynomialSystems:
             true = a * (x + x**3 / 6) + b * (1 + x**2 / 2)
             w = F(1, 10**7)
             cons.append(
-                ReducedConstraint(x, 0, true - w, true + w, mults=(a, b))
+                reduced(x, 0, true - w, true + w, mults=(a, b))
             )
         sys = ConstraintSystem(cons, shapes, ((2, 2),))
         res = solve_constraints(sys, rng=np.random.default_rng(0))

@@ -5,18 +5,25 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.constraints import ConstraintSystem, ReducedConstraint
+from repro.core.constraints import ConstraintSystem
 from repro.core.polynomial import PolyShape
 
+from ..helpers import reduced
+
 F = Fraction
+
+
+def values(row):
+    """A row's coefficients as rationals."""
+    return tuple(row.exact()[0])
 
 
 def simple_system(term_counts=((2,), (3,))):
     shape = PolyShape.dense(3)
     cons = [
-        ReducedConstraint(F(0), 0, F(1), F(2)),
-        ReducedConstraint(F(1, 2), 1, F(0), F(10)),
-        ReducedConstraint(F(1, 4), 1, None, F(5)),
+        reduced(F(0), 0, F(1), F(2)),
+        reduced(F(1, 2), 1, F(0), F(10)),
+        reduced(F(1, 4), 1, None, F(5)),
     ]
     return ConstraintSystem(cons, [shape], term_counts)
 
@@ -25,29 +32,29 @@ class TestRowBuilding:
     def test_truncation_zeros_high_terms(self):
         sys = simple_system()
         row0 = sys.rows[0]  # level 0 -> 2 terms
-        assert row0.coeffs == (F(1), F(0), F(0))  # x=0 kills x^1 too
-        c = ReducedConstraint(F(1, 2), 0, F(0), F(1))
+        assert values(row0) == (F(1), F(0), F(0))  # x=0 kills x^1 too
+        c = reduced(F(1, 2), 0, F(0), F(1))
         sys2 = ConstraintSystem([c], [PolyShape.dense(3)], ((2,), (3,)))
-        assert sys2.rows[0].coeffs == (F(1), F(1, 2), F(0))
+        assert values(sys2.rows[0]) == (F(1), F(1, 2), F(0))
 
     def test_full_terms_at_top_level(self):
         sys = simple_system()
-        assert sys.rows[1].coeffs == (F(1), F(1, 2), F(1, 4))
+        assert values(sys.rows[1]) == (F(1), F(1, 2), F(1, 4))
 
     def test_two_polynomials_with_mults(self):
         shapes = [PolyShape.odd(2), PolyShape.even(2)]
-        c = ReducedConstraint(
+        c = reduced(
             F(1, 2), 0, F(0), F(1), mults=(F(3), F(5))
         )
         sys = ConstraintSystem([c], shapes, ((2, 1),))
         # odd poly: 3*(x, x^3); even poly truncated to 1 term: 5*(1).
-        assert sys.rows[0].coeffs == (F(3, 2), F(3, 8), F(5), F(0))
+        assert values(sys.rows[0]) == (F(3, 2), F(3, 8), F(5), F(0))
 
     def test_zero_mult_skips_polynomial(self):
         shapes = [PolyShape.dense(2), PolyShape.dense(2)]
-        c = ReducedConstraint(F(1), 0, F(0), F(1), mults=(F(0), F(1)))
+        c = reduced(F(1), 0, F(0), F(1), mults=(F(0), F(1)))
         sys = ConstraintSystem([c], shapes, ((2, 2),))
-        assert sys.rows[0].coeffs == (F(0), F(0), F(1), F(1))
+        assert values(sys.rows[0]) == (F(0), F(0), F(1), F(1))
 
     def test_unbounded_sides(self):
         sys = simple_system()
@@ -59,8 +66,8 @@ class TestRowBuilding:
         # largest double becomes that double, an upper bound becomes inf.
         big = F(2) ** 1100
         cons = [
-            ReducedConstraint(F(1), 0, big, big),
-            ReducedConstraint(F(1), 0, -big, -big),
+            reduced(F(1), 0, big, big),
+            reduced(F(1), 0, -big, -big),
         ]
         sys = ConstraintSystem(cons, [PolyShape.dense(1)], ((1,),))
         top = np.finfo(float).max
@@ -69,7 +76,7 @@ class TestRowBuilding:
 
     def test_ncols(self):
         shapes = [PolyShape.dense(3), PolyShape.odd(2)]
-        c = ReducedConstraint(F(1), 0, F(0), F(1), mults=(F(1), F(1)))
+        c = reduced(F(1), 0, F(0), F(1), mults=(F(1), F(1)))
         sys = ConstraintSystem([c], shapes, ((3, 2),))
         assert sys.ncols == 5
 
@@ -89,7 +96,7 @@ class TestViolations:
     def test_boundary_exact(self):
         # Value exactly on a bound is satisfied (closed intervals).
         shape = PolyShape.dense(1)
-        c = ReducedConstraint(F(0), 0, F(1), F(2))
+        c = reduced(F(0), 0, F(1), F(2))
         sys = ConstraintSystem([c], [shape], ((1,),))
         assert len(sys.violations([F(2)])) == 0
         assert len(sys.violations([F(1)])) == 0
@@ -99,7 +106,7 @@ class TestViolations:
     def test_tiny_scale_bounds(self):
         # Bounds at subnormal-output scale must still screen correctly.
         s = F(1, 2**140)
-        c = ReducedConstraint(F(1, 2), 0, s, 3 * s)
+        c = reduced(F(1, 2), 0, s, 3 * s)
         sys = ConstraintSystem([c], [PolyShape.dense(2)], ((2,),))
         assert len(sys.violations([s, 2 * s])) == 0
         assert list(sys.violations([F(0), F(0)])) == [0]
@@ -115,16 +122,18 @@ class TestViolations:
             lo = F(data.draw(st.integers(-100, 100)), 16)
             hi = lo + F(data.draw(st.integers(0, 50)), 16)
             level = data.draw(st.integers(0, 1))
-            cons.append(ReducedConstraint(x, level, lo, hi))
-        sys = ConstraintSystem(cons, [shape], ((2,), (3,)))
+            cons.append((x, level, lo, hi))
+        sys = ConstraintSystem(
+            [reduced(*c) for c in cons], [shape], ((2,), (3,))
+        )
         coeffs = [
             F(data.draw(st.integers(-40, 40)), 8) for _ in range(3)
         ]
         got = set(int(i) for i in sys.violations(coeffs))
         want = set()
-        for i, c in enumerate(cons):
-            k = (2, 3)[c.level]
-            val = sum(coeffs[j] * c.x**j for j in range(k))
-            if val < c.lo or val > c.hi:
+        for i, (x, level, lo, hi) in enumerate(cons):
+            k = (2, 3)[level]
+            val = sum(coeffs[j] * x**j for j in range(k))
+            if val < lo or val > hi:
                 want.add(i)
         assert got == want

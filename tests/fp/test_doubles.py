@@ -8,12 +8,18 @@ from hypothesis import given, strategies as st
 
 from repro.fp.doubles import (
     double_is_exact,
-    next_double_down,
-    next_double_up,
+    double_past,
+    dyadic_parts,
     to_double_down,
     to_double_nearest,
     to_double_up,
 )
+
+
+def past(d: float, up: bool) -> float:
+    """``double_past`` of a double's own value, as a float."""
+    m, e = double_past(*dyadic_parts(d), up)
+    return math.ldexp(m, e)
 
 
 class TestDirectedConversions:
@@ -67,16 +73,35 @@ class TestInputTypes:
 
 class TestNextDouble:
     def test_adjacent(self):
-        assert next_double_up(1.0) == 1.0 + 2.0**-52
-        assert next_double_down(1.0) == 1.0 - 2.0**-53
+        assert past(1.0, up=True) == 1.0 + 2.0**-52
+        assert past(1.0, up=False) == 1.0 - 2.0**-53
 
     def test_around_zero(self):
-        assert next_double_up(0.0) == 5e-324
-        assert next_double_down(0.0) == -5e-324
+        assert past(0.0, up=True) == 5e-324
+        assert past(0.0, up=False) == -5e-324
 
     @given(st.floats(min_value=-1e300, max_value=1e300, allow_nan=False))
     def test_strictly_monotone(self, d):
-        assert next_double_up(d) > d > next_double_down(d)
+        up, down = past(d, up=True), past(d, up=False)
+        assert up > d > down
+        assert (up, down) == (math.nextafter(d, math.inf), math.nextafter(d, -math.inf))
+
+    @given(
+        st.integers(-(2**70), 2**70),
+        st.integers(-1200, 950),
+        st.booleans(),
+    )
+    def test_off_grid_values_round_inward(self, n, q, up):
+        # A value that is not a double lands on the nearest double beyond
+        # it; one that is steps to the adjacent double.  (|n * 2**q| stays
+        # below 2**1020, inside the finite doubles.)
+        value = Fraction(n) * Fraction(2) ** q
+        m, e = double_past(n, q, up)
+        got = Fraction(m) * Fraction(2) ** e
+        want = to_double_up(value) if up else to_double_down(value)
+        if Fraction(want) == value:
+            want = math.nextafter(want, math.inf if up else -math.inf)
+        assert got == Fraction(want)
 
 
 class TestDoubleIsExact:

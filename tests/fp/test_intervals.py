@@ -1,5 +1,6 @@
 """Tests for rounding intervals and the Interval algebra."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,15 @@ class TestIntervalAlgebra:
         assert Interval.EMPTY.is_empty
         assert Interval(Fraction(1), Fraction(1), lo_open=True).is_empty
         assert not Interval(Fraction(1), Fraction(1)).is_empty
+
+    def test_fields_are_the_four_bounds(self):
+        # EMPTY is a class constant, not a fifth field of every instance.
+        assert [f.name for f in dataclasses.fields(Interval)] == [
+            "lo", "hi", "lo_open", "hi_open"
+        ]
+        assert "EMPTY" not in vars(Interval(Fraction(0), Fraction(1)))
+        with pytest.raises(TypeError):
+            Interval(Fraction(0), Fraction(1), False, False, None)
 
     def test_singleton(self):
         assert Interval(Fraction(2), Fraction(2)).is_singleton

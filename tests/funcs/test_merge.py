@@ -2,16 +2,17 @@
 
 from fractions import Fraction
 
-from repro.core.constraints import ReducedConstraint
 from repro.funcs.base import GenOutcome, merge_constraints
+
+from ..helpers import exact_bounds, reduced
 
 F = Fraction
 
 
 def outcome(x, level, lo, hi, mults=(F(1),), tag=None):
     return GenOutcome(
-        constraint=ReducedConstraint(
-            F(x), level, lo, hi, mults, tags=(tag or (level, float(x)),)
+        constraint=reduced(
+            x, level, lo, hi, mults, tags=(tag or (level, float(x)),)
         )
     )
 
@@ -39,7 +40,7 @@ class TestMerging:
         merged, specials = merge_constraints(outs, special_output)
         assert len(merged) == 1
         c = merged[0]
-        assert (c.lo, c.hi) == (F(5), F(10))
+        assert exact_bounds(c) == (F(5), F(10))
         assert set(c.tags) == {(0, 1.0), (0, -1.0)}
         assert not specials
 
@@ -82,5 +83,5 @@ class TestMerging:
         ]
         merged, specials = merge_constraints(outs, special_output)
         assert len(merged) == 1
-        assert (merged[0].lo, merged[0].hi) == (F(4), F(6))
+        assert exact_bounds(merged[0]) == (F(4), F(6))
         assert len(merged[0].tags) == 3

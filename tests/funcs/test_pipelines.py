@@ -17,6 +17,8 @@ from repro.funcs import TINY_CONFIG, make_pipeline, PIPELINES
 from repro.mp import Oracle
 from repro.mp import functions as mpf
 
+from ..helpers import exact_bounds
+
 ORACLE = Oracle()
 PIPES = {name: make_pipeline(name, TINY_CONFIG, ORACLE) for name in PIPELINES}
 
@@ -269,6 +271,7 @@ class TestConstraintGeneration:
                 if out is None or out.constraint is None:
                     continue
                 c = out.constraint
+                lo, hi = exact_bounds(c)
                 # The true-kernel expression equals the true function value
                 # (up to the reduction's double constants); it lies in the
                 # *untrimmed* rounding interval, so it must satisfy the
@@ -277,14 +280,16 @@ class TestConstraintGeneration:
                 val = Fraction(0)
                 for p, kern in enumerate(KERNELS[name]):
                     if c.mults[p]:
-                        val += c.mults[p] * kern(c.x, 160).mid_fraction
+                        val += Fraction(c.mults[p]) * kern(
+                            Fraction(c.x), 160
+                        ).mid_fraction
                 slack = (
-                    (c.hi - c.lo) / (1 << 14)
-                    if c.lo is not None and c.hi is not None
+                    (hi - lo) / (1 << 14)
+                    if lo is not None and hi is not None
                     else abs(val) / (1 << 14)
                 )
-                assert c.lo is None or val >= c.lo - slack, (name, v.to_float())
-                assert c.hi is None or val <= c.hi + slack, (name, v.to_float())
+                assert lo is None or val >= lo - slack, (name, v.to_float())
+                assert hi is None or val <= hi + slack, (name, v.to_float())
 
     def test_tags_carry_inputs(self):
         pipe = PIPES["cosh"]

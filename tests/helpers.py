@@ -6,3 +6,44 @@ from repro.libm.compiled import find_compiler
 #: table is present: the compiled C kernel where gcc is on ``PATH``, the
 #: numpy vector tier where it is not.
 POLY_TIER = "compiled" if find_compiler() else "vector"
+
+
+def exact_row(coeffs, lo, hi):
+    """A :class:`~repro.lp.model.ConstraintRow` from rationals: every
+    side over the least common denominator."""
+    from fractions import Fraction
+    from math import lcm
+
+    from repro.lp.model import ConstraintRow
+
+    vals = [Fraction(v) for v in coeffs]
+    bounds = [None if v is None else Fraction(v) for v in (lo, hi)]
+    den = lcm(*(v.denominator for v in vals + [b for b in bounds if b is not None]))
+    lo, hi = (None if b is None else b.numerator * (den // b.denominator) for b in bounds)
+    return ConstraintRow(
+        tuple(v.numerator * (den // v.denominator) for v in vals), lo, hi, den
+    )
+
+
+def reduced(x, level, lo, hi, mults=(1,), tags=()):
+    """A :class:`~repro.core.constraints.ReducedConstraint` from a double
+    (or a rational that is one) and rational bounds over their least
+    common denominator."""
+    from fractions import Fraction
+    from math import lcm
+
+    from repro.core.constraints import ReducedConstraint
+
+    bounds = [None if v is None else Fraction(v) for v in (lo, hi)]
+    den = lcm(*(b.denominator for b in bounds if b is not None))
+    lo, hi = (None if b is None else b.numerator * (den // b.denominator) for b in bounds)
+    return ReducedConstraint(
+        float(x), level, lo, hi, den, tuple(float(m) for m in mults), tags
+    )
+
+
+def exact_bounds(c):
+    """A constraint's ``(lo, hi)`` as rationals (None = unbounded)."""
+    from fractions import Fraction
+
+    return tuple(None if v is None else Fraction(v, c.den) for v in (c.lo, c.hi))

@@ -207,3 +207,58 @@ class _Tableau:
         obj = list(self.c) + [ZERO] * (self.ncols - self.n)
         red = self._reduced_costs(obj)
         return [-red[self.n + i] for i in range(self.m)]
+
+
+def primal(rows, ncols: int, margin_cap: Fraction):
+    """The margin LP as ``G z <= h`` and its scaled doubles ``Gf z <= hf``
+    from rational rows, clearing each row's denominators on every call:
+    the reference for :func:`repro.lp.model._primal`, which takes rows
+    whose integers were cleared once.  ``rows`` are
+    :class:`~repro.lp.model.ConstraintRow`; only their exact values are
+    used."""
+    import math
+
+    from repro.fp.encode import ilog2_ratio
+    from repro.lp.model import _scaled
+
+    exact = [row.exact() for row in rows]
+    cleared = []
+    col_exp = [None] * ncols
+    for coeffs, lo, hi in exact:
+        vals = (*coeffs, lo or ZERO, hi or ZERO)
+        L = math.lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (L // v.denominator) for v in vals]
+        for j, v in enumerate(ints[:ncols]):
+            if v:
+                e = ilog2_ratio(abs(v), L)
+                if col_exp[j] is None or e > col_exp[j]:
+                    col_exp[j] = e
+        if lo is not None or hi is not None:
+            cleared.append((lo, hi, L, ints))
+    col_shift = [-e if e is not None else 0 for e in col_exp]
+    G, h, Gf, hf = [], [], [], []
+    for row_lo, row_hi, L, ints in cleared:
+        biggest = max(map(abs, ints))
+        e = -ilog2_ratio(biggest, L) if biggest else 0
+        a, lo, hi = ints[:ncols], ints[ncols], ints[ncols + 1]
+        s = 0
+        if row_lo is not None and row_hi is not None:
+            a, lo, hi, s, L = [2 * v for v in a], 2 * lo, 2 * hi, hi - lo, 2 * L
+        af = [_scaled(v, L, e + col_shift[j]) for j, v in enumerate(a)]
+        sf = _scaled(s, L, e)
+        if row_hi is not None:
+            G.append(a + [s])
+            h.append(hi)
+            Gf.append(af + [sf])
+            hf.append(_scaled(hi, L, e))
+        if row_lo is not None:
+            G.append([-v for v in a] + [s])
+            h.append(-lo)
+            Gf.append([-v for v in af] + [sf])
+            hf.append(_scaled(-lo, L, e))
+    unit = [0] * ncols
+    G += [unit + [-1], unit + [margin_cap.denominator]]
+    h += [0, margin_cap.numerator]
+    Gf += [unit + [-1.0], unit + [1.0]]
+    hf += [0.0, float(margin_cap)]
+    return G, h, Gf, hf

@@ -14,13 +14,14 @@ from repro.lp import ConstraintRow, check_rows, model, solve_margin_lp
 from repro.mp import Oracle
 from repro.obs import get_registry
 
+from ..helpers import exact_row
 from .reference import solve_square
 
 F = Fraction
 
 
 def poly_row(x: Fraction, k: int, lo, hi) -> ConstraintRow:
-    return ConstraintRow(tuple(x**j for j in range(k)), lo, hi)
+    return exact_row(tuple(x**j for j in range(k)), lo, hi)
 
 
 class TestSolveMarginLP:
@@ -54,8 +55,8 @@ class TestSolveMarginLP:
 
     def test_one_sided_rows(self):
         rows = [
-            ConstraintRow((F(1),), F(5), None),
-            ConstraintRow((F(1),), None, F(7)),
+            exact_row((F(1),), F(5), None),
+            exact_row((F(1),), None, F(7)),
         ]
         sol = solve_margin_lp(rows, 1)
         assert sol is not None
@@ -182,7 +183,7 @@ def margin_lps(draw):
         val = sum(c * t for c, t in zip(coeffs, true))
         below, above = (F(draw(st.integers(0, 100)), 1000) for _ in "lh")
         side = draw(st.sampled_from(["both", "both", "both", "lo", "hi"]))
-        row = ConstraintRow(
+        row = exact_row(
             coeffs,
             None if side == "hi" else val - below,
             None if side == "lo" else val + above,
@@ -190,9 +191,9 @@ def margin_lps(draw):
         rows.extend([row] * draw(st.integers(1, 2)))
     if draw(st.integers(0, 4)) == 0:
         # Two disjoint intervals on one evaluation: infeasible.
-        coeffs = rows[0].coeffs
-        rows += [ConstraintRow(coeffs, F(0), F(1)),
-                 ConstraintRow(coeffs, F(2), F(3))]
+        coeffs = rows[0].exact()[0]
+        rows += [exact_row(coeffs, F(0), F(1)),
+                 exact_row(coeffs, F(2), F(3))]
     return rows, k
 
 
@@ -290,7 +291,7 @@ class TestCertifiedPath:
         # all far below 2^-1022): no float guess, same exact answer.
         t = F(1, 2**1100)
         rows = [
-            ConstraintRow((t, t * F(i, 2**100)), t * (i - F(1, 4)), t * (i + 1))
+            exact_row((t, t * F(i, 2**100)), t * (i - F(1, 4)), t * (i + 1))
             for i in range(1, 5)
         ]
         G, h, Gf, hf = model._primal(rows, 2, F(1))

@@ -1,0 +1,102 @@
+"""``model._primal`` on rows cleared once, against the reference that
+clears every row's rationals on each call (:func:`tests.lp.reference.primal`).
+
+The exact rows must state the same constraints (equal after dividing
+each row by the gcd of its integers) and the scaled doubles must be
+bit-identical, on random rows and on every sample the Clarkson solver
+hands the LP while generating the tiny functions of the benchmark.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import clarkson, generate_function
+from repro.fp.doubles import to_double_nearest
+from repro.funcs import TINY_CONFIG, make_pipeline
+from repro.lp import model
+
+from ..helpers import exact_row
+from .reference import primal
+from .test_model import margin_lps
+
+F = Fraction
+
+
+def normalized(G, h):
+    out = []
+    for g, b in zip(G, h):
+        d = math.gcd(*g, b) or 1
+        out.append(([v // d for v in g], b // d))
+    return out
+
+
+def assert_same(rows, ncols, cap=F(1)):
+    G, h, Gf, hf = model._primal(rows, ncols, cap)
+    rG, rh, rGf, rhf = primal(rows, ncols, cap)
+    assert normalized(G, h) == normalized(rG, rh)
+    assert np.array_equal(Gf, np.array(rGf, dtype=float))
+    assert np.array_equal(hf, np.array(rhf, dtype=float))
+
+
+@settings(max_examples=150, deadline=None)
+@given(margin_lps())
+def test_random_rows(lp):
+    rows, k = lp
+    assert_same(rows, k)
+
+
+def test_entries_beyond_double_range():
+    t = F(1, 2**1100)
+    rows = [
+        exact_row((t, t * F(i, 2**100)), t * (i - F(1, 4)), t * (i + 1))
+        for i in range(1, 5)
+    ]
+    assert_same(rows, 2)
+    big = F(2**1100)
+    rows = [exact_row((big, F(3, 7)), -big, big), exact_row((F(1), F(0)), F(0), None)]
+    assert_same(rows, 2, F(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-(2**60), max_value=2**60, max_denominator=2**80),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_approx_is_nearest_double(vals):
+    row = exact_row(vals, None, None)
+    assert row.approx == tuple(to_double_nearest(v) for v in vals)
+
+
+#: The tiny functions of the benchmark's generation workload.
+GEN_TINY = ("ln", "log10", "exp", "exp2", "cosh", "sinpi", "cospi")
+
+
+@pytest.fixture(scope="module")
+def gen_tiny_samples(oracle):
+    """Every (rows, ncols) sample the Clarkson solver passed to the LP
+    while generating the benchmark's tiny functions."""
+    samples = []
+    real = clarkson.solve_margin_lp
+
+    def record(rows, ncols, *args, **kwargs):
+        samples.append((list(rows), ncols))
+        return real(rows, ncols, *args, **kwargs)
+
+    with mock.patch.object(clarkson, "solve_margin_lp", record):
+        for fn in GEN_TINY:
+            generate_function(make_pipeline(fn, TINY_CONFIG, oracle))
+    return samples
+
+
+def test_gen_tiny_samples(gen_tiny_samples):
+    assert len(gen_tiny_samples) > 100
+    for rows, ncols in gen_tiny_samples:
+        assert_same(rows, ncols)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.lp.model import ConstraintRow, column_scales, solve_margin_lp, _row_scale
+from repro.lp.model import ConstraintRow, column_scales, solve_margin_lp
+
+from ..helpers import exact_row
 
 F = Fraction
 
@@ -12,8 +14,8 @@ F = Fraction
 class TestColumnScales:
     def test_powers_of_two(self):
         rows = [
-            ConstraintRow((F(1, 1024), F(3)), F(0), F(1)),
-            ConstraintRow((F(1, 2048), F(5)), F(0), F(1)),
+            exact_row((F(1, 1024), F(3)), F(0), F(1)),
+            exact_row((F(1, 2048), F(5)), F(0), F(1)),
         ]
         s = column_scales(rows, 2)
         # Scales are powers of two bringing max |entry| into [1, 2).
@@ -25,7 +27,7 @@ class TestColumnScales:
         assert s[1] == F(1, 4)
 
     def test_zero_column(self):
-        rows = [ConstraintRow((F(0), F(1)), F(0), F(1))]
+        rows = [exact_row((F(0), F(1)), F(0), F(1))]
         s = column_scales(rows, 2)
         assert s[0] == 1
 
@@ -41,23 +43,25 @@ class TestColumnScales:
             val = F(1) + x * 7 + x * x * 3
             w = F(1, 1000)
             rows.append(
-                ConstraintRow((F(1), x, x * x), val - w, val + w)
+                exact_row((F(1), x, x * x), val - w, val + w)
             )
         sol = solve_margin_lp(rows, k)
         assert sol is not None
         for row in rows:
-            v = sum(m * c for m, c in zip(row.coeffs, sol.coefficients))
-            assert row.lo <= v <= row.hi
+            coeffs, lo, hi = row.exact()
+            v = sum(m * c for m, c in zip(coeffs, sol.coefficients))
+            assert lo <= v <= hi
 
 
 class TestRowScale:
     def test_normalizes_magnitude(self):
-        row = ConstraintRow((F(1, 2**130),), F(1, 2**131), F(3, 2**130))
-        rs = _row_scale(row)
-        mags = [abs(c) * rs for c in row.coeffs if c] + [abs(row.hi) * rs]
+        row = exact_row((F(1, 2**130),), F(1, 2**131), F(3, 2**130))
+        rs = F(2) ** row.scale
+        coeffs, lo, hi = row.exact()
+        mags = [abs(c) * rs for c in coeffs if c] + [abs(hi) * rs]
         assert max(mags) >= F(1, 2)
         assert max(mags) < 4
 
     def test_empty_row(self):
-        row = ConstraintRow((F(0),), None, None)
-        assert _row_scale(row) == 1
+        row = ConstraintRow((0,), None, None)
+        assert row.scale == 0

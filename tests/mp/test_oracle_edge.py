@@ -4,8 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from repro.fp import FLOAT16, FLOAT32, RoundingMode
+from repro.fp import (
+    BFLOAT16,
+    FLOAT16,
+    FLOAT32,
+    P12,
+    P16,
+    T10,
+    T8,
+    RoundingMode,
+    all_finite,
+)
+from repro.funcs import MINI_CONFIG, TINY_CONFIG
 from repro.mp import Oracle, OraclePrecisionError
+from repro.mp import oracle as oracle_mod
 from repro.mp.oracle import _log2_magnitude_estimate
 
 
@@ -66,6 +78,25 @@ class TestPrecisionEscalation:
             single = oracle.correctly_rounded("exp", x, FLOAT16, mode)
             assert both[mode].bits == single.bits
 
+    def test_escalations_counted(self):
+        # The hard input needs more than its starting precision, once per
+        # compute, in both entry points; an easy one never does.
+        x = self._hard_input()
+        for compute in (
+            lambda o: o.correctly_rounded("log2", x, FLOAT32, RoundingMode.RNE),
+            lambda o: o.correctly_rounded_all("log2", x, FLOAT32),
+        ):
+            oracle = Oracle()
+            compute(oracle)
+            assert oracle.stats.escalations == 1
+            compute(oracle)  # memo hit or recompute: never double-counted
+            assert oracle.stats.escalations <= oracle.stats.computes
+        easy = Oracle()
+        easy.correctly_rounded("exp", Fraction(1, 3), FLOAT16, RoundingMode.RNE)
+        easy.correctly_rounded_all("exp", Fraction(1, 3), FLOAT16)
+        assert easy.stats.escalations == 0
+        assert easy.stats.computes == 2
+
     def test_tight_value_cap(self):
         oracle = Oracle(max_prec=64)
         with pytest.raises(OraclePrecisionError):
@@ -79,3 +110,68 @@ class TestRoundedCache:
         b = oracle.correctly_rounded("exp", Fraction(1), FLOAT16, RoundingMode.RNE)
         assert a.bits == b.bits
         assert a is not b
+
+
+RANGE_FNS = ("exp", "exp2", "exp10", "sinh", "cosh")
+
+
+def full_range_check(monkeypatch, oracle, fn, x, fmt):
+    """``_range_shortcut`` with its double-estimate skip switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle_mod, "_SHORTCUT_MARGIN", 10**9)
+        return oracle._range_shortcut(fn, x, fmt)
+
+
+class TestRangeShortcutSkip:
+    """The double-estimate skip never changes the shortcut's answer."""
+
+    @pytest.mark.parametrize("fn", RANGE_FNS)
+    @pytest.mark.parametrize("config", [TINY_CONFIG, MINI_CONFIG], ids=["tiny", "mini"])
+    def test_every_family_input(self, fn, config, monkeypatch):
+        # Each level's inputs against its round-to-odd target, the format
+        # generation asks for; the tiny family's also against the level's
+        # own format, which verification asks for.
+        oracle = Oracle()
+        cases = [
+            (v.value, f)
+            for level, fmt in enumerate(config.formats)
+            for v in all_finite(fmt)
+            for f in ((fmt,) if config is TINY_CONFIG else ()) + (config.ro_target(level),)
+        ]
+        fast = [oracle._range_shortcut(fn, x, f) for x, f in cases]
+        monkeypatch.setattr(oracle_mod, "_SHORTCUT_MARGIN", 10**9)
+        full = [oracle._range_shortcut(fn, x, f) for x, f in cases]
+        assert fast == full
+
+    @pytest.mark.parametrize("fn", RANGE_FNS)
+    @pytest.mark.parametrize(
+        "fmt", [T8, T10, P12, P16, BFLOAT16, FLOAT32], ids=lambda f: f.display_name
+    )
+    def test_inputs_straddling_the_cuts(self, fn, fmt, monkeypatch):
+        # Inputs whose results sit within 12 binades of the tiny and huge
+        # cuts, on both sides, in steps of a sixteenth of a binade (sinh
+        # and cosh, even in size, at both signs).
+        oracle = Oracle()
+        scale = {"exp": 0.6931471805599453, "exp2": 1.0,
+                 "exp10": 0.3010299956639812, "sinh": 0.6931471805599453,
+                 "cosh": 0.6931471805599453}[fn]
+        tiny_cut = fmt.emin - fmt.mantissa_bits - 2
+        huge_cut = fmt.emax + 2
+        checked = 0
+        for cut in (tiny_cut, huge_cut):
+            for step in range(-16 * 12, 16 * 12 + 1):
+                x = Fraction((cut + step / 16) * scale).limit_denominator(1 << 20)
+                for arg in (x, -x) if fn in ("sinh", "cosh") else (x,):
+                    fast = oracle._range_shortcut(fn, arg, fmt)
+                    full = full_range_check(monkeypatch, oracle, fn, arg, fmt)
+                    assert fast == full, (fn, arg, fmt)
+                    checked += 1
+        assert checked > 700
+
+    @pytest.mark.parametrize("fn", RANGE_FNS)
+    def test_inputs_beyond_the_double_range(self, fn):
+        # |x| past the largest double still takes the shortcut (the
+        # estimate reads it as +-1e300) and never raises.
+        oracle = Oracle()
+        for x in (Fraction(10) ** 400 + Fraction(1, 3), -Fraction(10) ** 400):
+            assert oracle._range_shortcut(fn, x, FLOAT32) is not None

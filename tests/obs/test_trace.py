@@ -8,12 +8,13 @@ import numpy as np
 
 from repro.core import generate_function
 from repro.core.clarkson import solve_constraints
-from repro.core.constraints import ConstraintSystem, ReducedConstraint
+from repro.core.constraints import ConstraintSystem
 from repro.core.polynomial import PolyShape
 from repro.funcs import TINY_CONFIG, make_pipeline
 from repro.mp import Oracle
 
 from ..core.test_clarkson import exp_like_system
+from ..helpers import reduced
 from repro.obs import (
     configure_tracing,
     get_registry,
@@ -256,7 +257,7 @@ class TestLpPath:
         system = exp_like_system(n=600, width=Fraction(1, 10**8))
         poisoned = ConstraintSystem(
             list(system.constraints)
-            + [ReducedConstraint(Fraction(1, 100), 0, Fraction(10), Fraction(11))],
+            + [reduced(0.01, 0, Fraction(10), Fraction(11))],
             [PolyShape.dense(4)], ((4,),),
         )
         path = tmp_path / "trace.jsonl"

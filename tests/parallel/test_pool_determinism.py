@@ -25,12 +25,16 @@ def _fingerprint(gen):
 
 
 class TestGenerationDeterminism:
-    def test_jobs_4_matches_serial(self):
+    # log2 and ln (an offset and a non-power-of-two outer), exp (table
+    # multipliers and scale_pow) and cosh (two polynomials): outcomes
+    # cross the pool as integers and doubles.
+    @pytest.mark.parametrize("fn", ["log2", "ln", "exp", "cosh"])
+    def test_jobs_4_matches_serial(self, fn):
         serial = generate_function(
-            make_pipeline("log2", TINY_CONFIG, Oracle()), jobs=1
+            make_pipeline(fn, TINY_CONFIG, Oracle()), jobs=1
         )
         sharded = generate_function(
-            make_pipeline("log2", TINY_CONFIG, Oracle()), jobs=4
+            make_pipeline(fn, TINY_CONFIG, Oracle()), jobs=4
         )
         assert _fingerprint(sharded) == _fingerprint(serial)
         assert sharded.stats.jobs == 4
