@@ -119,7 +119,6 @@ def generate(
     out_dir: Optional[Union[str, Path]] = None,
     save: bool = True,
     progress=None,
-    checkpoint: Optional[bool] = None,
     resume: bool = False,
     distributed: Optional[int] = None,
 ) -> GenerateResult:
@@ -128,9 +127,9 @@ def generate(
     Returns the :class:`~repro.core.search.GeneratedFunction` and, when
     ``save`` is true, the JSON artifact path it was written to.
 
-    ``checkpoint`` (default: on whenever ``save`` is) writes per-piece
-    progress to a ``<family>_<fn>.ckpt.json`` sidecar next to the
-    artifact; ``resume=True`` picks a matching sidecar up so a killed
+    With ``save``, every finished sub-domain piece is journaled to
+    ``<family>_<fn>.journal`` next to the artifact (deleted on success);
+    ``resume=True`` replays a journal of the same search, so a killed
     run continues where it died and produces a byte-identical artifact.
 
     ``distributed=N`` runs the search through the crash-safe coordinator
@@ -138,12 +137,11 @@ def generate(
     in-process: the run is journaled (a killed coordinator resumes), a
     re-run with unchanged inputs splices the existing artifact, and the
     artifact bytes are identical to the in-process path.  Implies
-    ``save``; ``jobs``/``checkpoint``/``resume``/``oracle`` do not apply
-    (workers own their oracles, the journal replaces the checkpoint).
+    ``save``; ``jobs``/``resume``/``oracle`` do not apply (workers own
+    their oracles, and the coordinator resumes from its own journal).
     """
     from .core import generate_function
     from .libm.artifacts import ARTIFACT_DIR
-    from .resilience.checkpoint import checkpoint_path_for
 
     config = resolve_family(family)
     if distributed:
@@ -163,16 +161,13 @@ def generate(
         gen = load_generated(fn, config.name, directory)
         return GenerateResult(gen, paths[fn])
     pipe = make_pipeline(fn, config, oracle)
-    if checkpoint is None:
-        checkpoint = save
-    ckpt_path = None
-    if checkpoint:
-        artifact = Path(out_dir or ARTIFACT_DIR) / f"{config.name}_{fn}.json"
-        ckpt_path = str(checkpoint_path_for(artifact))
+    journal = None
+    if save:
+        journal = str(Path(out_dir or ARTIFACT_DIR) / f"{config.name}_{fn}.journal")
     with obs_span("api.generate", fn=fn, family=config.name, jobs=jobs):
         gen = generate_function(
             pipe, max_terms=max_terms, seed=seed, progress=progress,
-            jobs=jobs, checkpoint_path=ckpt_path, resume=resume,
+            jobs=jobs, journal_path=journal, resume=resume,
         )
         path = save_generated(gen, out_dir) if save else None
         flush = getattr(pipe.oracle, "flush", None)

@@ -98,7 +98,6 @@ def cmd_generate(args) -> int:
                 oracle=oracle,
                 out_dir=args.out_dir,
                 progress=lambda m: print(f"  {m}", flush=True),
-                checkpoint=not args.no_checkpoint,
                 resume=args.resume,
             )
             print(f"{fn}: {gen.num_pieces} piece(s), {gen.storage_bytes} bytes -> {path}")
@@ -554,13 +553,9 @@ def main(argv=None) -> int:
     g.add_argument("--out-dir", default=None)
     g.add_argument(
         "--resume", action="store_true",
-        help="resume from a <family>_<fn>.ckpt.json sidecar left by a"
-             " killed run (skips completed pieces; artifact is"
-             " byte-identical to an uninterrupted run)",
-    )
-    g.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="disable the per-piece progress checkpoint sidecar",
+        help="replay the <family>_<fn>.journal a killed run left"
+             " (skips finished pieces; artifact is byte-identical to an"
+             " uninterrupted run)",
     )
     g.add_argument(
         "--distributed", type=int, default=None, metavar="N",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -108,7 +108,7 @@ def piece_rng(seed: int, nsplits: int, piece_index: int) -> np.random.Generator:
     makes each piece an independent, idempotent unit: it can be searched
     in any order, on any host, any number of times, and always produces
     the same polynomial — the property the distributed coordinator's
-    lease/retry machinery and the checkpoint-resume path both build on.
+    lease/retry machinery and ``--resume``'s journal replay both build on.
     """
     return np.random.default_rng([int(seed), int(nsplits), int(piece_index)])
 
@@ -134,14 +134,14 @@ def collect_constraints(
     fam = pipeline.family
     t0 = time.perf_counter()
     oracle_sec0 = pipeline.oracle.stats.seconds
-    worker_oracle_seconds = 0.0
     with obs_span(
         "search.constraints", fn=pipeline.name, jobs=jobs
     ) as sp:
         if jobs > 1:
             from ..parallel.pool import shard_outcomes
 
-            outcomes, worker_oracle_seconds = shard_outcomes(
+            # The workers' oracle counters are merged into the parent's.
+            outcomes = shard_outcomes(
                 pipeline, inputs_per_level, jobs=jobs, progress=progress
             )
         else:
@@ -158,9 +158,7 @@ def collect_constraints(
                         f"{pipeline.name}: level {level} "
                         f"({fmt.display_name}) reduced"
                     )
-        oracle_seconds = (
-            pipeline.oracle.stats.seconds - oracle_sec0
-        ) + worker_oracle_seconds
+        oracle_seconds = pipeline.oracle.stats.seconds - oracle_sec0
         sp.set(outcomes=len(outcomes), oracle_seconds=oracle_seconds)
     timings.add("constraints", time.perf_counter() - t0)
     timings.add("oracle", oracle_seconds)
@@ -178,7 +176,7 @@ def generate_function(
     progress=None,
     jobs: int = 1,
     timings: Optional["PhaseTimings"] = None,
-    checkpoint_path: Optional[str] = None,
+    journal_path: Optional[str] = None,
     resume: bool = False,
 ) -> GeneratedFunction:
     """End-to-end generation of one function's progressive polynomials.
@@ -186,13 +184,13 @@ def generate_function(
     ``jobs`` shards the constraint sweep across processes (1 = fully
     in-process); results are bit-identical for any worker count.
 
-    ``checkpoint_path`` enables per-piece progress checkpointing to a
-    sidecar JSON; with ``resume=True`` a matching sidecar restores the
-    completed pieces and the search counters, so a killed run continues
-    from where it died and produces an artifact byte-identical to an
-    uninterrupted one (each piece's RNG derives from
-    ``(seed, nsplits, piece_index)``, so no generator state is saved).
-    The sidecar is deleted on success.
+    The search runs the same idempotent piece units as the distributed
+    coordinator (:func:`search_piece_unit`, :func:`assemble_function`).
+    ``journal_path`` journals every finished unit; with ``resume=True``
+    a journal of the same search supplies its units instead of
+    recomputing them, so a killed run continues from where it died and
+    produces an artifact byte-identical to an uninterrupted one.  The
+    journal is deleted on success.
     """
     with obs_span(
         "search.generate",
@@ -203,7 +201,7 @@ def generate_function(
         gen = _generate_function(
             pipeline, inputs_per_level, max_terms, max_subdomains,
             max_specials, max_iterations, seed, progress, jobs, timings,
-            checkpoint_path, resume,
+            journal_path, resume,
         )
         sp.set(
             pieces=gen.num_pieces,
@@ -226,38 +224,34 @@ def _generate_function(
     progress,
     jobs: int,
     timings: Optional["PhaseTimings"],
-    checkpoint_path: Optional[str],
+    journal_path: Optional[str],
     resume: bool,
 ) -> GeneratedFunction:
-    from ..obs import PhaseTimings
-    from ..resilience.checkpoint import (
-        SearchCheckpoint,
-        delete_checkpoint,
-        load_checkpoint,
-        save_checkpoint,
+    from ..dist.units import (
+        GENERATION_FORMAT_VERSION,
+        family_fingerprint,
+        piece_unit_id,
     )
+    from ..obs import PhaseTimings
+    from ..resilience import checkpoint
     from ..resilience.faults import maybe_raise
 
     t0 = time.perf_counter()
     timings = timings if timings is not None else PhaseTimings()
-    stats = GenerationStats()
-    stats.jobs = max(1, int(jobs or 1))
+    stats = GenerationStats(jobs=max(1, int(jobs or 1)))
     constraints, forced_specials = collect_constraints(
         pipeline, inputs_per_level, progress, jobs=jobs, timings=timings
     )
     stats.constraints = len(constraints)
     power_cache: dict = {}
-
-    ckpt_params = None
-    resumed_pieces: List[Piece] = []
-    resumed_failures: List[int] = []
-    nsplits = 1
-    if checkpoint_path is not None:
-        from ..libm.artifacts import piece_from_dict, piece_to_dict
-
-        ckpt_params = {
+    journal, replayed = None, {}
+    if journal_path is not None:
+        # The checkpoint module's names are looked up at call time, so
+        # wrappers installed on them see every journal write.
+        journal, replayed = checkpoint.open_checkpoint(journal_path, {
+            "type": "run",
             "fn": pipeline.name,
-            "family": pipeline.family.name,
+            "family": family_fingerprint(pipeline.family),
             "levels": pipeline.family.levels,
             "max_terms": max_terms,
             "max_subdomains": max_subdomains,
@@ -265,114 +259,57 @@ def _generate_function(
             "max_iterations": max_iterations,
             "seed": seed,
             "constraints": len(constraints),
-        }
-        ckpt = load_checkpoint(checkpoint_path, ckpt_params) if resume else None
-        if ckpt is not None:
-            nsplits = ckpt.nsplits
-            resumed_pieces = [piece_from_dict(pd) for pd in ckpt.pieces]
-            resumed_failures = list(ckpt.failure_counts)
-            # Each remaining piece derives its RNG from (seed, nsplits,
-            # index), so the continuation follows the uninterrupted run
-            # bit for bit with no saved generator state.
-            stats.clarkson_iterations = ckpt.stats.get("clarkson_iterations", 0)
-            stats.lp_solves = ckpt.stats.get("lp_solves", 0)
-            stats.configs_tried = ckpt.stats.get("configs_tried", 0)
-            if progress:
-                progress(
-                    f"{pipeline.name}: resuming at {nsplits} sub-domain(s)"
-                    f" with {len(resumed_pieces)} piece(s) done"
-                )
-
-    while nsplits <= max_subdomains:
-        pieces_constraints, bounds = _split_by_r(constraints, nsplits)
-        pieces: List[Piece] = []
-        budget_specials = max_specials * nsplits
-        ok = True
-        piece_failures: List[int] = []
-        for pi, piece_cons in enumerate(pieces_constraints):
-            if pi < len(resumed_pieces):
-                pieces.append(resumed_pieces[pi])
-                piece_failures.append(resumed_failures[pi])
-                continue
-            with obs_span(
-                "search.piece", fn=pipeline.name, piece=pi, nsplits=nsplits,
-                constraints=len(piece_cons),
-            ) as psp:
-                result = _search_piece(
-                    pipeline, piece_cons, max_terms, max_iterations,
-                    piece_rng(seed, nsplits, pi), stats, max_specials,
-                    power_cache, timings,
-                )
-                psp.set(satisfiable=result is not None)
-            if result is None:
-                # Keep searching the remaining pieces of this round: the
-                # distributed coordinator runs every unit of a round
-                # regardless of sibling failures (it cannot see them in
-                # time), so the single-host loop must accumulate the same
-                # search counters for the final artifact to be identical.
-                ok = False
-                continue
-            poly, failures = result
-            piece_failures.append(len(failures))
-            pieces.append(
-                Piece(poly, bounds[pi] if pi < nsplits - 1 else None)
-            )
-            if checkpoint_path is not None and ok:
-                save_checkpoint(
-                    checkpoint_path,
-                    SearchCheckpoint(
-                        params=ckpt_params,
-                        nsplits=nsplits,
-                        pieces=[piece_to_dict(p) for p in pieces],
-                        failure_counts=list(piece_failures),
-                        stats={
-                            "clarkson_iterations": stats.clarkson_iterations,
-                            "lp_solves": stats.lp_solves,
-                            "configs_tried": stats.configs_tried,
-                        },
-                    ),
-                )
-                maybe_raise("search.crash")
-        resumed_pieces = []
-        resumed_failures = []
-        if ok and sum(piece_failures) <= budget_specials:
-            # Clarkson-violated constraints are not special-cased here: the
-            # runtime re-verification below checks every merged input and
-            # stores exactly the ones that actually fail, enforcing the
-            # paper's cap of ``max_specials`` per sub-domain overall.
-            gen = GeneratedFunction(
-                pipeline.name,
-                pipeline.family.name,
-                pieces,
-                dict(forced_specials),
-                stats,
-            )
-            oracle_sec0 = pipeline.oracle.stats.seconds
-            try:
-                with timings.phase("runtime-check"):
-                    _absorb_runtime_failures(
-                        pipeline, gen, constraints, budget_specials
+            "format_version": GENERATION_FORMAT_VERSION,
+        }, resume)
+        if replayed and progress:
+            progress(f"{pipeline.name}: resuming with {len(replayed)} unit(s) done")
+    failure: Optional[GenerationError] = None
+    try:
+        nsplits = 1
+        while nsplits <= max_subdomains:
+            units = []
+            for pi in range(nsplits):
+                uid = piece_unit_id(pipeline.name, nsplits, pi)
+                if uid in replayed:
+                    unit = PieceUnitResult(**replayed[uid])
+                else:
+                    unit = search_piece_unit(
+                        pipeline, constraints, nsplits, pi,
+                        max_terms=max_terms, max_iterations=max_iterations,
+                        max_specials=max_specials, seed=seed,
+                        power_cache=power_cache, timings=timings,
                     )
-            except GenerationError:
-                if nsplits >= max_subdomains:
-                    raise
-            else:
-                timings.add(
-                    "oracle", pipeline.oracle.stats.seconds - oracle_sec0
+                    if journal is not None:
+                        checkpoint.save_checkpoint(journal, {
+                            "type": "done", "unit": uid, "result": asdict(unit),
+                        })
+                        maybe_raise("search.crash")
+                for name, delta in unit.stats.items():
+                    setattr(stats, name, getattr(stats, name) + delta)
+                units.append(unit)
+            try:
+                gen = assemble_function(
+                    pipeline, constraints, forced_specials, units, stats,
+                    max_specials, timings=timings,
                 )
-                stats.wall_seconds = time.perf_counter() - t0
-                stats.phase_seconds = timings.as_dict()
-                if checkpoint_path is not None:
-                    delete_checkpoint(checkpoint_path)
-                return gen
-            timings.add("oracle", pipeline.oracle.stats.seconds - oracle_sec0)
-        nsplits *= 2
-        if progress:
-            progress(f"{pipeline.name}: splitting into {nsplits} sub-domains")
+            except GenerationError as e:
+                failure = e
+                nsplits *= 2
+                if progress and nsplits <= max_subdomains:
+                    progress(f"{pipeline.name}: splitting into {nsplits} sub-domains")
+                continue
+            stats.wall_seconds = time.perf_counter() - t0
+            stats.phase_seconds = timings.as_dict()
+            if journal is not None:
+                checkpoint.delete_checkpoint(journal)
+            return gen
+    finally:
+        if journal is not None:
+            journal.close()
     raise GenerationError(
         f"could not generate {pipeline.name} within {max_terms} terms and "
-        f"{max_subdomains} sub-domains"
-    )
+        f"{max_subdomains} sub-domains" + (f" ({failure})" if failure else "")
+    ) from failure
 
 
 # ----------------------------------------------------------------------
@@ -724,14 +661,16 @@ def assemble_function(
     unit_results: Sequence[PieceUnitResult],
     stats: GenerationStats,
     max_specials: int = 4,
+    timings=None,
 ) -> GeneratedFunction:
     """Assemble one round's piece units into a finished artifact.
 
     Raises :class:`GenerationError` when any piece was unsatisfiable,
     the Clarkson failure counts blow the round's special-case budget, or
-    the runtime re-verification finds too many interval escapes — the
-    same accept/reject rule as the in-process search loop, so a
-    distributed round succeeds exactly when the single-host round would.
+    the runtime re-verification finds too many interval escapes.  The
+    single-host search and the distributed coordinator both assemble
+    through here, so their rounds succeed and fail alike.  ``timings``
+    is charged the ``runtime-check`` phase and its oracle seconds.
     """
     units = sorted(unit_results, key=lambda u: u.piece_index)
     nsplits = units[0].nsplits if units else 1
@@ -758,7 +697,19 @@ def assemble_function(
         dict(forced_specials),
         stats,
     )
-    _absorb_runtime_failures(pipeline, gen, constraints, budget)
+    from ..obs import PhaseTimings
+
+    # Clarkson-violated constraints are not special-cased here: the
+    # runtime re-verification checks every merged input and stores exactly
+    # the ones that actually fail, enforcing the paper's cap of
+    # ``max_specials`` per sub-domain overall.
+    timings = timings if timings is not None else PhaseTimings()
+    oracle_sec0 = pipeline.oracle.stats.seconds
+    try:
+        with timings.phase("runtime-check"):
+            _absorb_runtime_failures(pipeline, gen, constraints, budget)
+    finally:
+        timings.add("oracle", pipeline.oracle.stats.seconds - oracle_sec0)
     return gen
 
 

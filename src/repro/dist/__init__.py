@@ -12,52 +12,41 @@ only functions whose inputs changed.  :mod:`repro.dist.driver` wires
 coordinator + worker fleet behind one call.
 """
 
-from .coordinator import JOURNAL_NAME, DistCoordinator
-from .driver import CoordinatorThread, run_distributed, spawn_worker
-from .journal import Journal, JournalError, ReplayResult, encode_record, replay_journal
-from .leases import DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS, Lease, LeaseManager
-from .units import (
-    DEFAULT_PARAMS,
-    GENERATION_FORMAT_VERSION,
-    MANIFEST_NAME,
-    GenerateSpec,
-    assemble_unit_id,
-    fn_inputs_hash,
-    incremental_hit,
-    load_manifest,
-    manifest_path,
-    parse_unit_id,
-    piece_unit_id,
-    update_manifest,
-)
-from .worker import DistWorker
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_PARAMS",
-    "GENERATION_FORMAT_VERSION",
-    "JOURNAL_NAME",
-    "MANIFEST_NAME",
-    "CoordinatorThread",
-    "DistCoordinator",
-    "DistWorker",
-    "GenerateSpec",
-    "Journal",
-    "JournalError",
-    "Lease",
-    "LeaseManager",
-    "ReplayResult",
-    "assemble_unit_id",
-    "encode_record",
-    "fn_inputs_hash",
-    "incremental_hit",
-    "load_manifest",
-    "manifest_path",
-    "parse_unit_id",
-    "piece_unit_id",
-    "replay_journal",
-    "run_distributed",
-    "spawn_worker",
-    "update_manifest",
-]
+#: Public name -> the submodule defining it.  Imported on first use: the
+#: single-host search journals through :mod:`repro.dist.journal` and
+#: names units with :mod:`repro.dist.units`, and should not pay for the
+#: coordinator's network stack to do so.
+_EXPORTS = {
+    **dict.fromkeys(("JOURNAL_NAME", "DistCoordinator"), "coordinator"),
+    **dict.fromkeys(
+        ("CoordinatorThread", "run_distributed", "spawn_worker"), "driver"
+    ),
+    **dict.fromkeys(
+        ("Journal", "JournalError", "ReplayResult", "encode_record",
+         "replay_journal"),
+        "journal",
+    ),
+    **dict.fromkeys(
+        ("DEFAULT_LEASE_TTL", "DEFAULT_MAX_ATTEMPTS", "Lease", "LeaseManager"),
+        "leases",
+    ),
+    **dict.fromkeys(
+        ("DEFAULT_PARAMS", "GENERATION_FORMAT_VERSION", "MANIFEST_NAME",
+         "GenerateSpec", "assemble_unit_id", "fn_inputs_hash",
+         "incremental_hit", "load_manifest", "manifest_path",
+         "parse_unit_id", "piece_unit_id", "update_manifest"),
+        "units",
+    ),
+    "DistWorker": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)

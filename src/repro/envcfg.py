@@ -1,11 +1,10 @@
 """Central parsing of the ``REPRO_*`` environment configuration.
 
-Every tunable the repo reads from the environment — the pool's chunk
-recovery knobs (``REPRO_CHUNK_TIMEOUT``, ``REPRO_CHUNK_RETRIES``,
-``REPRO_RETRY_BACKOFF``), the serving fleet's ``REPRO_FLEET_*`` family,
-the distributed-generation ``REPRO_DIST_*`` family and the
-``REPRO_MP_START`` start-method override — goes through the helpers
-here, so malformed values behave the same everywhere:
+Every tunable the repo reads from the environment — the serving
+fleet's ``REPRO_FLEET_*`` family, the distributed-generation
+``REPRO_DIST_*`` family and the ``REPRO_MP_START`` start-method
+override — goes through the helpers here, so malformed values behave
+the same everywhere:
 
 * ``on_error="warn"`` (the default): the bad value is ignored in favour
   of the default, with **one** warning per (variable, value) pair per
@@ -17,7 +16,7 @@ here, so malformed values behave the same everywhere:
   server boot) rather than quietly degrade a long computation.
 
 Bounds (``minimum``/``maximum``) and ``choices`` are validated the same
-way as parse failures, so ``REPRO_CHUNK_RETRIES=-3`` is a configuration
+way as parse failures, so ``REPRO_DIST_LEASE_TTL=-3`` is a configuration
 error, not a weird runtime behaviour.
 """
 

@@ -23,9 +23,9 @@ ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
 def piece_to_dict(p: Piece) -> dict:
     """JSON-serializable form of one sub-domain piece (bit-exact).
 
-    Shared by the artifact writer and the generation checkpoint sidecar
-    (:mod:`repro.resilience.checkpoint`), so a resumed run restores the
-    exact polynomial a killed run had already found.
+    Shared by the artifact writer and the piece unit results that the
+    generation journal and the distributed coordinator record, so a
+    resumed run restores the exact polynomial a killed run had found.
     """
     return {
         "r_max": None if p.r_max is None else p.r_max.hex(),

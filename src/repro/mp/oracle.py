@@ -210,12 +210,14 @@ class Oracle:
 
     def _compute(self, fn: str, x: Fraction, fmt: FPFormat, mode: RoundingMode) -> FPValue:
         self.stats.computes += 1
-        exact = exact_value(fn, x)
-        if exact is not None:
-            return round_real(exact, fmt, mode)
+        # The shortcut goes first: it bounds |x| before exact_value
+        # raises 2 or 10 to an integral x, which is unbounded work.
         shortcut = self._range_shortcut(fn, x, fmt)
         if shortcut is not None:
             return round_real(shortcut, fmt, mode)
+        exact = exact_value(fn, x)
+        if exact is not None:
+            return round_real(exact, fmt, mode)
         prec = start = self.initial_precision(fn, x, fmt)
         while prec <= self.max_prec:
             self.stats.escalations += prec == 2 * start
@@ -303,12 +305,12 @@ class Oracle:
     def _compute_all(
         self, fn: str, x: Fraction, fmt: FPFormat, modes: Tuple[RoundingMode, ...]
     ) -> Dict[RoundingMode, FPValue]:
+        shortcut = self._range_shortcut(fn, x, fmt)  # first: see _compute
+        if shortcut is not None:
+            return {m: round_real(shortcut, fmt, m) for m in modes}
         exact = exact_value(fn, x)
         if exact is not None:
             return {m: round_real(exact, fmt, m) for m in modes}
-        shortcut = self._range_shortcut(fn, x, fmt)
-        if shortcut is not None:
-            return {m: round_real(shortcut, fmt, m) for m in modes}
         out: Dict[RoundingMode, FPValue] = {}
         prec = start = self.initial_precision(fn, x, fmt)
         remaining = list(modes)

@@ -6,7 +6,7 @@ its own so concurrent test servers do not share counts).  The model is
 deliberately Prometheus-shaped while staying dependency-free:
 
 * instruments are identified by a *family name* plus a label set
-  (``registry.counter("repro_pool_retries_total", label="verify")``);
+  (``registry.counter("repro_pool_fallback_chunks_total", pool="verify")``);
 * counters only go up, gauges go anywhere, histograms have fixed
   bucket bounds (use :func:`exponential_buckets` for latency-style
   spreads);

@@ -3,8 +3,8 @@
 Both constraint generation (one oracle Ziv evaluation per input per
 level) and exhaustive verification (one runtime-vs-oracle comparison per
 input per mode) iterate a pure function over an enumerable input space.
-This module shards those enumerations across ``multiprocessing`` workers
-in fixed-size chunks of *bit patterns* (tiny pickles), with:
+This module maps those enumerations over a ``ProcessPoolExecutor`` in
+fixed-size chunks of *bit patterns* (tiny pickles), with:
 
 * **deterministic merge order** — chunks are emitted level-by-level in
   enumeration order and results are consumed in submission order, so the
@@ -15,18 +15,17 @@ in fixed-size chunks of *bit patterns* (tiny pickles), with:
   no closures or lambdas cross the process boundary;
 * **oracle result shipping** — each worker runs its own
   :class:`CachedOracle` (reading the shared persistent cache read-only)
-  and returns the entries it resolved; the parent absorbs them into its
-  memo and persists them, so downstream phases and warm re-runs skip the
-  Ziv loops;
-* **failure recovery** — every chunk is retried with exponential
-  backoff when its worker dies or exceeds the per-chunk deadline; a
-  dead worker triggers a full pool respawn (the surviving siblings may
-  share its corrupted state); and a chunk that keeps failing — a poison
-  chunk — is finally computed **in-process** by the parent, so a
-  multi-hour sweep completes (bit-identically) no matter what the
-  workers do.  Tune with ``REPRO_CHUNK_TIMEOUT`` (seconds, default
-  300), ``REPRO_CHUNK_RETRIES`` (default 2) and ``REPRO_RETRY_BACKOFF``
-  (base seconds, default 0.05).
+  and returns the entries it resolved plus its :class:`OracleStats`
+  delta; the parent absorbs the entries into its memo (persisting them,
+  so downstream phases and warm re-runs skip the Ziv loops) and merges
+  the counters into its own oracle's;
+* **one recovery rule** — a chunk whose worker raised or died is
+  computed **in-process** by the parent's serial code path, and a pool
+  broken by a dead worker is replaced for the chunks not yet consumed.
+
+There is no per-chunk deadline.  Chunks are deterministic, so a chunk
+that hangs in a worker would hang in the in-process fallback too; a hung
+generation run is killed and resumed from its journal instead.
 
 ``jobs=1`` callers never reach this module: the serial code path runs
 unchanged in-process with zero pickling overhead.
@@ -37,14 +36,15 @@ from __future__ import annotations
 import logging
 import os
 import time
-from multiprocessing import TimeoutError as MPTimeoutError
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..envcfg import env_float, env_int, env_str
+from ..envcfg import env_str
 from ..fp.encode import FPValue
 from ..fp.enumerate import all_finite
-from ..fp.rounding import RoundingMode
+from ..mp.oracle import OracleStats
 from ..obs import (
     get_registry,
     propagate_to_children,
@@ -59,19 +59,6 @@ logger = logging.getLogger("repro.parallel")
 
 #: Per-process worker state, populated by the pool initializers.
 _STATE: dict = {}
-
-#: Recovery defaults (env-overridable; see module docstring).
-DEFAULT_CHUNK_TIMEOUT = 300.0
-DEFAULT_CHUNK_RETRIES = 2
-DEFAULT_RETRY_BACKOFF = 0.05
-
-
-class WorkerCrash(RuntimeError):
-    """A pool worker died while a chunk was outstanding."""
-
-
-class ChunkTimeout(RuntimeError):
-    """A chunk exceeded the per-chunk deadline."""
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -106,46 +93,11 @@ def _chunk_size(total: int, jobs: int) -> int:
     return max(256, total // max(1, jobs * 8) + 1)
 
 
-def _worker_oracle_delta() -> float:
-    """Seconds this worker's oracle spent since the last chunk."""
+def _drain_stats() -> OracleStats:
+    """This worker oracle's counters since its last chunk."""
     oracle = _STATE["oracle"]
-    delta = oracle.stats.seconds - _STATE["oracle_sec0"]
-    _STATE["oracle_sec0"] = oracle.stats.seconds
-    return delta
-
-
-# ----------------------------------------------------------------------
-# Resilient chunk execution
-# ----------------------------------------------------------------------
-def _watched_get(pool, async_result, timeout: float, tick: float = 0.05):
-    """``async_result.get`` with dead-worker detection.
-
-    Polls in short ticks so a crashed worker is noticed within ~``tick``
-    seconds rather than only at the chunk deadline.  The stdlib pool's
-    maintenance thread replaces dead workers (changing the pid set) but
-    silently loses whatever chunk the dead worker held, which would hang
-    a plain blocking ``get`` forever.
-    """
-    deadline = time.monotonic() + timeout
-    known_pids = {p.pid for p in pool._pool}
-    while True:
-        remaining = deadline - time.monotonic()
-        try:
-            return async_result.get(max(0.001, min(tick, remaining)))
-        except MPTimeoutError:
-            procs = list(pool._pool)
-            pids = {p.pid for p in procs}
-            crashed = pids != known_pids or any(
-                p.exitcode not in (None, 0) for p in procs
-            )
-            if crashed:
-                raise WorkerCrash(
-                    "a pool worker died while its chunk was outstanding"
-                ) from None
-            if time.monotonic() >= deadline:
-                raise ChunkTimeout(
-                    f"chunk exceeded the {timeout:.1f}s deadline"
-                ) from None
+    stats, oracle.stats = oracle.stats, OracleStats()
+    return stats
 
 
 def run_chunks(
@@ -158,116 +110,54 @@ def run_chunks(
     initargs: tuple,
     label: str = "sweep",
 ) -> Iterator:
-    """Yield ``worker_fn(task)`` results in task order, surviving failures.
+    """Yield ``worker_fn(task)`` results in task order.
 
-    Recovery ladder, per chunk:
-
-    1. worker crash / chunk deadline / worker-raised exception — retry
-       with exponential backoff; crashes and timeouts also terminate and
-       respawn the whole pool (siblings of a dead worker may be wedged
-       on the same cause) and resubmit every unconsumed chunk;
-    2. after ``REPRO_CHUNK_RETRIES`` failed attempts the chunk is
-       declared poison and computed in-process via ``fallback`` — the
-       parent's serial code path, which shares none of the worker
-       machinery.
-
-    Results are yielded strictly in task order, so callers' merges stay
-    bit-identical to the serial sweep regardless of what failed.
+    A task whose future fails — its worker raised, or died and broke the
+    pool (``BrokenProcessPool``) — is computed in-process by
+    ``fallback``, the parent's serial code path, which shares none of
+    the worker machinery.  After a break a fresh pool takes every task
+    not yet consumed.  Results are yielded strictly in task order, so
+    callers' merges stay bit-identical to the serial sweep regardless of
+    what failed.
     """
     ctx = get_context(start_method())
-    timeout = env_float(
-        "REPRO_CHUNK_TIMEOUT", DEFAULT_CHUNK_TIMEOUT, minimum=0.001
-    )
-    retries = env_int("REPRO_CHUNK_RETRIES", DEFAULT_CHUNK_RETRIES, minimum=0)
-    backoff = env_float(
-        "REPRO_RETRY_BACKOFF", DEFAULT_RETRY_BACKOFF, minimum=0.0
-    )
-    registry = get_registry()
-    retries_total = registry.counter(
-        "repro_pool_retries_total",
-        help="Chunk attempts that failed and were retried.", pool=label,
-    )
-    respawns_total = registry.counter(
-        "repro_pool_respawns_total",
-        help="Full pool respawns after a crash or deadline.", pool=label,
-    )
-    poison_total = registry.counter(
-        "repro_pool_poison_total",
-        help="Chunks computed in-process after exhausting retries.",
+    fallbacks = get_registry().counter(
+        "repro_pool_fallback_chunks_total",
+        help="Chunks computed in-process after their worker raised or died.",
         pool=label,
     )
+    futures: list = []
 
-    def spawn():
-        # Children started here — fork and spawn alike — inherit the
-        # trace context, so worker spans join the parent trace.
+    def submit_from(start: int) -> ProcessPoolExecutor:
+        executor = ProcessPoolExecutor(
+            jobs, mp_context=ctx, initializer=initializer, initargs=initargs
+        )
+        # Workers start as tasks are submitted; fork and spawn alike
+        # inherit the trace context then, so worker spans join the
+        # parent trace.
         with propagate_to_children():
-            return ctx.Pool(
-                processes=jobs, initializer=initializer, initargs=initargs
-            )
+            futures[start:] = [executor.submit(worker_fn, t) for t in tasks[start:]]
+        return executor
 
-    pool = spawn()
-    asyncs = [pool.apply_async(worker_fn, (t,)) for t in tasks]
-    attempts = [0] * len(tasks)
+    executor = submit_from(0)
     try:
-        for i in range(len(tasks)):
-            while True:
-                try:
-                    result = _watched_get(pool, asyncs[i], timeout)
-                    break
-                except Exception as e:
-                    attempts[i] += 1
-                    broken = isinstance(e, (WorkerCrash, ChunkTimeout))
-                    if attempts[i] > retries:
-                        logger.warning(
-                            "%s: chunk %d/%d poison after %d attempts (%s); "
-                            "computing in-process",
-                            label, i + 1, len(tasks), attempts[i], e,
-                        )
-                        poison_total.inc()
-                        trace_event(
-                            "pool.poison", pool=label, chunk=i,
-                            attempts=attempts[i], error=str(e),
-                        )
-                        result = fallback(tasks[i])
-                        if broken:
-                            respawns_total.inc()
-                            trace_event("pool.respawn", pool=label, chunk=i)
-                            pool.terminate()
-                            pool.join()
-                            pool = spawn()
-                            for j in range(i + 1, len(tasks)):
-                                asyncs[j] = pool.apply_async(
-                                    worker_fn, (tasks[j],)
-                                )
-                        break
-                    delay = backoff * (2 ** (attempts[i] - 1))
-                    logger.warning(
-                        "%s: chunk %d/%d failed (%s); retry %d/%d in %.2fs",
-                        label, i + 1, len(tasks), e,
-                        attempts[i], retries, delay,
-                    )
-                    retries_total.inc()
-                    trace_event(
-                        "pool.retry", pool=label, chunk=i,
-                        attempt=attempts[i], error=str(e),
-                    )
-                    time.sleep(delay)
-                    if broken:
-                        respawns_total.inc()
-                        trace_event("pool.respawn", pool=label, chunk=i)
-                        pool.terminate()
-                        pool.join()
-                        pool = spawn()
-                        for j in range(i, len(tasks)):
-                            asyncs[j] = pool.apply_async(
-                                worker_fn, (tasks[j],)
-                            )
-                    else:
-                        asyncs[i] = pool.apply_async(worker_fn, (tasks[i],))
+        for i, task in enumerate(tasks):
+            try:
+                result = futures[i].result()
+            except Exception as e:
+                logger.warning(
+                    "%s: chunk %d/%d failed (%s); computing in-process",
+                    label, i + 1, len(tasks), e,
+                )
+                fallbacks.inc()
+                trace_event("pool.fallback", pool=label, chunk=i, error=str(e))
+                result = fallback(task)
+                if isinstance(e, BrokenProcessPool):
+                    executor.shutdown(cancel_futures=True)
+                    executor = submit_from(i + 1)
             yield result
     finally:
-        pool.terminate()
-        pool.join()
+        executor.shutdown(cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
@@ -285,8 +175,9 @@ def _init_gen_worker(fn_name, family, cache_path, max_prec) -> None:
     )
     _STATE.clear()
     _STATE["oracle"] = oracle
-    _STATE["oracle_sec0"] = 0.0
     _STATE["pipeline"] = make_pipeline(fn_name, family, oracle)
+    # The parent built its own pipeline: ship the sweep's counters only.
+    oracle.stats = OracleStats()
 
 
 def _gen_chunk(task):
@@ -303,7 +194,7 @@ def _gen_chunk(task):
         outcomes = chunk_outcomes(
             pipeline, level, [FPValue(fmt, b) for b in bits]
         )
-    return outcomes, _STATE["oracle"].drain_new(), _worker_oracle_delta()
+    return outcomes, _STATE["oracle"].drain_new(), _drain_stats()
 
 
 def shard_outcomes(
@@ -311,12 +202,12 @@ def shard_outcomes(
     inputs_per_level=None,
     jobs: int = 2,
     progress=None,
-) -> Tuple[list, float]:
+) -> list:
     """Constraint-generation outcomes for every input of every level,
     computed across ``jobs`` workers in serial enumeration order.
 
-    Returns ``(outcomes, worker_oracle_seconds)``; the parent pipeline's
-    oracle is seeded with every result the workers resolved.
+    The parent pipeline's oracle is seeded with every result the workers
+    resolved, and its counters absorb theirs.
     """
     from ..funcs.base import chunk_outcomes
 
@@ -335,19 +226,16 @@ def shard_outcomes(
         level_end.append(len(tasks))
 
     def fallback(task):
-        # Poison chunk: compute with the parent's own pipeline+oracle.
-        # The parent oracle records results directly (no shipping) and
-        # its Ziv time is already counted by the caller's parent-side
-        # delta, so entries/seconds are empty here.
+        # Failed chunk: compute with the parent's own pipeline+oracle,
+        # which records its results and counters directly.
         level, bits = task
         fmt = fam.formats[level]
         outs = chunk_outcomes(
             pipeline, level, [FPValue(fmt, b) for b in bits]
         )
-        return outs, [], 0.0
+        return outs, [], OracleStats()
 
     outcomes: list = []
-    oracle_seconds = 0.0
     done_levels = 0
     results = run_chunks(
         _gen_chunk,
@@ -362,10 +250,10 @@ def shard_outcomes(
         ),
         label=f"generate:{pipeline.name}",
     )
-    for i, (chunk_out, entries, secs) in enumerate(results):
+    for i, (chunk_out, entries, stats) in enumerate(results):
         outcomes.extend(chunk_out)
         absorb_entries(pipeline.oracle, entries)
-        oracle_seconds += secs
+        pipeline.oracle.stats.merge(stats)
         while done_levels < len(level_end) and i + 1 == level_end[done_levels]:
             if progress:
                 fmt = fam.formats[done_levels]
@@ -374,52 +262,43 @@ def shard_outcomes(
                     f" ({fmt.display_name}) reduced [{jobs} jobs]"
                 )
             done_levels += 1
-    return outcomes, oracle_seconds
+    return outcomes
 
 
 # ----------------------------------------------------------------------
 # Exhaustive verification
 # ----------------------------------------------------------------------
 def _init_verify_worker(spec, cache_path, max_prec) -> None:
-    library, fn, fmt, level, modes, canonical_zeros, max_recorded = spec
     reset_tracing()
     oracle = open_oracle(
         cache_path, max_prec=max_prec, read_only=True, record_new=True
     )
     _STATE.clear()
     _STATE["oracle"] = oracle
-    _STATE["oracle_sec0"] = 0.0
-    _STATE["verify"] = (
-        library, fn, fmt, level, modes, canonical_zeros, max_recorded
+    _STATE["verify"] = spec
+
+
+def _verify_bits(spec, oracle, bits):
+    from ..verify.exhaustive import verify_exhaustive
+
+    library, fn, fmt, level, modes, canonical_zeros, max_recorded = spec
+    return verify_exhaustive(
+        library, fn, fmt, level, oracle, modes,
+        inputs=[FPValue(fmt, b) for b in bits],
+        canonical_zeros=canonical_zeros,
+        max_recorded_failures=max_recorded,
     )
 
 
 def _verify_chunk(bits):
-    from ..verify.exhaustive import verify_exhaustive
-
     maybe_crash("worker.crash")
     maybe_sleep("chunk.slow")
-    library, fn, fmt, level, modes, canonical_zeros, max_recorded = _STATE[
-        "verify"
-    ]
+    spec = _STATE["verify"]
     with obs_span(
-        "pool.verify_chunk", fn=fn, level=level, inputs=len(bits)
+        "pool.verify_chunk", fn=spec[1], level=spec[3], inputs=len(bits)
     ):
-        report = verify_exhaustive(
-            library, fn, fmt, level, _STATE["oracle"], modes,
-            inputs=[FPValue(fmt, b) for b in bits],
-            canonical_zeros=canonical_zeros,
-            max_recorded_failures=max_recorded,
-        )
-    failures = [
-        (f.input_bits, f.mode.value, f.got_bits, f.want_bits)
-        for f in report.failures
-    ]
-    by_mode = {m.value: n for m, n in report.by_mode.items()}
-    return (
-        report.total_checks, report.wrong, by_mode, failures,
-        _STATE["oracle"].drain_new(), _worker_oracle_delta(),
-    )
+        report = _verify_bits(spec, _STATE["oracle"], bits)
+    return report, _STATE["oracle"].drain_new(), _drain_stats()
 
 
 def shard_verify(
@@ -441,35 +320,22 @@ def shard_verify(
     in chunk order and truncate to ``max_recorded_failures`` — exactly
     the serial report.
     """
-    from ..verify.exhaustive import Failure, VerificationReport, verify_exhaustive
+    from ..verify.exhaustive import VerificationReport
 
     bits = [
         v.bits for v in (inputs if inputs is not None else all_finite(fmt))
     ]
     tasks = _chunks(bits, _chunk_size(len(bits), jobs))
     modes = tuple(modes)
+    spec = (library, fn, fmt, level, modes, canonical_zeros, max_recorded_failures)
     report = VerificationReport(library.label, fn, fmt)
     report.by_mode = {m: 0 for m in modes}
     t0 = time.perf_counter()
+    oracle_sec0 = oracle.stats.seconds
 
     def fallback(chunk_bits):
-        # Poison chunk: verify in-process with the parent's oracle.
-        sec0 = oracle.stats.seconds
-        rep = verify_exhaustive(
-            library, fn, fmt, level, oracle, modes,
-            inputs=[FPValue(fmt, b) for b in chunk_bits],
-            canonical_zeros=canonical_zeros,
-            max_recorded_failures=max_recorded_failures,
-        )
-        failures = [
-            (f.input_bits, f.mode.value, f.got_bits, f.want_bits)
-            for f in rep.failures
-        ]
-        by_mode = {m.value: n for m, n in rep.by_mode.items()}
-        return (
-            rep.total_checks, rep.wrong, by_mode, failures,
-            [], oracle.stats.seconds - sec0,
-        )
+        # Failed chunk: verify in-process with the parent's oracle.
+        return _verify_bits(spec, oracle, chunk_bits), [], OracleStats()
 
     results = run_chunks(
         _verify_chunk,
@@ -477,27 +343,18 @@ def shard_verify(
         fallback,
         jobs=jobs,
         initializer=_init_verify_worker,
-        initargs=(
-            (
-                library, fn, fmt, level, modes,
-                canonical_zeros, max_recorded_failures,
-            ),
-            persistent_cache_path(oracle),
-            oracle.max_prec,
-        ),
+        initargs=(spec, persistent_cache_path(oracle), oracle.max_prec),
         label=f"verify:{fn}",
     )
-    for total, wrong, by_mode, failures, entries, secs in results:
-        report.total_checks += total
-        report.wrong += wrong
-        for mode_value, n in by_mode.items():
-            report.by_mode[RoundingMode(mode_value)] += n
-        for input_bits, mode_value, got, want in failures:
-            if len(report.failures) < max_recorded_failures:
-                report.failures.append(
-                    Failure(input_bits, RoundingMode(mode_value), got, want)
-                )
+    for rep, entries, stats in results:
+        report.total_checks += rep.total_checks
+        report.wrong += rep.wrong
+        for mode, n in rep.by_mode.items():
+            report.by_mode[mode] += n
+        room = max_recorded_failures - len(report.failures)
+        report.failures.extend(rep.failures[:room])
         absorb_entries(oracle, entries)
-        report.oracle_seconds += secs
+        oracle.stats.merge(stats)
     report.wall_seconds = time.perf_counter() - t0
+    report.oracle_seconds = oracle.stats.seconds - oracle_sec0
     return report

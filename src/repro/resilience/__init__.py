@@ -12,20 +12,18 @@ through its recovery paths:
 * :mod:`repro.resilience.breaker` — a small circuit breaker used by the
   serving tier to shed oracle-fallback work when its error/latency
   budget is blown.
-* :mod:`repro.resilience.checkpoint` — sidecar-JSON checkpointing of
-  generation progress so a killed run can ``--resume`` and produce a
-  byte-identical artifact.
+* :mod:`repro.resilience.checkpoint` — durable (atomic, fsynced) file
+  writes, and the per-function unit journal a killed generation run
+  replays on ``--resume`` to produce a byte-identical artifact.
 """
 
 from .breaker import CircuitBreaker
 from .checkpoint import (
-    SearchCheckpoint,
     atomic_write_bytes,
     atomic_write_json,
-    checkpoint_path_for,
     delete_checkpoint,
     fsync_dir,
-    load_checkpoint,
+    open_checkpoint,
     save_checkpoint,
 )
 from .faults import (
@@ -45,19 +43,17 @@ __all__ = [
     "CircuitBreaker",
     "FaultSpec",
     "InjectedFault",
-    "SearchCheckpoint",
     "active_injector",
     "atomic_write_bytes",
     "atomic_write_json",
-    "checkpoint_path_for",
     "corrupt_file",
     "delete_checkpoint",
     "fsync_dir",
-    "load_checkpoint",
     "maybe_crash",
     "maybe_fire",
     "maybe_raise",
     "maybe_sleep",
+    "open_checkpoint",
     "parse_fault_spec",
     "reset_injector",
     "save_checkpoint",

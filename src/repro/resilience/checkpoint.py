@@ -1,32 +1,20 @@
-"""Sidecar-JSON checkpointing of generation progress.
+"""Durable file writes, and the unit journal of generation progress.
 
-``generate_function`` writes a checkpoint after every completed
-sub-domain piece; a killed run restarted with ``resume=True`` (the CLI's
-``--resume``) skips the pieces it already solved and continues the
-search from the exact point it died — including the deterministic search
-counters — so the resumed artifact is byte-identical to an uninterrupted
-run.  Each piece derives its RNG independently from
-``(seed, nsplits, piece_index)`` (see :func:`repro.core.search.piece_rng`),
-so no bit-generator state needs to survive the crash; version 1 sidecars
-(which carried ``rng_state``) are ignored and the search starts over.
+``generate_function`` journals every finished sub-domain piece unit to
+``<family>_<fn>.journal`` next to the artifact, in the CRC-framed,
+fsynced record format of :mod:`repro.dist.journal` (a torn last record
+is dropped on open).  The records are the distributed coordinator's:
 
-Layout of ``<family>_<fn>.ckpt.json``::
+    {"type": "run", "fn": ..., "family": ..., "seed": ..., ...}  # identity
+    {"type": "done", "unit": "<fn>/<nsplits>/<piece>", "result": {...}}
 
-    {
-      "version": 2,
-      "params":  {...}          # search identity: fn/family/seed/budgets
-      "nsplits": 2,             # sub-domain attempt in progress
-      "pieces":  [{...}, ...],  # completed pieces (artifact piece format)
-      "failure_counts": [0, 1], # per completed piece
-      "stats": {...}            # deterministic counters so far
-    }
-
-A checkpoint only resumes when its ``params`` match the live call
-exactly (same function, family, seed, term/sub-domain/special budgets
-and constraint count); anything else — missing file, corrupt JSON,
-parameter drift, future version — is ignored with a warning and the
-search starts from scratch.  Writes are atomic (temp file + rename) so a
-crash mid-checkpoint can never leave a half-written sidecar.
+A killed run restarted with ``resume=True`` (the CLI's ``--resume``)
+replays the finished units instead of searching them again.  Each piece
+derives its RNG from ``(seed, nsplits, piece_index)`` (see
+:func:`repro.core.search.piece_rng`), so the resumed artifact is
+byte-identical to an uninterrupted run.  A journal whose header differs
+from the live run's (another seed, budget, family or constraint count)
+is rotated to ``.stale`` and ignored; the journal is deleted on success.
 """
 
 from __future__ import annotations
@@ -35,30 +23,13 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..dist.journal import Journal
 
 logger = logging.getLogger("repro.resilience")
-
-CHECKPOINT_VERSION = 2
-
-
-@dataclass
-class SearchCheckpoint:
-    """Progress of one ``generate_function`` search."""
-
-    params: Dict[str, object]
-    nsplits: int = 1
-    pieces: List[dict] = field(default_factory=list)
-    failure_counts: List[int] = field(default_factory=list)
-    stats: Dict[str, int] = field(default_factory=dict)
-
-
-def checkpoint_path_for(artifact_path: Union[str, Path]) -> Path:
-    """The sidecar path next to an artifact: ``x.json`` -> ``x.ckpt.json``."""
-    p = Path(artifact_path)
-    return p.with_name(p.stem + ".ckpt.json")
 
 
 def fsync_dir(directory: Union[str, Path]) -> None:
@@ -119,68 +90,46 @@ def atomic_write_json(path: Union[str, Path], obj: object, **dump_kwargs) -> Non
     atomic_write_bytes(path, json.dumps(obj, **dump_kwargs).encode())
 
 
-def save_checkpoint(path: Union[str, Path], ckpt: SearchCheckpoint) -> None:
-    """Atomically + durably write one checkpoint (temp file + rename +
-    parent-directory fsync)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = {
-        "version": CHECKPOINT_VERSION,
-        "params": ckpt.params,
-        "nsplits": ckpt.nsplits,
-        "pieces": ckpt.pieces,
-        "failure_counts": ckpt.failure_counts,
-        "stats": ckpt.stats,
-    }
-    atomic_write_json(path, data)
+def open_checkpoint(
+    path: Union[str, Path], header: dict, resume: bool
+) -> Tuple["Journal", Dict[str, dict]]:
+    """Open the unit journal at ``path`` for the run ``header`` names.
 
-
-def load_checkpoint(
-    path: Union[str, Path], params: Dict[str, object]
-) -> Optional[SearchCheckpoint]:
-    """Load a checkpoint matching ``params``, or None.
-
-    Corrupt, stale (parameter mismatch) or future-versioned sidecars are
-    ignored with a warning — resume must never be *worse* than starting
-    over.
+    Returns the journal, ready for appends, and the results it already
+    holds by unit id.  Without ``resume`` an existing journal is
+    replaced; a journal of another run is rotated to ``.stale``.
     """
+    from ..dist.journal import Journal
+
     path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        with open(path) as f:
-            data = json.load(f)
-        if data.get("version") != CHECKPOINT_VERSION:
-            logger.warning(
-                "ignoring checkpoint %s: unsupported version %r",
-                path, data.get("version"),
-            )
-            return None
-        ckpt = SearchCheckpoint(
-            params=data["params"],
-            nsplits=int(data["nsplits"]),
-            pieces=list(data["pieces"]),
-            failure_counts=[int(n) for n in data["failure_counts"]],
-            stats=dict(data.get("stats", {})),
-        )
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        logger.warning("ignoring unreadable checkpoint %s: %s", path, e)
-        return None
-    if ckpt.params != params:
+    if not resume:
+        path.unlink(missing_ok=True)
+    journal, records = Journal.open(path)
+    if records and records[0] != header:
+        journal.close()
+        stale = path.with_name(path.name + ".stale")
+        path.replace(stale)
         logger.warning(
-            "ignoring checkpoint %s: search parameters changed "
-            "(checkpoint %r vs run %r)", path, ckpt.params, params,
+            "journal %s belongs to another search; rotated to %s",
+            path.name, stale.name,
         )
-        return None
-    if len(ckpt.pieces) != len(ckpt.failure_counts):
-        logger.warning("ignoring inconsistent checkpoint %s", path)
-        return None
-    return ckpt
+        journal, records = Journal.open(path)
+    if not records:
+        try:
+            save_checkpoint(journal, header)
+        except BaseException:
+            journal.close()
+            raise
+    done = {r["unit"]: r["result"] for r in records[1:] if r.get("type") == "done"}
+    return journal, done
 
 
-def delete_checkpoint(path: Union[str, Path]) -> None:
-    """Remove a finished run's sidecar (missing file is fine)."""
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
+def save_checkpoint(journal: "Journal", record: dict) -> None:
+    """Durably append one record to a generation journal."""
+    journal.append(record)
+
+
+def delete_checkpoint(journal: "Journal") -> None:
+    """Close and remove a finished run's journal."""
+    journal.close()
+    journal.path.unlink(missing_ok=True)

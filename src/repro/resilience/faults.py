@@ -30,7 +30,7 @@ Fault sites wired through the codebase:
 ``chunk.slow``     pool worker stalls before computing a chunk
 ``cache.corrupt``  oracle cache file is scribbled over before open
 ``cache.flush``    sqlite error injected into a cache flush
-``search.crash``   generation run dies right after a piece checkpoint
+``search.crash``   generation run dies right after journaling a piece
 ``socket.drop``    server aborts the client transport mid-request
 ``oracle.slow``    serving oracle tier stalls per batch
 ``oracle.error``   serving oracle tier raises (drives the breaker)

@@ -320,12 +320,10 @@ class TestGenerationIdentity:
             before = certified.value
             with_guess = api.generate(
                 fn, "tiny", oracle=oracle, out_dir=tmp_path / "guess",
-                checkpoint=False,
             ).path.read_bytes()
             assert certified.value > before
             with guess(lambda G, h: None):
                 without = api.generate(
                     fn, "tiny", oracle=oracle, out_dir=tmp_path / "exact",
-                    checkpoint=False,
                 ).path.read_bytes()
             assert with_guess == without, fn

@@ -175,3 +175,59 @@ class TestRangeShortcutSkip:
         oracle = Oracle()
         for x in (Fraction(10) ** 400 + Fraction(1, 3), -Fraction(10) ** 400):
             assert oracle._range_shortcut(fn, x, FLOAT32) is not None
+
+
+class TestHugeIntegralInputs:
+    """exp2/exp10 of an integer far past the format's range: the range
+    shortcut decides them before ``exact_value`` could try to raise 2 or
+    10 to that power, which never finishes.  The calls run in a child
+    process with a deadline and an address-space cap, so a regression
+    fails instead of hanging the suite or exhausting the host's memory.
+    """
+
+    def test_decided_in_every_mode(self):
+        import json
+        import resource
+        import subprocess
+        import sys
+
+        code = (
+            "import json\n"
+            "from fractions import Fraction\n"
+            "from repro.fp import FLOAT32, RoundingMode\n"
+            "from repro.mp import Oracle\n"
+            "out = {}\n"
+            "for fn in ('exp2', 'exp10'):\n"
+            "    for sign in (1, -1):\n"
+            "        x = Fraction(sign * 10**400)\n"
+            "        for m in RoundingMode:\n"
+            "            out[f'{fn} {sign} {m.value}'] = Oracle()"
+            ".correctly_rounded(fn, x, FLOAT32, m).bits\n"
+            "        all_modes = Oracle().correctly_rounded_all(fn, x, FLOAT32)\n"
+            "        assert {m: v.bits for m, v in all_modes.items()} == {\n"
+            "            m: out[f'{fn} {sign} {m.value}'] for m in RoundingMode}\n"
+            "print(json.dumps(out))\n"
+        )
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, preexec_fn=limit,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        inf, max_finite = FLOAT32.exponent_mask, FLOAT32.exponent_mask - 1
+        for fn in ("exp2", "exp10"):
+            # Far above the range: overflow, or the largest finite value
+            # when rounding toward zero / -inf; RTO keeps the sticky odd.
+            assert got[f"{fn} 1 rne"] == got[f"{fn} 1 rna"] == inf
+            assert got[f"{fn} 1 rtp"] == inf
+            assert got[f"{fn} 1 rtz"] == got[f"{fn} 1 rtn"] == max_finite
+            assert got[f"{fn} 1 rto"] == max_finite
+            # Far below: zero, or the least subnormal when rounding up.
+            assert got[f"{fn} -1 rne"] == got[f"{fn} -1 rna"] == 0
+            assert got[f"{fn} -1 rtz"] == got[f"{fn} -1 rtn"] == 0
+            assert got[f"{fn} -1 rtp"] == got[f"{fn} -1 rto"] == 1

@@ -4,7 +4,8 @@ import pytest
 
 from repro.fp.encode import FPValue
 
-from repro.core import generate_function
+from repro.core import collect_constraints, generate_function
+from repro.obs import PhaseTimings
 from repro.fp import IEEE_MODES, T8, T10
 from repro.funcs import TINY_CONFIG, make_pipeline
 from repro.libm.baselines import GeneratedLibrary
@@ -38,6 +39,25 @@ class TestGenerationDeterminism:
         )
         assert _fingerprint(sharded) == _fingerprint(serial)
         assert sharded.stats.jobs == 4
+
+    @pytest.mark.parametrize("fn", ["log2", "ln", "exp", "cosh"])
+    def test_worker_oracle_counters_reach_the_parent(self, fn):
+        # Pool workers ship each chunk's OracleStats delta; merged into
+        # the parent's oracle they count the sweep's Ziv work exactly as
+        # a serial sweep does, and the oracle phase counts it once.
+        stats = {}
+        for jobs in (1, 2):
+            pipe = make_pipeline(fn, TINY_CONFIG, Oracle())
+            sec0 = pipe.oracle.stats.seconds
+            timings = PhaseTimings()
+            collect_constraints(pipe, jobs=jobs, timings=timings)
+            stats[jobs] = pipe.oracle.stats
+            assert timings.as_dict()["oracle"] == pytest.approx(
+                stats[jobs].seconds - sec0
+            )
+        assert stats[2].computes == stats[1].computes > 0
+        assert stats[2].escalations == stats[1].escalations
+        assert stats[2].calls == stats[1].calls
 
     def test_warm_cache_matches_cold(self, tmp_path):
         path = str(tmp_path / "oracle.sqlite")

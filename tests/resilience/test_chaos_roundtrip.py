@@ -23,10 +23,7 @@ CHAOS = (
 
 
 class TestChaosRoundTrip:
-    def test_roundtrip_bit_identical(self, tmp_path, faults, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_RETRIES", "1")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
-
+    def test_roundtrip_bit_identical(self, tmp_path, faults):
         # --- fault-free reference ------------------------------------
         ref_dir = tmp_path / "ref"
         _, ref_path = api.generate("log2", TINY_CONFIG, out_dir=ref_dir)

@@ -90,14 +90,19 @@ class TestAtomicWrite:
 
 class TestCallSites:
     def test_save_checkpoint_syncs_directory(self, tmp_path, monkeypatch):
-        from repro.resilience import checkpoint as ckpt_mod
+        """Creating a generation journal publishes its directory entry."""
+        from repro.dist import journal as journal_mod
+        from repro.resilience.checkpoint import open_checkpoint, save_checkpoint
 
         dirs = []
         monkeypatch.setattr(
-            ckpt_mod, "fsync_dir", lambda d: dirs.append(str(d))
+            journal_mod, "fsync_dir", lambda d: dirs.append(str(d))
         )
-        ckpt = ckpt_mod.SearchCheckpoint(params={"fn": "log2"})
-        ckpt_mod.save_checkpoint(tmp_path / "a.ckpt.json", ckpt)
+        journal, _ = open_checkpoint(
+            tmp_path / "a.journal", {"type": "run"}, resume=False
+        )
+        save_checkpoint(journal, {"type": "done", "unit": "log2/1/0"})
+        journal.close()
         assert dirs == [str(tmp_path)]
 
     def test_save_generated_is_atomic(self, tmp_path, tiny_generated):

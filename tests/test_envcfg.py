@@ -77,19 +77,6 @@ class TestCallSites:
         with pytest.raises(ValueError, match=r"REPRO_MP_START='bogus'.*choose from"):
             start_method()
 
-    def test_pool_knobs_fall_back(self, monkeypatch, caplog):
-        from repro.parallel.pool import DEFAULT_CHUNK_TIMEOUT
-
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT", "not-a-number")
-        with caplog.at_level(logging.WARNING, logger="repro.envcfg"):
-            assert (
-                env_float(
-                    "REPRO_CHUNK_TIMEOUT", DEFAULT_CHUNK_TIMEOUT, minimum=0.001
-                )
-                == DEFAULT_CHUNK_TIMEOUT
-            )
-        assert "REPRO_CHUNK_TIMEOUT" in caplog.text
-
     def test_fleet_config_env_raises_on_garbage(self, monkeypatch):
         from repro.serve.fleet import FleetConfig
 
