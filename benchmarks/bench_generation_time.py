@@ -10,7 +10,9 @@ Three measurements:
     the parallel engine and writes ``BENCH_generation.json`` — per-function
     wall, oracle-time share and speedup against the serial baselines in
     ``benchmarks/results/generation_times.txt`` — so every PR leaves a
-    machine-readable perf data point:
+    machine-readable perf data point.  ``--json`` runs every function
+    :data:`JSON_RUNS` times, each run on a fresh oracle cache (so every
+    run is cold), and records the median wall time:
 
         PYTHONPATH=src python benchmarks/bench_generation_time.py \\
             --json --family mini --jobs 4 --oracle-cache /tmp/oracle.sqlite
@@ -18,8 +20,10 @@ Three measurements:
 
 import argparse
 import json
+import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 _HERE = Path(__file__).resolve().parent
@@ -105,39 +109,65 @@ def load_serial_baselines(path=None):
     return out
 
 
+#: ``--json`` runs: each function's recorded wall time is the median of
+#: this many cold runs (one sub-second run cannot hold a 25% gate).
+JSON_RUNS = 5
+
+
 def run_generation_bench(family="mini", functions=None, jobs=1,
-                         oracle_cache=None, baselines=None):
-    """Regenerate ``functions`` and return the BENCH_generation payload."""
+                         oracle_cache=None, baselines=None, runs=1):
+    """Regenerate ``functions`` ``runs`` times; the BENCH_generation payload.
+
+    Each function's wall and phase seconds are those of its median-wall
+    run.  With ``runs > 1`` every run opens a fresh oracle — a fresh
+    temporary cache file when ``oracle_cache`` is set — so every run is
+    cold.  The work (constraints, LP solves) is deterministic and must
+    agree across the runs.
+    """
     config = _FAMILIES[family]
     functions = list(functions or FUNCTION_NAMES)
     jobs = resolve_jobs(jobs)
     if baselines is None:
         baselines = load_serial_baselines()
-    oracle = open_oracle(oracle_cache)
+    samples = {fn: [] for fn in functions}
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in range(runs):
+            path = oracle_cache
+            if runs > 1 and oracle_cache is not None:
+                path = os.path.join(tmp, f"oracle-{run}.sqlite")
+            oracle = open_oracle(path)
+            for fn in functions:
+                pipe = make_pipeline(fn, config, oracle)
+                samples[fn].append(generate_function(pipe, jobs=jobs).stats)
+                if getattr(oracle, "flush", None):
+                    oracle.flush()
+            if getattr(oracle, "close", None):
+                oracle.close()
     rows = {}
-    for fn in functions:
-        pipe = make_pipeline(fn, config, oracle)
-        gen = generate_function(pipe, jobs=jobs)
-        phases = dict(gen.stats.phase_seconds)
-        wall = gen.stats.wall_seconds
+    for fn, stats in samples.items():
+        work = sorted({(st.constraints, st.lp_solves) for st in stats})
+        if len(work) != 1:
+            raise RuntimeError(
+                f"{fn}: (constraints, lp_solves) differ across runs: {work}"
+            )
+        median = sorted(stats, key=lambda st: st.wall_seconds)[len(stats) // 2]
+        phases = dict(median.phase_seconds)
+        wall = median.wall_seconds
         oracle_sec = phases.get("oracle", 0.0)
         # Baselines were recorded on the mini family; elsewhere there is
         # nothing comparable to divide by.
         base = baselines.get(fn) if family == "mini" else None
         rows[fn] = {
             "wall_seconds": wall,
+            "wall_seconds_runs": [st.wall_seconds for st in stats],
             "oracle_seconds": oracle_sec,
             "oracle_share": oracle_sec / wall if wall else 0.0,
             "phase_seconds": phases,
-            "constraints": gen.stats.constraints,
-            "lp_solves": gen.stats.lp_solves,
+            "constraints": median.constraints,
+            "lp_solves": median.lp_solves,
             "serial_baseline_seconds": base,
             "speedup_vs_serial": base / wall if base and wall else None,
         }
-        if getattr(oracle, "flush", None):
-            oracle.flush()
-    if getattr(oracle, "close", None):
-        oracle.close()
     walls = [r["wall_seconds"] for r in rows.values()]
     speedups = [
         r["speedup_vs_serial"] for r in rows.values()
@@ -146,6 +176,7 @@ def run_generation_bench(family="mini", functions=None, jobs=1,
     return {
         "family": family,
         "jobs": jobs,
+        "runs": runs,
         "oracle_cache": oracle_cache is not None,
         "functions": rows,
         "summary": {
@@ -199,9 +230,13 @@ def main(argv=None):
     ap.add_argument("--functions", nargs="*", default=list(FUNCTION_NAMES))
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes (0 = all cores)")
-    ap.add_argument("--oracle-cache", default=None, metavar="PATH")
+    ap.add_argument("--oracle-cache", default=None, metavar="PATH",
+                    help="back the oracle with a sqlite cache at PATH (with"
+                         " --json, every run gets a fresh temporary cache"
+                         " instead, so every run is cold)")
     ap.add_argument("--json", action="store_true",
-                    help="write the machine-readable BENCH_generation.json")
+                    help="write the machine-readable BENCH_generation.json"
+                         f" (median of {JSON_RUNS} cold runs per function)")
     ap.add_argument("--out", default=str(_HERE.parent / "BENCH_generation.json"),
                     help="where --json writes the payload")
     args = ap.parse_args(argv)
@@ -209,6 +244,7 @@ def main(argv=None):
     payload = run_generation_bench(
         family=args.family, functions=args.functions, jobs=args.jobs,
         oracle_cache=args.oracle_cache,
+        runs=JSON_RUNS if args.json else 1,
     )
     print(_format_rows(payload))
     if args.json:

@@ -2,13 +2,13 @@
 
 ``bench_serve.py`` measures one in-process server talked to by one
 sequential client; this benchmark measures the horizontally scaled
-topology — a :class:`~repro.serve.fleet.FleetRouter` consistent-hash
-sharding ``(fn, level)`` keys over shared-nothing evaluator worker
-processes, binary.v1 frames on every hop — under concurrent load:
+topology — ``repro serve --workers N``: N identical evaluator worker
+processes, each serving the full registry, accepting binary.v1
+connections on one ``SO_REUSEPORT`` port — under concurrent load:
 
   * a throughput/latency sweep over worker counts and batch sizes with
-    a pipelined client pool spreading requests across every function
-    (so every shard sees traffic), and
+    a pool of pipelined connections (the kernel spreads them over the
+    workers) round-robining every function, and
   * a fan-in scenario: thousands of simulated concurrent clients each
     firing small batches, the load the coalescing dispatcher exists
     for.
@@ -21,9 +21,9 @@ Two modes, composable exactly like ``bench_serve.py``:
 
         PYTHONPATH=src python benchmarks/bench_serve_fleet.py --json
 
-  * ``--smoke``: CI gate.  Starts a router with two workers, negotiates
+  * ``--smoke``: CI gate.  Starts a fleet of two workers, negotiates
     the binary protocol, evaluates every function in every tiny format
-    over the fleet, requires health to report every worker live, then
+    over the fleet, requires health to report every worker ok, then
     stops the fleet and requires every worker process to have drained
     gracefully (exit code 0, not SIGKILL).
 """
@@ -52,7 +52,6 @@ from repro.fp import all_finite
 from repro.funcs import TINY_CONFIG
 from repro.mp import FUNCTION_NAMES
 from repro.serve import (
-    DEFAULT_REPLICATION,
     PROTOCOL_NAME,
     AsyncServeClient,
     FleetThread,
@@ -105,7 +104,7 @@ async def _close_pool(clients):
 async def _sweep_once(clients, fmt, batch, *, inflight=INFLIGHT,
                       min_requests=40, time_budget=1.2):
     """One timed pass: `inflight` pipelined requests round-robining every
-    function, so the load spreads across all shards.  Returns a row."""
+    function over the connection pool.  Returns a row."""
     xs = _member_inputs(fmt, batch)
     latencies = []
     total_inputs = 0
@@ -188,9 +187,9 @@ async def _bench_fleet_async(port, fmt, batch_sizes):
 def _start_fleet_proc(workers, max_pending):
     """``repro serve --workers N`` as a subprocess; returns (proc, port).
 
-    The real topology, not a thread: a router thread inside the bench
-    process would share the GIL with the client loop and the 5ms switch
-    interval would show up straight in p99.
+    The real topology, not a thread: a supervisor thread inside the
+    bench process would share the GIL with the client loop and the 5ms
+    switch interval would show up straight in p99.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = (
@@ -246,8 +245,8 @@ def bench_fleet(workers, batch_sizes=BATCH_SIZES):
 def run_bench(out_path=None, worker_counts=WORKER_COUNTS,
               batch_sizes=BATCH_SIZES):
     """The --json sweep; returns the result dict."""
-    # This process hosts the router thread and the client pool; give it
-    # the same tail-latency GC posture the worker processes get.
+    # This process hosts the client pool; give it the same tail-latency
+    # GC posture the worker processes get.
     tune_gc_for_serving()
     fleets = []
     for workers in worker_counts:
@@ -273,9 +272,11 @@ def run_bench(out_path=None, worker_counts=WORKER_COUNTS,
         "family": "tiny",
         "format": TINY_CONFIG.formats[-1].display_name,
         "functions": len(FUNCTION_NAMES),
-        # Comparison guard: replication changes per-worker shard sizes
-        # and the failover path, so baselines must match on it.
-        "config": {"protocol": "binary", "replication": DEFAULT_REPLICATION},
+        # Comparison guard: baselines must match on these.
+        "config": {"protocol": "binary", "topology": "reuseport"},
+        # Context, not a guard: a config key that differs skips the
+        # gate, and CI runners rarely match the baseline host's CPUs.
+        "host": {"cpu_count": os.cpu_count()},
         "fleets": fleets,
         "summary": {"best_batch_1024": best_1024},
     }
@@ -300,8 +301,8 @@ async def _smoke_async(port, failures):
         if health.get("status") != "ok" or len(workers) != 2:
             failures.append(f"unhealthy fleet: {health}")
         for w in workers:
-            if not w.get("alive") or w.get("status") != "ok":
-                failures.append(f"worker {w.get('index')} not live: {w}")
+            if w.get("status") != "ok":
+                failures.append(f"worker {w.get('worker')} not ok: {w}")
         for fmt in TINY_CONFIG.formats:
             xs = _member_inputs(fmt, 64)
             for fn in FUNCTION_NAMES:

@@ -334,22 +334,27 @@ def cmd_tables(args) -> int:
 def cmd_serve(args) -> int:
     """`serve`: run the batch-evaluation server until interrupted.
 
-    ``--workers N`` (N >= 1) runs the sharded fleet instead of a single
-    in-process evaluator: a router on ``host:port`` plus N shared-nothing
-    worker processes, each loading only its consistent-hash shard of the
-    ``(fn, level)`` keys.
+    ``--workers N`` (N >= 1) runs a fleet instead of a single in-process
+    evaluator: N identical worker processes, each serving the full
+    registry, accept on ``host:port`` through one ``SO_REUSEPORT``
+    socket, under a supervisor that respawns dead or wedged workers.
     """
     import asyncio
+    import socket
 
     from .serve import (
         FleetConfig,
-        FleetRouter,
+        FleetSupervisor,
         ServeServer,
         ServingRegistry,
         tune_gc_for_serving,
     )
 
     config = _family_of(args.family)
+    if args.workers and not hasattr(socket, "SO_REUSEPORT"):
+        raise SystemExit(
+            "--workers needs socket.SO_REUSEPORT, which this platform lacks"
+        )
 
     async def run() -> None:
         if args.workers:
@@ -357,41 +362,35 @@ def cmd_serve(args) -> int:
             fleet_config = FleetConfig.from_env(
                 start_timeout=args.worker_start_timeout,
                 stop_timeout=args.worker_stop_timeout,
-                breaker_threshold=args.breaker_threshold,
-                breaker_recovery=args.breaker_recovery,
                 probe_interval=args.probe_interval,
                 restart_budget=args.restart_budget,
             )
-            server = FleetRouter(
+            server = FleetSupervisor(
                 config,
                 args.dir,
                 args.host,
                 args.port,
                 n_workers=args.workers,
                 names=args.functions,
-                replication=(
-                    args.replication if args.replication is not None else 2
-                ),
                 max_batch=args.max_batch,
                 batch_window=args.batch_window_ms / 1000.0,
                 max_pending=args.max_pending,
-                worker_max_inflight=args.max_pending,
                 request_deadline=args.request_deadline,
                 config=fleet_config,
-                supervise=not args.no_supervise,
             )
             await server.start()
             print(
                 f"serving family {config.name!r} on {args.host}:{server.port} "
-                f"(fleet: {args.workers} workers, replication "
-                f"{server.shards.replication}, batch window "
-                f"{args.batch_window_ms}ms, max batch {args.max_batch})",
+                f"(fleet: {args.workers} workers on one SO_REUSEPORT port, "
+                f"batch window {args.batch_window_ms}ms, max batch "
+                f"{args.max_batch})",
                 flush=True,
             )
             for w in server.workers:
                 print(
                     f"  worker {w.index} pid {w.process.pid} on "
-                    f"127.0.0.1:{w.port} serving {', '.join(w.names)}",
+                    f"127.0.0.1:{w.port} (private port), serving "
+                    f"{', '.join(server.names)}",
                     flush=True,
                 )
         else:
@@ -485,7 +484,7 @@ def cmd_obs(args) -> int:
         with ServeClient(host or "127.0.0.1", int(port)) as client:
             if args.health:
                 # Single servers answer with their own status; a fleet
-                # router adds a per-worker shard breakdown.
+                # worker answers for the fleet, one row per worker slot.
                 health = client.health()
                 print(_json.dumps(health, indent=2, sort_keys=True))
                 return 0 if health.get("status") in ("ok", "degraded") else 1
@@ -705,22 +704,11 @@ def main(argv=None) -> int:
     )
     s.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="run a sharded fleet: a router on --host/--port plus N"
-             " shared-nothing evaluator worker processes, each loading"
-             " only its consistent-hash (fn, level) shard (0 = single"
-             " in-process server, the default)",
-    )
-    s.add_argument(
-        "--replication", type=int, default=None, metavar="R",
-        help="fleet shard replication factor: every (fn, level) key gets"
-             " an ordered [primary, replica...] worker chain and the"
-             " router fails over down the chain (default 2, clamped to"
-             " --workers; 1 disables replication)",
-    )
-    s.add_argument(
-        "--no-supervise", action="store_true",
-        help="disable the fleet supervisor (no respawn of dead/wedged"
-             " workers); chiefly for debugging worker crashes",
+        help="run a fleet: N identical worker processes, each serving"
+             " every function, accept on --host/--port through one"
+             " SO_REUSEPORT socket under a supervisor that respawns dead"
+             " or wedged workers (0 = single in-process server, the"
+             " default)",
     )
     s.add_argument(
         "--restart-budget", type=int, default=None, metavar="K",
@@ -742,16 +730,6 @@ def main(argv=None) -> int:
         "--worker-stop-timeout", type=float, default=None, metavar="SEC",
         help="SIGTERM-to-SIGKILL escalation deadline when stopping"
              " workers (default $REPRO_FLEET_STOP_TIMEOUT or 5)",
-    )
-    s.add_argument(
-        "--breaker-threshold", type=int, default=None, metavar="K",
-        help="consecutive link failures tripping a worker's circuit"
-             " breaker (default $REPRO_FLEET_BREAKER_THRESHOLD or 3)",
-    )
-    s.add_argument(
-        "--breaker-recovery", type=float, default=None, metavar="SEC",
-        help="seconds an open worker breaker waits before admitting a"
-             " probe (default $REPRO_FLEET_BREAKER_RECOVERY or 1)",
     )
     add_trace_flag(s)
     s.set_defaults(func=cmd_serve)
@@ -783,14 +761,14 @@ def main(argv=None) -> int:
     o.add_argument(
         "--server", default=None, metavar="HOST:PORT",
         help="fetch the metrics from a running serve process instead of"
-             " dumping this process's registry (a fleet router answers"
-             " with metrics merged across its workers)",
+             " dumping this process's registry (a fleet worker answers"
+             " with metrics merged across every live worker)",
     )
     o.add_argument(
         "--health", action="store_true",
         help="with --server, print the health snapshot instead of metrics"
-             " (includes per-worker shard status against a fleet router);"
-             " exits non-zero unless status is ok/degraded",
+             " (against a fleet: the fleet's status and one row per"
+             " worker slot); exits non-zero unless status is ok/degraded",
     )
     o.set_defaults(func=cmd_obs)
 

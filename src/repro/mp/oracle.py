@@ -149,6 +149,9 @@ _FLOAT_SAFE = Fraction(10) ** 300
 _LN2 = math.log(2.0)
 _LOG2_10 = math.log2(10.0)
 _SMALL_RESULT_BITS = 80.0
+#: ``tight_value`` refuses results whose log2 estimate exceeds this:
+#: beyond the double range (2^1024 .. 2^-1074), with a binade to spare.
+_TIGHT_VALUE_MAX_LOG2 = 1076
 #: Binades a result's log2 estimate must lie inside both range cuts for
 #: ``Oracle._range_shortcut`` to skip its enclosure.
 _SHORTCUT_MARGIN = 8
@@ -340,7 +343,14 @@ class Oracle:
 
     def tight_value(self, fn: str, x: Fraction, rel_bits: int) -> Fraction:
         """A rational approximation of f(x) with ~rel_bits correct bits
-        (midpoint of a sufficiently narrow enclosure); for reporting."""
+        (midpoint of a sufficiently narrow enclosure); for reporting.
+
+        Raises :class:`OverflowError` when |f(x)| lies far outside the
+        double range: exp2/exp10 of a huge integer would otherwise build
+        its exact power, which never finishes.
+        """
+        if abs(_log2_magnitude_estimate(fn, x)) > _TIGHT_VALUE_MAX_LOG2:
+            raise OverflowError(f"{fn}({x}) is far outside the double range")
         exact = exact_value(fn, x)
         if exact is not None:
             return exact

@@ -333,8 +333,8 @@ def _histogram_lines(name: str, label_key, hist: Histogram) -> List[str]:
 def merge_metrics_json(payloads: Sequence[dict]) -> dict:
     """Several :meth:`MetricsRegistry.to_json` payloads summed into one.
 
-    The fleet router scrapes each worker's registry JSON and merges them
-    with its own: counter and gauge series with identical labels are
+    A fleet worker scrapes every other live worker's registry JSON and
+    merges them with its own: counter and gauge series with identical labels are
     summed; histogram series are merged bucket-by-bucket (union of
     bounds), with ``count``/``sum`` added, ``max`` taken, and
     ``p50``/``p99`` recomputed from the merged buckets.  A family whose
@@ -443,7 +443,7 @@ def prometheus_from_json(payload: dict) -> str:
 
     The inverse of scraping: :meth:`MetricsRegistry.to_prometheus`
     renders live instruments, this renders a (possibly merged) JSON
-    snapshot — the fleet router serves the merged fleet view through it.
+    snapshot — a fleet worker serves the merged fleet view through it.
     """
     lines: List[str] = []
     for name in sorted(payload):

@@ -191,10 +191,10 @@ class Tracer:
         context-manager span would mis-parent concurrent siblings.
 
         ``trace_id``/``parent_id`` override the process-local context for
-        spans whose parent lives in *another* process: the serve fleet's
-        router ships its span context inside each request frame and the
-        worker records its span under the router's, so one request reads
-        as one tree across the hop.
+        spans whose parent lives in *another* process: a serving client
+        that ships its span context inside a request (the ``trace``
+        field) gets the server's span recorded under its own, so one
+        request reads as one tree across processes.
         """
         if not self.enabled:
             return

@@ -108,20 +108,6 @@ class CircuitBreaker:
                 self._state = STATE_OPEN
                 self._opened_at = self._clock()
 
-    def reset(self) -> None:
-        """Force the breaker closed with no consecutive failures.
-
-        For supervised recovery: when the caller *knows* the protected
-        resource was replaced and re-probed healthy (the fleet respawning
-        a worker), waiting out the recovery window would only prolong the
-        outage.  Lifetime counters are kept — a reset is part of the
-        breaker's history, not a rewrite of it.
-        """
-        with self._lock:
-            self._state = STATE_CLOSED
-            self._consecutive_failures = 0
-            self._probing = False
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-friendly state for the ``health``/``stats`` ops."""

@@ -40,7 +40,8 @@ Fault sites wired through the codebase:
 ``fleet.worker.boot``   fleet worker hard-exits during startup, before
                         it reports a port — every supervised respawn is
                         a fresh process, so a persistent spec drains
-                        the router's restart budget (the give-up path)
+                        the supervisor's restart budget (the give-up
+                        path)
 ======================  ===============================================
 
 ===========================  ==========================================

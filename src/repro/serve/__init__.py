@@ -13,16 +13,14 @@ formats can be served from dense precomputed ``.tbl`` tables
 
 Connections speak newline-delimited JSON and may negotiate up to the
 zero-copy ``binary.v1`` frame protocol (:mod:`repro.serve.frames`) for
-bulk data.  ``serve_fleet`` / :class:`FleetRouter` scale one family
-horizontally: a router consistent-hash-shards ``(fn, level)`` keys
-(:class:`ShardMap`) across shared-nothing evaluator worker processes,
-each loading its primary plus replica shards, with a per-worker circuit
-breaker and in-flight cap.  The fleet is self-healing: a supervisor
-respawns dead or wedged workers under a restart budget
-(:class:`FleetConfig` holds every timeout, ``REPRO_FLEET_*``
-overridable), the router fails over down each key's replica chain, and
-deadline budgets propagate so retries never outlive the client's
-original deadline.
+bulk data.  :class:`FleetThread` / ``repro serve --workers N`` scale one
+family horizontally: N identical worker processes, each a
+:class:`ServeServer` over the full registry, accept on one
+``SO_REUSEPORT`` port, so the kernel spreads connections across them.
+A supervisor (:class:`FleetSupervisor`) respawns dead or wedged workers
+under a restart budget (:class:`FleetConfig` holds every timeout,
+``REPRO_FLEET_*`` overridable), and any worker answers ``health``,
+``stats`` and ``metrics`` for the whole fleet.
 
 See the README's "Serving" section for the wire protocol and topology.
 """
@@ -40,13 +38,11 @@ _EXPORTS = {
     "DEFAULT_BATCH_WINDOW": "server",
     "DEFAULT_MAX_BATCH": "server",
     "DEFAULT_MAX_PENDING": "server",
-    "DEFAULT_REPLICATION": "fleet",
     "DEFAULT_REQUEST_DEADLINE": "server",
     "FleetConfig": "fleet",
-    "FleetRouter": "fleet",
+    "FleetSupervisor": "fleet",
     "FleetThread": "fleet",
     "FrameError": "frames",
-    "HashRing": "hashring",
     "Histogram": "metrics",
     "OracleUnavailable": "evaluator",
     "PROTOCOL_NAME": "frames",
@@ -55,7 +51,6 @@ _EXPORTS = {
     "ServerMetrics": "metrics",
     "ServerThread": "server",
     "ServingRegistry": "registry",
-    "ShardMap": "hashring",
     "Tier": "tiers",
     "TierRegistry": "tiers",
     "default_tier_registry": "tiers",
@@ -75,13 +70,11 @@ __all__ = [
     "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_PENDING",
-    "DEFAULT_REPLICATION",
     "DEFAULT_REQUEST_DEADLINE",
     "FleetConfig",
-    "FleetRouter",
+    "FleetSupervisor",
     "FleetThread",
     "FrameError",
-    "HashRing",
     "Histogram",
     "OracleUnavailable",
     "PROTOCOL_NAME",
@@ -90,7 +83,6 @@ __all__ = [
     "ServerMetrics",
     "ServerThread",
     "ServingRegistry",
-    "ShardMap",
     "Tier",
     "TierRegistry",
     "default_tier_registry",

@@ -9,8 +9,9 @@ request-span recording.  Subclasses implement only the ops:
 
 * :class:`~repro.serve.server.ServeServer` answers ``eval`` from its
   local :class:`~repro.serve.evaluator.BatchEvaluator`;
-* :class:`~repro.serve.fleet.FleetRouter` answers ``eval`` by routing
-  the batch to the worker owning the ``(fn, level)`` shard.
+* :class:`~repro.serve.fleet.FleetWorker`, a ``ServeServer`` that also
+  accepts on a fleet's shared port, answers the control ops with the
+  fleet view.
 
 Protocol negotiation
 --------------------
@@ -87,29 +88,6 @@ def tune_gc_for_serving() -> None:
     gc.collect()
     gc.freeze()
     gc.set_threshold(100_000, 50, 25)
-
-
-class RequestError(RuntimeError):
-    """An op failure with a machine-readable ``code``.
-
-    Raised by op handlers that must answer with a structured error the
-    generic except-clauses cannot classify — the fleet router's
-    ``worker_unavailable`` (dead shard / open per-worker breaker) and
-    per-shard ``overloaded`` (that worker's in-flight cap).  ``overload``
-    routes the failure into the backpressure counters instead of the
-    plain error counter.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        code: Optional[str] = None,
-        *,
-        overload: bool = False,
-    ):
-        super().__init__(message)
-        self.code = code
-        self.overload = overload
 
 
 class _Connection:
@@ -227,13 +205,9 @@ class BaseProtocolServer:
             except asyncio.TimeoutError:
                 for task in self._tasks:
                     task.cancel()
-        await self._after_drain()
 
     def _before_drain(self) -> None:
         """Hook: flush work queued outside ``_tasks`` (batch buckets)."""
-
-    async def _after_drain(self) -> None:
-        """Hook: release downstream resources (the fleet's workers)."""
 
     async def serve_forever(self) -> None:
         """Run until cancelled."""
@@ -396,12 +370,8 @@ class BaseProtocolServer:
             tctx = obj.get("trace")
             if isinstance(tctx, dict):
                 trace_ctx = tctx
-            # Deadline-budget propagation: a request may carry the
-            # *remaining* budget of its original client deadline (the
-            # fleet router stamps this on every worker hop), and the
-            # effective deadline is never longer than what the caller
-            # has left — a retried or failed-over hop cannot outlive the
-            # budget the client started with.
+            # A request may carry a ``budget``: the effective deadline
+            # is never longer than what the caller says it has left.
             budget = obj.get("budget")
             if budget is not None:
                 if isinstance(budget, bool) or not isinstance(
@@ -413,9 +383,6 @@ class BaseProtocolServer:
                     deadline = 0.0
                     raise asyncio.TimeoutError
                 deadline = min(deadline, float(budget))
-            # Downstream hops (the router's _op_eval) read the absolute
-            # deadline to compute what budget remains to forward.
-            obj["_deadline_at"] = t0 + deadline
             # Probes bypass admission control: health checks must keep
             # answering on an overloaded or draining server.
             if obj["op"] in ("ping", "health"):
@@ -461,12 +428,6 @@ class BaseProtocolServer:
         except OracleUnavailable as e:
             self.metrics.record_error()
             response = error_response(req_id, str(e), code=e.code)
-        except RequestError as e:
-            if e.overload:
-                self.metrics.record_overload()
-            else:
-                self.metrics.record_error()
-            response = error_response(req_id, str(e), code=e.code)
         except ProtocolError as e:
             self.metrics.record_error()
             response = error_response(req_id, str(e))
@@ -486,8 +447,8 @@ class BaseProtocolServer:
         self.metrics.record_request(seconds)
         # Handlers interleave on the loop thread, so the request span is
         # recorded post hoc rather than held open across awaits.  A
-        # request that shipped its caller's span context (the router →
-        # worker hop) parents the span there instead of locally.
+        # request that shipped its caller's span context parents the
+        # span there instead of locally.
         get_tracer().record_span(
             "serve.request", ts, seconds,
             trace_id=trace_ctx.get("id"),

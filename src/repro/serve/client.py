@@ -20,19 +20,20 @@ safe; replayed evals are re-encoded in whatever protocol the *new*
 connection negotiated.  Once the attempt budget is exhausted the
 underlying ``ConnectionError`` propagates.
 
-:class:`AsyncServeClient` — the asyncio client the fleet router uses
-for its worker links (and the fleet benchmark uses for load).  Many
-requests may be in flight at once over one connection; a background
-reader resolves them by ``id``.  It does *not* reconnect by itself —
-its callers (the router) own retry policy and per-link circuit
-breakers, so a dead connection fails every pending future fast.
+:class:`AsyncServeClient` — the asyncio client the fleet uses for its
+private-port probes and fan-out (and the fleet benchmark uses for
+load).  Many requests may be in flight at once over one connection; a
+background reader resolves them by ``id``.  It does *not* reconnect by
+itself, so a dead connection fails every pending future fast.
+
+Neither client retries an *answered* request: an error response is the
+server's answer and is returned as-is.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import random
 import socket
 import time
 from typing import Any, Dict, List, Optional
@@ -59,36 +60,6 @@ _PROTOCOL_CHOICES = ("auto", "binary", "json")
 #: Reserved request id of the negotiation round trip (never collides
 #: with the integer ids the request machinery assigns).
 _NEGOTIATE_ID = "__negotiate__"
-
-
-def _retry_budget(obj: dict, fallback: float) -> float:
-    """Wall-clock cap for a client-side eval retry loop (seconds).
-
-    The request's own ``budget`` field when it carries one — retries
-    must never outlive the deadline the original request promised —
-    else ``fallback`` (the client timeout).
-    """
-    budget = obj.get("budget")
-    if isinstance(budget, (int, float)) and not isinstance(budget, bool):
-        return float(budget)
-    return fallback
-
-
-def _should_retry(obj: dict, resp: dict) -> bool:
-    """Is this response a retryable miss for this request?
-
-    Only ``eval`` is retried: evaluation is pure, so replaying it is
-    idempotent by construction.  Control ops (``stats``, ``flush``,
-    anything that might mutate or aggregate) are never retried, and the
-    only retryable error is ``worker_unavailable`` — a shard momentarily
-    between breaker-open and respawn, exactly the window the fleet's
-    supervisor is busy closing.
-    """
-    return (
-        obj.get("op") == "eval"
-        and resp.get("ok") is False
-        and resp.get("code") == "worker_unavailable"
-    )
 
 
 def _coerce_inputs(inputs) -> np.ndarray:
@@ -160,8 +131,6 @@ class ServeClient:
         array_results: bool = False,
         reconnect_attempts: int = 3,
         reconnect_backoff: float = 0.05,
-        retries: int = 0,
-        retry_backoff: float = 0.05,
     ):
         if protocol not in _PROTOCOL_CHOICES:
             raise ValueError(
@@ -174,10 +143,6 @@ class ServeClient:
         self.array_results = array_results
         self.reconnect_attempts = max(0, int(reconnect_attempts))
         self.reconnect_backoff = reconnect_backoff
-        #: Application-level eval retries on ``worker_unavailable``
-        #: (distinct from transport reconnects).  Off by default.
-        self.retries = max(0, int(retries))
-        self.retry_backoff = retry_backoff
         #: Lifetime count of successful reconnects (observable in tests).
         self.reconnects = 0
         #: The protocol this *connection* negotiated: ``"binary.v1"`` or
@@ -311,29 +276,8 @@ class ServeClient:
         return self._responses.pop(want_id)
 
     def request(self, obj: dict) -> dict:
-        """One synchronous round trip (eval retries, when enabled).
-
-        With ``retries > 0``, an ``eval`` answered ``worker_unavailable``
-        is re-sent after a jittered exponential backoff, bounded both by
-        the retry count and by the request's deadline budget (its own
-        ``budget`` field if set, else the client timeout) — a retry that
-        cannot finish inside the budget is not attempted.
-        """
-        resp = self._recv(self._send(obj))
-        if not self.retries or not _should_retry(obj, resp):
-            return resp
-        deadline = time.monotonic() + _retry_budget(obj, self._timeout)
-        for attempt in range(self.retries):
-            delay = (
-                self.retry_backoff * (2 ** attempt) * (0.5 + random.random())
-            )
-            if time.monotonic() + delay >= deadline:
-                break
-            time.sleep(delay)
-            resp = self._recv(self._send(obj))
-            if not _should_retry(obj, resp):
-                break
-        return resp
+        """One synchronous round trip."""
+        return self._recv(self._send(obj))
 
     # ------------------------------------------------------------------
     def eval(
@@ -351,9 +295,7 @@ class ServeClient:
         ``inputs`` may be a float64 ndarray — on a binary connection it
         ships as raw bytes with no conversion at all.  ``budget`` caps
         the server-side deadline (seconds): the server answers
-        ``deadline_exceeded`` rather than work past it, and a fleet
-        router forwards only the *remaining* budget on retried or
-        failed-over worker hops.
+        ``deadline_exceeded`` rather than work past it.
         """
         if not isinstance(inputs, np.ndarray):
             inputs = list(inputs)
@@ -414,11 +356,10 @@ class ServeClient:
 class AsyncServeClient:
     """Asyncio client with pipelined in-flight requests over one socket.
 
-    Built for the fleet router's worker links: ``request`` may be called
-    from many tasks at once; a background reader resolves responses by
-    id.  A transport failure fails *every* pending request with
-    :class:`ConnectionError` — reconnection is the caller's decision
-    (the router wraps each link in a circuit breaker).
+    ``request`` may be called from many tasks at once; a background
+    reader resolves responses by id.  A transport failure fails *every*
+    pending request with :class:`ConnectionError` — reconnection is the
+    caller's decision.
     """
 
     def __init__(
@@ -428,9 +369,6 @@ class AsyncServeClient:
         *,
         protocol: str = "auto",
         array_results: bool = True,
-        retries: int = 0,
-        retry_backoff: float = 0.05,
-        timeout: float = 30.0,
     ):
         if protocol not in _PROTOCOL_CHOICES:
             raise ValueError(
@@ -440,11 +378,6 @@ class AsyncServeClient:
         self._port = port
         self._want = protocol
         self.array_results = array_results
-        self._timeout = timeout
-        #: Application-level eval retries on ``worker_unavailable``
-        #: (never transport reconnects — the caller owns those).
-        self.retries = max(0, int(retries))
-        self.retry_backoff = retry_backoff
         self.protocol: Optional[str] = None
         self._framed = False
         self._next_id = 0
@@ -541,32 +474,7 @@ class AsyncServeClient:
                 )
 
     async def request(self, obj: dict) -> dict:
-        """Send one request; await its response (pipelining-safe).
-
-        With ``retries > 0``, an ``eval`` answered ``worker_unavailable``
-        is re-sent after a jittered exponential backoff, bounded by the
-        retry count and the request's deadline budget.  Transport
-        failures are *not* retried here — this client never reconnects
-        by itself.
-        """
-        resp = await self._request_once(obj)
-        if not self.retries or not _should_retry(obj, resp):
-            return resp
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + _retry_budget(obj, self._timeout)
-        for attempt in range(self.retries):
-            delay = (
-                self.retry_backoff * (2 ** attempt) * (0.5 + random.random())
-            )
-            if loop.time() + delay >= deadline:
-                break
-            await asyncio.sleep(delay)
-            resp = await self._request_once(obj)
-            if not _should_retry(obj, resp):
-                break
-        return resp
-
-    async def _request_once(self, obj: dict) -> dict:
+        """Send one request; await its response (pipelining-safe)."""
         if self._writer is None or self._closed or not self.connected:
             raise ConnectionError("client is not connected")
         self._next_id += 1
@@ -594,14 +502,11 @@ class AsyncServeClient:
         fmt=None,
         level: Optional[int] = None,
         mode: str = "rne",
-        trace: Optional[dict] = None,
         budget: Optional[float] = None,
     ) -> dict:
         """Evaluate a batch; returns the decoded response dict.
 
-        ``budget`` caps the server-side deadline (seconds); the fleet
-        router uses it to forward the *remaining* client budget on each
-        worker hop.
+        ``budget`` caps the server-side deadline (seconds).
         """
         if not isinstance(inputs, np.ndarray):
             inputs = list(inputs)
@@ -610,8 +515,6 @@ class AsyncServeClient:
             req["fmt"] = fmt
         if level is not None:
             req["level"] = level
-        if trace is not None:
-            req["trace"] = trace
         if budget is not None:
             req["budget"] = budget
         return await self.request(req)

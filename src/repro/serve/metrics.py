@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Union
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "BATCH_BOUNDS",
     "LATENCY_BOUNDS",
-    "FleetMetrics",
     "Histogram",
     "ServerMetrics",
+    "fleet_registry",
 ]
 
 #: Batch sizes: powers of two up to the default coalescing cap.
@@ -201,69 +201,22 @@ class ServerMetrics:
         return self.registry.to_prometheus()
 
 
-class FleetMetrics:
-    """Self-healing instrumentation for one fleet router.
-
-    Publishes into the router's :class:`ServerMetrics` registry so the
-    fleet's ``metrics`` op (and its Prometheus exposition) carries the
-    supervision story next to the request counters:
+def fleet_registry(rows: Sequence[dict]) -> MetricsRegistry:
+    """The fleet's supervision metrics, read off its slot table rows.
 
     * ``repro_fleet_worker_restarts_total{worker=i}`` — successful
       supervised respawns per worker slot;
-    * ``repro_fleet_failovers_total{worker=i}`` — evals re-routed away
-      from primary worker ``i`` to a replica;
-    * ``repro_fleet_failover_keys{worker=i}`` — gauge: how many shard
-      keys whose *primary* is worker ``i`` are currently served by
-      replicas (0 when the worker is healthy);
     * ``repro_fleet_workers_down`` — gauge: worker slots whose restart
       budget is exhausted (the supervisor gave up).
     """
-
-    def __init__(self, registry: MetricsRegistry, n_workers: int):
-        self.registry = registry
-        self.restarts: Dict[int, Counter] = {}
-        self.failovers: Dict[int, Counter] = {}
-        self.failover_keys: Dict[int, Gauge] = {}
-        for i in range(n_workers):
-            self.restarts[i] = registry.counter(
-                "repro_fleet_worker_restarts_total",
-                help="Supervised worker respawns.", worker=str(i),
-            )
-            self.failovers[i] = registry.counter(
-                "repro_fleet_failovers_total",
-                help="Evals failed over from this primary to a replica.",
-                worker=str(i),
-            )
-            self.failover_keys[i] = registry.gauge(
-                "repro_fleet_failover_keys",
-                help="Primary shard keys currently served by replicas.",
-                worker=str(i),
-            )
-        self.workers_down = registry.gauge(
-            "repro_fleet_workers_down",
-            help="Worker slots whose restart budget is exhausted.",
-        )
-
-    def record_restart(self, worker: int) -> None:
-        """One successful supervised respawn of a worker slot."""
-        self.restarts[worker].inc()
-
-    def record_failover(self, worker: int) -> None:
-        """One eval re-routed from primary ``worker`` to a replica."""
-        self.failovers[worker].inc()
-
-    def snapshot(self) -> dict:
-        """JSON-friendly totals for the fleet ``stats`` op."""
-        return {
-            "worker_restarts": {
-                str(i): int(c.value) for i, c in sorted(self.restarts.items())
-            },
-            "failovers": {
-                str(i): int(c.value) for i, c in sorted(self.failovers.items())
-            },
-            "failover_keys": {
-                str(i): int(g.value)
-                for i, g in sorted(self.failover_keys.items())
-            },
-            "workers_down": int(self.workers_down.value),
-        }
+    registry = MetricsRegistry()
+    for row in rows:
+        registry.counter(
+            "repro_fleet_worker_restarts_total",
+            help="Supervised worker respawns.", worker=str(row["worker"]),
+        ).inc(row["restarts"])
+    registry.gauge(
+        "repro_fleet_workers_down",
+        help="Worker slots whose restart budget is exhausted.",
+    ).set(sum(1 for row in rows if row["gave_up"]))
+    return registry

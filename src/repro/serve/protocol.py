@@ -17,14 +17,14 @@ pipelined and arrive out of order).  Operations:
     (:func:`repro.serve.tiers.default_tier_registry` — table / vector /
     scalar / oracle today), so a new tier extends responses without a
     protocol revision.  An optional ``"budget": <seconds>`` caps the
-    server-side deadline below the server default; a fleet router
-    forwards the *remaining* budget on every worker hop, so a retried
-    or failed-over request can never outlive the client's original
-    deadline.
+    server-side deadline below the server default.
 
 ``stats``
     Metrics snapshot (counters, batch-size and latency histograms,
     per-tier result counts).  ``"/stats"`` is accepted as an alias.
+    A fleet worker sums the per-key counters over every live worker;
+    ``"scope": "local"`` asks for the answering worker's own snapshot
+    (and likewise for ``metrics``).
 
 ``metrics``
     Unified observability dump: the response carries the metric
@@ -42,13 +42,13 @@ pipelined and arrive out of order).  Operations:
 ``health``
     Readiness/degradation probe: overall ``status`` (``ok`` /
     ``degraded`` / ``draining``), in-flight request count vs. the
-    pending bound, and the oracle-tier circuit breaker state.
+    pending bound, and the oracle-tier circuit breaker state.  A fleet
+    worker reports the fleet's status (``down`` when no slot is ok),
+    its own index as ``worker``, and one row per worker slot.
 
 Error responses may carry a machine-readable ``code`` (``overloaded``,
-``deadline_exceeded``, ``oracle_unavailable``, ``shutting_down``,
-``worker_unavailable`` — a fleet shard with no serving worker right
-now, the one code clients may safely retry) so clients can branch
-without parsing messages.
+``deadline_exceeded``, ``oracle_unavailable``, ``shutting_down``) so
+clients can branch without parsing messages.
 
 Floats in responses use Python's JSON extension tokens (``NaN``,
 ``Infinity``); the bundled client parses them, and bit patterns are the

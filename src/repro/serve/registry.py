@@ -81,8 +81,8 @@ def resolve_level_for(
 
     Accepts a format name (``"p16"``/``"bfloat16"``), a level index, an
     :class:`FPFormat`, or nothing (defaults to the widest format).
-    ``fmt`` given as an int is treated as a level.  Standalone so the
-    fleet router can resolve shard keys without loading any artifacts.
+    ``fmt`` given as an int is treated as a level.  Standalone so a
+    caller can resolve a request's level without loading any artifacts.
     """
     if fmt is not None and level is not None:
         raise ValueError("pass either fmt or level, not both")
@@ -123,16 +123,10 @@ class ServingRegistry:
         directory: Optional[Path] = None,
         names: Iterable[str] = FUNCTION_NAMES,
         oracle: Optional[Oracle] = None,
-        shard_roles: Optional[Dict[str, str]] = None,
     ):
         self.family = resolve_family(family)
         self.directory = directory
         self.oracle = oracle or Oracle()
-        #: ``fn -> "primary" | "replica" | "mixed"`` when this registry
-        #: is one fleet worker's shard; empty for standalone servers.
-        #: Purely descriptive — replicas load and serve identically to
-        #: primaries, which is what makes failover bit-identical.
-        self.shard_roles: Dict[str, str] = dict(shard_roles or {})
         self.pipelines: Dict[str, FunctionPipeline] = {}
         self.kernels: Dict[str, VectorizedFunction] = {}
         self.scalars: Dict[str, RlibmProgFunction] = {}
@@ -323,7 +317,7 @@ class ServingRegistry:
 
     def describe(self) -> dict:
         """The ``info`` op response body."""
-        info = {
+        return {
             "family": self.family.name,
             "formats": [f.display_name for f in self.family.formats],
             "levels": self.family.levels,
@@ -334,8 +328,3 @@ class ServingRegistry:
             },
             "compiled": dict(sorted(self.compiled_status.items())),
         }
-        if self.shard_roles:
-            info["shard_roles"] = {
-                fn: self.shard_roles[fn] for fn in sorted(self.shard_roles)
-            }
-        return info

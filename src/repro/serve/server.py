@@ -317,8 +317,9 @@ class ServerThread:
     """A serving loop on a daemon thread (tests, CI, notebooks).
 
     Runs a :class:`ServeServer` by default; subclasses override
-    :meth:`_make_server` to run any :class:`BaseProtocolServer` (the
-    fleet's :class:`~repro.serve.fleet.FleetThread` does).
+    :meth:`_make_server` to run anything with ``start``/``aclose``/
+    ``port`` (the fleet's :class:`~repro.serve.fleet.FleetThread` runs
+    a :class:`~repro.serve.fleet.FleetSupervisor`).
     """
 
     def __init__(self, registry: Optional[ServingRegistry], **server_kwargs):

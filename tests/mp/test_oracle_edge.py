@@ -231,3 +231,49 @@ class TestHugeIntegralInputs:
             assert got[f"{fn} -1 rne"] == got[f"{fn} -1 rna"] == 0
             assert got[f"{fn} -1 rtz"] == got[f"{fn} -1 rtn"] == 0
             assert got[f"{fn} -1 rtp"] == got[f"{fn} -1 rto"] == 1
+
+    def test_tight_value_refuses_beyond_double_range(self):
+        # ``tight_value`` bounds |f(x)| before ``exact_value`` may build
+        # 2 or 10 to a huge power; the child process keeps a regression
+        # from hanging the suite or exhausting the host's memory.
+        import resource
+        import subprocess
+        import sys
+
+        code = (
+            "from fractions import Fraction\n"
+            "from repro.mp import Oracle\n"
+            "for fn in ('exp2', 'exp10'):\n"
+            "    for sign in (1, -1):\n"
+            "        try:\n"
+            "            Oracle().tight_value(fn, Fraction(sign * 10**400), 53)\n"
+            "        except OverflowError:\n"
+            "            continue\n"
+            "        raise SystemExit(f'{fn} {sign}: no OverflowError')\n"
+            "print('refused')\n"
+        )
+        cap = 2 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, preexec_fn=limit,
+        )
+        assert proc.returncode == 0, proc.stderr + proc.stdout
+        assert proc.stdout.strip() == "refused"
+
+    def test_tight_value_constants_unchanged(self):
+        # The generators' reduction constants come from tight_value; the
+        # range bound must leave them bit-for-bit as they were.
+        oracle = Oracle()
+        assert oracle.tight_value("ln", Fraction(2), 90) == Fraction(
+            112469560253864905423137732870175, 1 << 107
+        )
+        assert oracle.tight_value("log2", Fraction(10), 90) == Fraction(
+            134753412588767471155406251227757, 1 << 105
+        )
+        assert oracle.tight_value("exp2", Fraction(-1074), 53) == Fraction(
+            1, 1 << 1074
+        )

@@ -128,3 +128,14 @@ class TestGenerate:
     def test_unknown_family(self):
         with pytest.raises(SystemExit):
             run_cli("generate", "--family", "nope")
+
+
+class TestServe:
+    def test_workers_need_so_reuseport(self, monkeypatch):
+        # The fleet shares one port through SO_REUSEPORT; a platform
+        # without it must get a clear error, not a traceback mid-start.
+        import socket
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        with pytest.raises(SystemExit, match="SO_REUSEPORT"):
+            run_cli("serve", "--family", "tiny", "--workers", "2", "--port", "0")
