@@ -33,6 +33,7 @@ import contextlib
 from pathlib import Path
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
 
+from .core.search import DEFAULT_PARAMS
 from .fp.format import FPFormat
 from .fp.rounding import IEEE_MODES, RoundingMode
 from .funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
@@ -112,8 +113,8 @@ def generate(
     fn: str,
     family: FamilyLike = "mini",
     *,
-    max_terms: int = 8,
-    seed: int = 0,
+    max_terms: int = DEFAULT_PARAMS["max_terms"],
+    seed: int = DEFAULT_PARAMS["seed"],
     jobs: int = 1,
     oracle: Optional[Oracle] = None,
     out_dir: Optional[Union[str, Path]] = None,

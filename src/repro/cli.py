@@ -28,44 +28,26 @@ import sys
 from pathlib import Path
 
 from . import api
+from .core.search import DEFAULT_PARAMS
 from .funcs import FAMILY_CONFIGS
 from .mp import FUNCTION_NAMES
 from .parallel.pool import start_method
 
-#: Deprecated alias (pre-facade name); use :data:`repro.funcs.FAMILY_CONFIGS`.
-FAMILIES = FAMILY_CONFIGS
-
 
 def _family_of(name: str):
-    """Family lookup with CLI error semantics.
-
-    Deprecated alias: use :func:`repro.api.resolve_family` in library code
-    (it raises ``ValueError`` instead of ``SystemExit``).
-    """
+    """Family lookup with CLI error semantics: an unknown family exits
+    with the message :func:`repro.api.resolve_family` raises."""
     try:
         return api.resolve_family(name)
     except ValueError as e:
         raise SystemExit(str(e))
 
 
-def _open_cli_oracle(path):
-    """Deprecated: use :func:`_cli_oracle_session` / ``api.oracle_session``,
-    which close the sqlite handle on every exit path."""
-    import sqlite3
-
-    from .parallel import open_oracle
-
-    try:
-        return open_oracle(path)
-    except sqlite3.Error as e:
-        raise SystemExit(f"cannot open --oracle-cache {path!r}: {e}")
-
-
 @contextlib.contextmanager
 def _cli_oracle_session(path):
     """Context-managed CLI oracle: sqlite open failures exit with the CLI
     message, and the cache handle is flushed/closed even when the command
-    body raises (the old ``_open_cli_oracle`` leaked it on error paths)."""
+    body raises."""
     import sqlite3
 
     session = api.oracle_session(path)
@@ -547,8 +529,8 @@ def main(argv=None) -> int:
     g = sub.add_parser("generate", help="generate progressive polynomials")
     g.add_argument("--family", default="mini")
     g.add_argument("--functions", nargs="*", default=list(FUNCTION_NAMES))
-    g.add_argument("--max-terms", type=int, default=8)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--max-terms", type=int, default=DEFAULT_PARAMS["max_terms"])
+    g.add_argument("--seed", type=int, default=DEFAULT_PARAMS["seed"])
     g.add_argument("--out-dir", default=None)
     g.add_argument(
         "--resume", action="store_true",
@@ -576,8 +558,8 @@ def main(argv=None) -> int:
     )
     dc.add_argument("--family", default="mini")
     dc.add_argument("--functions", nargs="*", default=list(FUNCTION_NAMES))
-    dc.add_argument("--max-terms", type=int, default=8)
-    dc.add_argument("--seed", type=int, default=0)
+    dc.add_argument("--max-terms", type=int, default=DEFAULT_PARAMS["max_terms"])
+    dc.add_argument("--seed", type=int, default=DEFAULT_PARAMS["seed"])
     dc.add_argument("--out-dir", default=None)
     dc.add_argument("--host", default="127.0.0.1")
     dc.add_argument("--port", type=int, default=8319)

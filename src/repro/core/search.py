@@ -6,7 +6,8 @@ counts: find the minimal total term count ``k1`` whose system the
 randomized Clarkson solver can satisfy, then greedily shrink the term
 counts of the smaller representations while the progressive constraints
 stay satisfiable.  If no single polynomial fits within the term budget the
-reduced domain is split into 2 or 4 sub-domains (the paper's cap).
+reduced domain is split into 2 or 4 sub-domains (the paper's cap; the
+round rule is :class:`Rounds`).
 Candidate polynomials are validated by re-running the *actual* double
 runtime on every generation input against the round-to-odd oracle
 intervals; residual failures (at most a handful, per the paper) are stored
@@ -31,7 +32,7 @@ from ..obs import span as obs_span
 from .clarkson import ClarksonResult, solve_constraints
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..funcs.base import FunctionPipeline
+    from ..funcs.base import FamilyConfig, FunctionPipeline
 from .constraints import ConstraintSystem, ReducedConstraint
 from .polynomial import ProgressivePolynomial
 
@@ -113,6 +114,125 @@ def piece_rng(seed: int, nsplits: int, piece_index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(nsplits), int(piece_index)])
 
 
+# ----------------------------------------------------------------------
+# Search parameters, work-unit ids and the round policy
+# ----------------------------------------------------------------------
+#: The search parameters' defaults, read by every entry point: the
+#: paper's caps of 4 sub-domains and 4 special inputs per sub-domain.
+DEFAULT_PARAMS = {
+    "max_terms": 8,
+    "max_subdomains": 4,
+    "max_specials": 4,
+    "max_iterations": 48,
+    "seed": 0,
+}
+
+#: Bump when the artifact byte format or search semantics change in a
+#: way that invalidates previously generated artifacts.
+GENERATION_FORMAT_VERSION = 2  # v2: per-piece RNG derivation
+
+#: The deterministic counters a piece unit reports; summed over every
+#: round, they are the artifact's search stats.
+COUNTERS = ("clarkson_iterations", "lp_solves", "configs_tried")
+
+
+def search_identity(fn: str, config: "FamilyConfig", params: Dict[str, int]) -> dict:
+    """Everything that determines ``fn``'s artifact bytes: the function,
+    the structure of the family's format tower and reduction tables, the
+    effective search parameters and the artifact format version.  The
+    search's journal header and the distributed run's
+    incremental-regeneration hash are both built from it."""
+    return {
+        "fn": fn,
+        "family": {
+            "name": config.name,
+            "formats": [[f.total_bits, f.exponent_bits] for f in config.formats],
+            "log_table_bits": config.log_table_bits,
+            "exp_table_bits": config.exp_table_bits,
+            "trig_table_bits": config.trig_table_bits,
+        },
+        "params": dict(params),
+        "format_version": GENERATION_FORMAT_VERSION,
+    }
+
+
+def piece_unit_id(fn: str, nsplits: int, piece_index: int) -> str:
+    return f"{fn}/{nsplits}/{piece_index}"
+
+
+def assemble_unit_id(fn: str, nsplits: int) -> str:
+    return f"{fn}/{nsplits}/assemble"
+
+
+def parse_unit_id(unit_id: str) -> Tuple[str, int, Optional[int]]:
+    """``(fn, nsplits, piece_index-or-None-for-assemble)``."""
+    fn, nstr, last = unit_id.rsplit("/", 2)
+    return fn, int(nstr), None if last == "assemble" else int(last)
+
+
+class Rounds:
+    """The round policy of one function's progressive search.
+
+    The first round searches one sub-domain; after an unsatisfiable
+    round the split count doubles while it stays within
+    ``max_subdomains``, then the search gives up.  ``results`` maps unit
+    ids to result dicts (:class:`PieceUnitResult` fields) over every
+    round.  No I/O: the single-host loop and the distributed coordinator
+    each drive one per function, so both plan the same rounds, sum the
+    same counters and give up with the same message.
+    """
+
+    def __init__(self, fn: str, max_terms: int, max_subdomains: int):
+        if max_subdomains < 1:
+            raise ValueError(
+                f"max_subdomains must be at least 1, not {max_subdomains}"
+            )
+        self.fn = fn
+        self.max_terms = max_terms
+        self.max_subdomains = max_subdomains
+        self.nsplits = 1
+        self.results: Dict[str, dict] = {}
+        self.failure: Optional[str] = None
+
+    def piece_ids(self) -> List[str]:
+        """The current round's piece unit ids, in piece order."""
+        return [piece_unit_id(self.fn, self.nsplits, i) for i in range(self.nsplits)]
+
+    def round_results(self) -> Optional[List[dict]]:
+        """The current round's piece results; None while one is missing."""
+        ids = self.piece_ids()
+        if any(uid not in self.results for uid in ids):
+            return None
+        return [self.results[uid] for uid in ids]
+
+    def counters(self) -> Dict[str, int]:
+        """The deterministic counters summed over every piece result."""
+        out = dict.fromkeys(COUNTERS, 0)
+        for uid, result in self.results.items():
+            if parse_unit_id(uid)[2] is not None:  # assemble results: none
+                for key in COUNTERS:
+                    out[key] += int(result.get("stats", {}).get(key, 0))
+        return out
+
+    def split(self, reason: str) -> bool:
+        """Close the current round as unsatisfiable for ``reason``; True
+        when a next round follows, False when the budget is spent."""
+        self.failure = reason
+        nsplits = self.nsplits * 2
+        if nsplits > self.max_subdomains:
+            return False
+        self.nsplits = nsplits
+        return True
+
+    def error(self) -> GenerationError:
+        """The give-up error of an exhausted search."""
+        return GenerationError(
+            f"could not generate {self.fn} within {self.max_terms} terms and "
+            f"{self.max_subdomains} sub-domains"
+            + (f" ({self.failure})" if self.failure else "")
+        )
+
+
 def collect_constraints(
     pipeline: "FunctionPipeline",
     inputs_per_level: Optional[Sequence[Sequence]] = None,
@@ -168,11 +288,11 @@ def collect_constraints(
 def generate_function(
     pipeline: "FunctionPipeline",
     inputs_per_level: Optional[Sequence[Sequence]] = None,
-    max_terms: int = 8,
-    max_subdomains: int = 4,
-    max_specials: int = 4,
-    max_iterations: int = 48,
-    seed: int = 0,
+    max_terms: int = DEFAULT_PARAMS["max_terms"],
+    max_subdomains: int = DEFAULT_PARAMS["max_subdomains"],
+    max_specials: int = DEFAULT_PARAMS["max_specials"],
+    max_iterations: int = DEFAULT_PARAMS["max_iterations"],
+    seed: int = DEFAULT_PARAMS["seed"],
     progress=None,
     jobs: int = 1,
     timings: Optional["PhaseTimings"] = None,
@@ -185,24 +305,84 @@ def generate_function(
     in-process); results are bit-identical for any worker count.
 
     The search runs the same idempotent piece units as the distributed
-    coordinator (:func:`search_piece_unit`, :func:`assemble_function`).
-    ``journal_path`` journals every finished unit; with ``resume=True``
-    a journal of the same search supplies its units instead of
-    recomputing them, so a killed run continues from where it died and
-    produces an artifact byte-identical to an uninterrupted one.  The
-    journal is deleted on success.
+    coordinator (:func:`search_piece_unit`, :func:`assemble_function`),
+    in the rounds :class:`Rounds` plans (``max_subdomains`` below 1 is a
+    ``ValueError``).  ``journal_path`` journals every finished unit; with
+    ``resume=True`` a journal of the same search supplies its units
+    instead of recomputing them, so a killed run continues from where it
+    died and produces an artifact byte-identical to an uninterrupted
+    one.  The journal is deleted on success.
     """
+    from ..obs import PhaseTimings
+    from ..resilience import checkpoint
+    from ..resilience.faults import maybe_raise
+
+    rounds = Rounds(pipeline.name, max_terms, max_subdomains)
+    params = dict(
+        max_terms=max_terms, max_subdomains=max_subdomains,
+        max_specials=max_specials, max_iterations=max_iterations, seed=seed,
+    )
+    t0 = time.perf_counter()
+    timings = timings if timings is not None else PhaseTimings()
+    jobs = max(1, int(jobs or 1))
     with obs_span(
-        "search.generate",
-        fn=pipeline.name,
-        family=pipeline.family.name,
-        jobs=max(1, int(jobs or 1)),
+        "search.generate", fn=pipeline.name, family=pipeline.family.name,
+        jobs=jobs,
     ) as sp:
-        gen = _generate_function(
-            pipeline, inputs_per_level, max_terms, max_subdomains,
-            max_specials, max_iterations, seed, progress, jobs, timings,
-            journal_path, resume,
+        constraints, forced_specials = collect_constraints(
+            pipeline, inputs_per_level, progress, jobs=jobs, timings=timings
         )
+        power_cache: dict = {}
+        journal, replayed = None, {}
+        if journal_path is not None:
+            # The checkpoint module's names are looked up at call time,
+            # so wrappers installed on them see every journal write.
+            journal, replayed = checkpoint.open_checkpoint(journal_path, {
+                "type": "run",
+                **search_identity(pipeline.name, pipeline.family, params),
+                "constraints": len(constraints),
+            }, resume)
+            if replayed and progress:
+                progress(f"{pipeline.name}: resuming with {len(replayed)} unit(s) done")
+        try:
+            while True:
+                for pi, uid in enumerate(rounds.piece_ids()):
+                    result = replayed.get(uid)
+                    if result is None:
+                        result = asdict(search_piece_unit(
+                            pipeline, constraints, rounds.nsplits, pi,
+                            params=params, power_cache=power_cache,
+                            timings=timings,
+                        ))
+                        if journal is not None:
+                            checkpoint.save_checkpoint(journal, {
+                                "type": "done", "unit": uid, "result": result,
+                            })
+                            maybe_raise("search.crash")
+                    rounds.results[uid] = result
+                try:
+                    gen = assemble_function(
+                        pipeline, constraints, forced_specials,
+                        [PieceUnitResult(**r) for r in rounds.round_results()],
+                        rounds.counters(), max_specials, timings=timings,
+                    )
+                    break
+                except GenerationError as e:
+                    if not rounds.split(str(e)):
+                        raise rounds.error() from e
+                    if progress:
+                        progress(
+                            f"{pipeline.name}: splitting into "
+                            f"{rounds.nsplits} sub-domains"
+                        )
+            if journal is not None:
+                checkpoint.delete_checkpoint(journal)
+        finally:
+            if journal is not None:
+                journal.close()
+        gen.stats.jobs = jobs
+        gen.stats.wall_seconds = time.perf_counter() - t0
+        gen.stats.phase_seconds = timings.as_dict()
         sp.set(
             pieces=gen.num_pieces,
             specials=len(gen.specials),
@@ -211,105 +391,6 @@ def generate_function(
             constraints=gen.stats.constraints,
         )
         return gen
-
-
-def _generate_function(
-    pipeline: "FunctionPipeline",
-    inputs_per_level: Optional[Sequence[Sequence]],
-    max_terms: int,
-    max_subdomains: int,
-    max_specials: int,
-    max_iterations: int,
-    seed: int,
-    progress,
-    jobs: int,
-    timings: Optional["PhaseTimings"],
-    journal_path: Optional[str],
-    resume: bool,
-) -> GeneratedFunction:
-    from ..dist.units import (
-        GENERATION_FORMAT_VERSION,
-        family_fingerprint,
-        piece_unit_id,
-    )
-    from ..obs import PhaseTimings
-    from ..resilience import checkpoint
-    from ..resilience.faults import maybe_raise
-
-    t0 = time.perf_counter()
-    timings = timings if timings is not None else PhaseTimings()
-    stats = GenerationStats(jobs=max(1, int(jobs or 1)))
-    constraints, forced_specials = collect_constraints(
-        pipeline, inputs_per_level, progress, jobs=jobs, timings=timings
-    )
-    stats.constraints = len(constraints)
-    power_cache: dict = {}
-    journal, replayed = None, {}
-    if journal_path is not None:
-        # The checkpoint module's names are looked up at call time, so
-        # wrappers installed on them see every journal write.
-        journal, replayed = checkpoint.open_checkpoint(journal_path, {
-            "type": "run",
-            "fn": pipeline.name,
-            "family": family_fingerprint(pipeline.family),
-            "levels": pipeline.family.levels,
-            "max_terms": max_terms,
-            "max_subdomains": max_subdomains,
-            "max_specials": max_specials,
-            "max_iterations": max_iterations,
-            "seed": seed,
-            "constraints": len(constraints),
-            "format_version": GENERATION_FORMAT_VERSION,
-        }, resume)
-        if replayed and progress:
-            progress(f"{pipeline.name}: resuming with {len(replayed)} unit(s) done")
-    failure: Optional[GenerationError] = None
-    try:
-        nsplits = 1
-        while nsplits <= max_subdomains:
-            units = []
-            for pi in range(nsplits):
-                uid = piece_unit_id(pipeline.name, nsplits, pi)
-                if uid in replayed:
-                    unit = PieceUnitResult(**replayed[uid])
-                else:
-                    unit = search_piece_unit(
-                        pipeline, constraints, nsplits, pi,
-                        max_terms=max_terms, max_iterations=max_iterations,
-                        max_specials=max_specials, seed=seed,
-                        power_cache=power_cache, timings=timings,
-                    )
-                    if journal is not None:
-                        checkpoint.save_checkpoint(journal, {
-                            "type": "done", "unit": uid, "result": asdict(unit),
-                        })
-                        maybe_raise("search.crash")
-                for name, delta in unit.stats.items():
-                    setattr(stats, name, getattr(stats, name) + delta)
-                units.append(unit)
-            try:
-                gen = assemble_function(
-                    pipeline, constraints, forced_specials, units, stats,
-                    max_specials, timings=timings,
-                )
-            except GenerationError as e:
-                failure = e
-                nsplits *= 2
-                if progress and nsplits <= max_subdomains:
-                    progress(f"{pipeline.name}: splitting into {nsplits} sub-domains")
-                continue
-            stats.wall_seconds = time.perf_counter() - t0
-            stats.phase_seconds = timings.as_dict()
-            if journal is not None:
-                checkpoint.delete_checkpoint(journal)
-            return gen
-    finally:
-        if journal is not None:
-            journal.close()
-    raise GenerationError(
-        f"could not generate {pipeline.name} within {max_terms} terms and "
-        f"{max_subdomains} sub-domains" + (f" ({failure})" if failure else "")
-    ) from failure
 
 
 # ----------------------------------------------------------------------
@@ -584,8 +665,8 @@ class PieceUnitResult:
     Everything in here is JSON-serializable so workers can ship it over
     the wire; ``piece`` is the artifact piece dict (or None when the
     sub-domain is unsatisfiable at the term budget) and ``stats`` holds
-    the unit's deterministic counter deltas, which the coordinator sums
-    — addition is commutative, so completion order does not matter.
+    the unit's deterministic counter deltas, which :meth:`Rounds.counters`
+    sums — addition is commutative, so completion order does not matter.
     """
 
     nsplits: int
@@ -600,18 +681,16 @@ def search_piece_unit(
     constraints: Sequence[ReducedConstraint],
     nsplits: int,
     piece_index: int,
+    params: Dict[str, int],
     *,
-    max_terms: int = 8,
-    max_iterations: int = 48,
-    max_specials: int = 4,
-    seed: int = 0,
     power_cache: Optional[dict] = None,
     timings=None,
 ) -> PieceUnitResult:
     """Search one sub-domain piece as a self-contained work unit.
 
     Deterministic in its arguments: the piece draws from
-    ``piece_rng(seed, nsplits, piece_index)``, so re-running the unit —
+    ``piece_rng(params["seed"], nsplits, piece_index)``, so re-running the
+    unit —
     on another host, after a lease expiry, or twice concurrently —
     yields byte-identical results.  The full constraint set is split
     locally (``_split_by_r`` is deterministic), so workers only need the
@@ -628,8 +707,10 @@ def search_piece_unit(
         constraints=len(buckets[piece_index]),
     ) as psp:
         result = _search_piece(
-            pipeline, buckets[piece_index], max_terms, max_iterations,
-            piece_rng(seed, nsplits, piece_index), stats, max_specials,
+            pipeline, buckets[piece_index], params["max_terms"],
+            params["max_iterations"],
+            piece_rng(params["seed"], nsplits, piece_index), stats,
+            params["max_specials"],
             power_cache, timings,
         )
         psp.set(satisfiable=result is not None)
@@ -646,11 +727,7 @@ def search_piece_unit(
         piece_index=piece_index,
         piece=piece_dict,
         failure_count=failure_count,
-        stats={
-            "clarkson_iterations": stats.clarkson_iterations,
-            "lp_solves": stats.lp_solves,
-            "configs_tried": stats.configs_tried,
-        },
+        stats={key: getattr(stats, key) for key in COUNTERS},
     )
 
 
@@ -659,11 +736,14 @@ def assemble_function(
     constraints: Sequence[ReducedConstraint],
     forced_specials: Dict[Tuple[int, float], float],
     unit_results: Sequence[PieceUnitResult],
-    stats: GenerationStats,
-    max_specials: int = 4,
+    counters: Dict[str, int],
+    max_specials: int,
     timings=None,
 ) -> GeneratedFunction:
     """Assemble one round's piece units into a finished artifact.
+
+    ``counters`` are the search counters summed over every round so far
+    (:meth:`Rounds.counters`); they become the artifact's stats.
 
     Raises :class:`GenerationError` when any piece was unsatisfiable,
     the Clarkson failure counts blow the round's special-case budget, or
@@ -695,7 +775,7 @@ def assemble_function(
         pipeline.family.name,
         [piece_from_dict(u.piece) for u in units],
         dict(forced_specials),
-        stats,
+        GenerationStats(constraints=len(constraints), **counters),
     )
     from ..obs import PhaseTimings
 

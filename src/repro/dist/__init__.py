@@ -14,10 +14,11 @@ coordinator + worker fleet behind one call.
 
 from importlib import import_module
 
-#: Public name -> the submodule defining it.  Imported on first use: the
-#: single-host search journals through :mod:`repro.dist.journal` and
-#: names units with :mod:`repro.dist.units`, and should not pay for the
-#: coordinator's network stack to do so.
+#: Public name -> the module defining it, relative to this package.
+#: Imported on first use: the single-host search journals through
+#: :mod:`repro.dist.journal`, and should not pay for the coordinator's
+#: network stack to do so.  Unit ids, the search defaults and the round
+#: policy are :mod:`repro.core.search`'s, shared by both executors.
 _EXPORTS = {
     **dict.fromkeys(("JOURNAL_NAME", "DistCoordinator"), "coordinator"),
     **dict.fromkeys(
@@ -25,7 +26,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("Journal", "JournalError", "ReplayResult", "encode_record",
-         "replay_journal"),
+         "open_run_journal", "replay_journal"),
         "journal",
     ),
     **dict.fromkeys(
@@ -33,11 +34,14 @@ _EXPORTS = {
         "leases",
     ),
     **dict.fromkeys(
-        ("DEFAULT_PARAMS", "GENERATION_FORMAT_VERSION", "MANIFEST_NAME",
-         "GenerateSpec", "assemble_unit_id", "fn_inputs_hash",
-         "incremental_hit", "load_manifest", "manifest_path",
-         "parse_unit_id", "piece_unit_id", "update_manifest"),
+        ("MANIFEST_NAME", "GenerateSpec", "fn_inputs_hash", "incremental_hit",
+         "load_manifest", "manifest_path", "update_manifest"),
         "units",
+    ),
+    **dict.fromkeys(
+        ("DEFAULT_PARAMS", "GENERATION_FORMAT_VERSION", "Rounds",
+         "assemble_unit_id", "parse_unit_id", "piece_unit_id"),
+        ".core.search",
     ),
     "DistWorker": "worker",
 }

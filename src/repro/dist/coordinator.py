@@ -26,10 +26,11 @@ come from the base; this class adds the ``dist.*`` control ops:
 
 Scheduling policy: a round of ``nsplits`` piece units per function; when
 all pieces of a round complete, one assemble unit re-verifies and builds
-the artifact — or reports the round unsatisfiable, which doubles
-``nsplits`` (the paper's sub-domain cap bounds the rounds).  A unit whose
-attempts (failures + lease expiries) exhaust the budget is *parked* and
-fails its function rather than poisoning more workers.
+the artifact — or reports the round unsatisfiable, and the function's
+:class:`~repro.core.search.Rounds` (the single-host loop's round policy)
+plans the next round or gives up.  A unit whose attempts (failures +
+lease expiries) exhaust the budget is *parked* and fails its function
+rather than poisoning more workers.
 """
 
 from __future__ import annotations
@@ -38,25 +39,24 @@ import asyncio
 import logging
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from ..core.search import Rounds, assemble_unit_id, parse_unit_id
 from ..envcfg import env_float, env_int
 from ..libm.artifacts import generated_from_dict, save_generated
 from ..obs import get_registry, get_tracer
 from ..resilience.faults import maybe_fire
 from ..serve.base import BaseProtocolServer
 from ..serve.protocol import ProtocolError
-from .journal import Journal
+from .journal import Journal, open_run_journal
 from .leases import DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS, LeaseManager
 from .units import (
     GenerateSpec,
-    assemble_unit_id,
     fn_inputs_hash,
     incremental_hit,
     load_manifest,
-    parse_unit_id,
-    piece_unit_id,
     update_manifest,
 )
 
@@ -68,41 +68,16 @@ JOURNAL_NAME = "dist-journal.bin"
 _PIECES, _ASSEMBLE, _DONE, _FAILED = "pieces", "assemble", "done", "failed"
 
 
+@dataclass
 class _FnState:
-    """Scheduling state of one function in the run."""
+    """Scheduling state of one function, beside its round policy (which
+    holds the round's split count and every unit result)."""
 
-    __slots__ = (
-        "fn", "nsplits", "status", "results", "artifact_path", "spliced",
-        "reason",
-    )
-
-    def __init__(self, fn: str):
-        self.fn = fn
-        self.nsplits = 0  # no round planned yet
-        self.status = _PIECES
-        #: unit id -> result dict, across every round (failed rounds'
-        #: counters still flow into the artifact stats, exactly like the
-        #: single-host loop's accumulating GenerationStats).
-        self.results: Dict[str, dict] = {}
-        self.artifact_path: Optional[Path] = None
-        self.spliced = False
-        self.reason: Optional[str] = None
-
-    def counters(self) -> Dict[str, int]:
-        """Deterministic search counters summed over every piece unit."""
-        out = {"clarkson_iterations": 0, "lp_solves": 0, "configs_tried": 0}
-        for uid, result in self.results.items():
-            if parse_unit_id(uid)[2] is None:
-                continue  # assemble results carry no counters
-            for key in out:
-                out[key] += int(result.get("stats", {}).get(key, 0))
-        return out
-
-    def round_piece_ids(self) -> List[str]:
-        return [
-            piece_unit_id(self.fn, self.nsplits, i)
-            for i in range(self.nsplits)
-        ]
+    rounds: Rounds
+    status: Optional[str] = None  # None until a round is planned
+    artifact_path: Optional[Path] = None
+    spliced: bool = False
+    reason: Optional[str] = None
 
 
 class DistCoordinator(BaseProtocolServer):
@@ -145,7 +120,7 @@ class DistCoordinator(BaseProtocolServer):
         )
         self.journal: Optional[Journal] = None
         self._fns: Dict[str, _FnState] = {
-            fn: _FnState(fn) for fn in spec.functions
+            fn: _FnState(spec.rounds(fn)) for fn in spec.functions
         }
         self._workers: Dict[str, float] = {}
         self._sweep_task: Optional[asyncio.Task] = None
@@ -210,22 +185,11 @@ class DistCoordinator(BaseProtocolServer):
     # -- journal -------------------------------------------------------
     def _open_journal_and_replay(self) -> None:
         path = self.out_dir / JOURNAL_NAME
-        journal, records = Journal.open(path, fsync=self._journal_fsync)
         live_hash = self.spec.spec_hash()
-        if records and (
-            records[0].get("type") != "run"
-            or records[0].get("spec_hash") != live_hash
-        ):
-            # A journal from a different run cannot be resumed; rotate
-            # it aside rather than mixing two runs' histories.
-            journal.close()
-            stale = path.with_name(path.name + ".stale")
-            path.replace(stale)
-            logger.warning(
-                "journal %s belongs to another spec; rotated to %s",
-                path.name, stale.name,
-            )
-            journal, records = Journal.open(path, fsync=self._journal_fsync)
+        journal, records = open_run_journal(
+            path, lambda head: head.get("spec_hash") == live_hash,
+            fsync=self._journal_fsync,
+        )
         if any(r.get("type") == "run_done" for r in records):
             # The previous run finished; its history is dead weight.  A
             # fresh journal starts and the *manifest* decides what can
@@ -244,20 +208,20 @@ class DistCoordinator(BaseProtocolServer):
             "replaying %d journal records from %s", len(records), path.name
         )
         for record in records[1:]:
-            self._apply_record(record, replay=True)
+            self._apply_record(record)
 
     def _journal_append(self, record: dict) -> None:
         assert self.journal is not None
         self.journal.append(record)
         self._counter("repro_dist_journal_records_total").inc()
 
-    def _apply_record(self, record: dict, *, replay: bool) -> None:
-        """One state transition, shared by live handling and replay."""
+    def _apply_record(self, record: dict) -> None:
+        """Replay one journaled state transition."""
         rtype = record.get("type")
-        if rtype == "plan":
-            self._apply_plan(record["fn"], int(record["nsplits"]))
+        if rtype == "plan":  # its nsplits is the replayed Rounds' own
+            self._apply_plan(record["fn"])
         elif rtype == "done":
-            self._apply_done(record["unit"], record["result"], replay=replay)
+            self._apply_done(record["unit"], record["result"])
         elif rtype == "fail":
             self.leases.record_failed_attempt(record["unit"])
         elif rtype == "park":
@@ -272,7 +236,7 @@ class DistCoordinator(BaseProtocolServer):
         """Plan round 1 (or splice a clean artifact) for untouched fns."""
         manifest = load_manifest(self.out_dir) if self.incremental else {}
         for fn, state in self._fns.items():
-            if state.status in (_DONE, _FAILED) or state.nsplits:
+            if state.status is not None:
                 continue
             inputs_hash = fn_inputs_hash(self.spec, fn)
             artifact_name = f"{self.spec.family}_{fn}.json"
@@ -291,40 +255,41 @@ class DistCoordinator(BaseProtocolServer):
                 )
                 logger.info("%s: unchanged inputs; spliced %s", fn, hit.name)
                 continue
-            self._plan_round(fn, 1)
+            self._plan_round(fn)
         # Replayed functions whose round finished right before the crash
         # may still owe an assemble unit.
-        for fn, state in self._fns.items():
-            if state.status == _PIECES and state.nsplits:
+        for state in self._fns.values():
+            if state.status == _PIECES:
                 self._maybe_schedule_assemble(state)
 
-    def _plan_round(self, fn: str, nsplits: int) -> None:
+    def _plan_round(self, fn: str) -> None:
+        nsplits = self._fns[fn].rounds.nsplits
         self._journal_append({"type": "plan", "fn": fn, "nsplits": nsplits})
-        self._apply_plan(fn, nsplits)
+        self._apply_plan(fn)
 
-    def _apply_plan(self, fn: str, nsplits: int) -> None:
+    def _apply_plan(self, fn: str) -> None:
         state = self._fns[fn]
-        state.nsplits = nsplits
         state.status = _PIECES
         self.leases.add_units(
-            uid for uid in state.round_piece_ids()
-            if uid not in state.results
+            uid for uid in state.rounds.piece_ids()
+            if uid not in state.rounds.results
         )
 
     def _maybe_schedule_assemble(self, state: _FnState) -> None:
-        if any(uid not in state.results for uid in state.round_piece_ids()):
+        rounds = state.rounds
+        if rounds.round_results() is None:
             return
         state.status = _ASSEMBLE
-        uid = assemble_unit_id(state.fn, state.nsplits)
-        if uid not in state.results:
+        uid = assemble_unit_id(rounds.fn, rounds.nsplits)
+        if uid not in rounds.results:
             self.leases.add_units([uid])
         else:
             # Crash landed between the assemble 'done' record and acting
             # on it: apply the stored result now.
-            self._apply_assemble_result(state, state.results[uid])
+            self._apply_assemble_result(state, rounds.results[uid])
 
     # -- unit completion -----------------------------------------------
-    def _apply_done(self, uid: str, result: dict, *, replay: bool) -> None:
+    def _apply_done(self, uid: str, result: dict) -> None:
         fn, nsplits, piece_index = parse_unit_id(uid)
         state = self._fns.get(fn)
         if state is None:
@@ -333,49 +298,48 @@ class DistCoordinator(BaseProtocolServer):
         if not self.leases.complete(uid):
             self._counter("repro_dist_duplicate_results_total").inc()
             return
-        state.results[uid] = result
+        state.rounds.results[uid] = result
         if piece_index is not None:
-            if state.status == _PIECES and nsplits == state.nsplits:
+            if state.status == _PIECES and nsplits == state.rounds.nsplits:
                 self._maybe_schedule_assemble(state)
         else:
             self._apply_assemble_result(state, result)
 
     def _apply_assemble_result(self, state: _FnState, result: dict) -> None:
+        rounds = state.rounds
         if result.get("ok"):
             gen = generated_from_dict(result["artifact"])
             # save_generated is atomic + durable, and the bytes are a
             # pure function of the spec — re-writing on replay is
             # idempotent.
             state.artifact_path = save_generated(gen, self.out_dir)
-            inputs_hash = fn_inputs_hash(self.spec, state.fn)
+            inputs_hash = fn_inputs_hash(self.spec, rounds.fn)
             update_manifest(
-                self.out_dir, state.fn, inputs_hash, state.artifact_path
+                self.out_dir, rounds.fn, inputs_hash, state.artifact_path
             )
             state.status = _DONE
             self._journal_append(
-                {"type": "fn_done", "fn": state.fn,
+                {"type": "fn_done", "fn": rounds.fn,
                  "inputs_hash": inputs_hash,
                  "artifact": state.artifact_path.name}
             )
             logger.info(
                 "%s: artifact complete (%d sub-domains)",
-                state.fn, state.nsplits,
+                rounds.fn, rounds.nsplits,
             )
             self._check_run_complete()
             return
-        # Round unsatisfiable: double the split count or give up, the
-        # same budget rule as the single-host search loop.
+        # Round unsatisfiable: the round policy plans the next round or
+        # gives up, exactly as in the single-host search loop.
         reason = result.get("generation_error", "round failed")
-        next_splits = state.nsplits * 2
-        max_subdomains = self.spec.params_for(state.fn)["max_subdomains"]
-        if next_splits <= max_subdomains:
+        if rounds.split(reason):
             logger.info(
-                "%s: round of %d unsatisfiable (%s); splitting into %d",
-                state.fn, state.nsplits, reason, next_splits,
+                "%s: round unsatisfiable (%s); splitting into %d",
+                rounds.fn, reason, rounds.nsplits,
             )
-            self._plan_round(state.fn, next_splits)
+            self._plan_round(rounds.fn)
         else:
-            self._fail_fn(state, reason)
+            self._fail_fn(state, str(rounds.error()))
 
     def _park_unit(self, uid: str, reason: str) -> None:
         self._journal_append({"type": "park", "unit": uid, "reason": reason})
@@ -390,16 +354,17 @@ class DistCoordinator(BaseProtocolServer):
             self._fail_fn(state, f"unit {uid} parked: {reason}")
 
     def _fail_fn(self, state: _FnState, reason: str) -> None:
+        fn = state.rounds.fn
         state.status = _FAILED
         state.reason = reason
         self._journal_append(
-            {"type": "fn_failed", "fn": state.fn, "reason": reason}
+            {"type": "fn_failed", "fn": fn, "reason": reason}
         )
         # Sibling units can no longer contribute; stop granting them.
         for uid in list(self.leases.pending):
-            if parse_unit_id(uid)[0] == state.fn:
+            if parse_unit_id(uid)[0] == fn:
                 self.leases.park(uid, "function failed")
-        logger.error("%s: generation failed: %s", state.fn, reason)
+        logger.error("%s: generation failed: %s", fn, reason)
         self._check_run_complete()
 
     def _check_run_complete(self) -> None:
@@ -470,7 +435,7 @@ class DistCoordinator(BaseProtocolServer):
 
     def _unit_payload(self, uid: str) -> dict:
         fn, nsplits, piece_index = parse_unit_id(uid)
-        state = self._fns[fn]
+        rounds = self._fns[fn].rounds
         payload = {
             "id": uid,
             "fn": fn,
@@ -483,11 +448,8 @@ class DistCoordinator(BaseProtocolServer):
             payload["piece_index"] = piece_index
         else:
             payload["kind"] = "assemble"
-            payload["units"] = [
-                state.results[piece_id]
-                for piece_id in state.round_piece_ids()
-            ]
-            payload["counters"] = state.counters()
+            payload["units"] = rounds.round_results()
+            payload["counters"] = rounds.counters()
         return payload
 
     def _op_heartbeat(self, obj: dict) -> dict:
@@ -511,7 +473,7 @@ class DistCoordinator(BaseProtocolServer):
                 {"type": "done", "unit": uid, "result": result,
                  "worker": worker}
             )
-        self._apply_done(uid, result, replay=False)
+        self._apply_done(uid, result)
         self._update_gauges()
         return {"ok": True, "accepted": first}
 
@@ -541,7 +503,7 @@ class DistCoordinator(BaseProtocolServer):
             "functions": {
                 fn: {
                     "status": s.status,
-                    "nsplits": s.nsplits,
+                    "nsplits": s.rounds.nsplits,
                     "spliced": s.spliced,
                     "reason": s.reason,
                     "artifact": (

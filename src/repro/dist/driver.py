@@ -181,8 +181,9 @@ def run_distributed(
             thread.stop()
         failed = coordinator.failed_functions()
     if failed:
-        details = "; ".join(f"{fn}: {why}" for fn, why in sorted(failed.items()))
-        raise GenerationError(f"distributed generation failed: {details}")
+        # Each reason names its function; an exhausted search reads
+        # exactly as the single-host search's error does.
+        raise GenerationError("; ".join(why for _, why in sorted(failed.items())))
     out = {}
     for fn, info in status["functions"].items():
         assert info["artifact"] is not None

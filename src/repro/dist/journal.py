@@ -37,7 +37,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from ..resilience.checkpoint import fsync_dir
 from ..resilience.faults import InjectedFault, maybe_fire
@@ -175,3 +175,31 @@ class Journal:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def open_run_journal(
+    path: Union[str, Path],
+    belongs: Callable[[dict], bool],
+    *,
+    fsync: bool = True,
+) -> Tuple[Journal, List[dict]]:
+    """Open the journal of one run for replay and appends.
+
+    ``belongs`` judges the first record, the run's header.  A journal of
+    another run is rotated aside to ``<name>.stale`` and an empty one
+    opened in its place; the caller appends its header to an empty
+    journal.  The coordinator and the single-host search both open their
+    journals here.
+    """
+    path = Path(path)
+    journal, records = Journal.open(path, fsync=fsync)
+    if records and not belongs(records[0]):
+        journal.close()
+        stale = path.with_name(path.name + ".stale")
+        path.replace(stale)
+        logger.warning(
+            "journal %s belongs to another run; rotated to %s",
+            path.name, stale.name,
+        )
+        journal, records = Journal.open(path, fsync=fsync)
+    return journal, records

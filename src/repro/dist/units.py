@@ -1,7 +1,9 @@
-"""Work-unit model, run specs, and incremental-regeneration hashing.
+"""Run specs and incremental-regeneration hashing.
 
 A distributed generate request decomposes into two kinds of idempotent
-units per function, mirroring the single-host search loop exactly:
+units per function, the same units the single-host search loop runs
+(their ids, the search defaults and the round policy live in
+:mod:`repro.core.search`; :mod:`repro.dist` re-exports them):
 
 * **piece units** ``<fn>/<nsplits>/<piece_index>`` — search one
   sub-domain of one splitting round
@@ -13,9 +15,10 @@ units per function, mirroring the single-host search loop exactly:
   (:func:`repro.core.search.assemble_function`).
 
 Incremental regeneration hangs off :func:`fn_inputs_hash`: the SHA-256
-of everything that determines a function's artifact bytes (function
-name, the family's format/table structure, the search parameters after
-per-function overrides, and the artifact format version).  A manifest
+of :func:`~repro.core.search.search_identity`, everything that
+determines a function's artifact bytes (function name, the family's
+format/table structure, the search parameters after per-function
+overrides, and the artifact format version).  A manifest
 next to the artifacts maps each function to the inputs hash and
 artifact digest of its last successful build; a re-run schedules only
 functions whose hash changed or whose artifact bytes drifted, and
@@ -28,44 +31,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
+from ..core.search import DEFAULT_PARAMS, Rounds, search_identity
 from ..funcs import FAMILY_CONFIGS, FamilyConfig
 from ..resilience.checkpoint import atomic_write_json
 
-#: Bump when the artifact byte format or search semantics change in a
-#: way that invalidates previously generated artifacts.
-GENERATION_FORMAT_VERSION = 2  # v2: per-piece RNG derivation
-
 MANIFEST_NAME = "dist-manifest.json"
 MANIFEST_VERSION = 1
-
-#: Search parameters a spec (and per-function overrides) may set —
-#: exactly the knobs ``generate_function`` exposes.
-PARAM_FIELDS = (
-    "max_terms", "max_subdomains", "max_specials", "max_iterations", "seed"
-)
-DEFAULT_PARAMS = {
-    "max_terms": 8,
-    "max_subdomains": 4,
-    "max_specials": 4,
-    "max_iterations": 48,
-    "seed": 0,
-}
-
-
-def piece_unit_id(fn: str, nsplits: int, piece_index: int) -> str:
-    return f"{fn}/{nsplits}/{piece_index}"
-
-
-def assemble_unit_id(fn: str, nsplits: int) -> str:
-    return f"{fn}/{nsplits}/assemble"
-
-
-def parse_unit_id(unit_id: str) -> Tuple[str, int, Optional[int]]:
-    """``(fn, nsplits, piece_index-or-None-for-assemble)``."""
-    fn, nstr, last = unit_id.rsplit("/", 2)
-    return fn, int(nstr), None if last == "assemble" else int(last)
 
 
 @dataclass
@@ -86,12 +59,14 @@ class GenerateSpec:
         if len(set(self.functions)) != len(self.functions):
             raise ValueError("duplicate functions in spec")
         for source in [self.params] + list(self.overrides.values()):
-            unknown = set(source) - set(PARAM_FIELDS)
+            unknown = set(source) - set(DEFAULT_PARAMS)
             if unknown:
                 raise ValueError(
                     f"unknown search parameters {sorted(unknown)}; "
-                    f"valid: {sorted(PARAM_FIELDS)}"
+                    f"valid: {sorted(DEFAULT_PARAMS)}"
                 )
+        for fn in self.functions:
+            self.rounds(fn)  # rejects a budget that allows no round
 
     def config(self) -> FamilyConfig:
         try:
@@ -108,6 +83,11 @@ class GenerateSpec:
         merged.update(self.params)
         merged.update(self.overrides.get(fn, {}))
         return merged
+
+    def rounds(self, fn: str) -> Rounds:
+        """A fresh round policy for one function's search."""
+        params = self.params_for(fn)
+        return Rounds(fn, params["max_terms"], params["max_subdomains"])
 
     def to_dict(self) -> dict:
         return {
@@ -133,28 +113,9 @@ class GenerateSpec:
         return _digest(self.to_dict())
 
 
-def family_fingerprint(config: FamilyConfig) -> dict:
-    """The structural identity of a family — everything about the format
-    tower and reduction tables that flows into constraint construction."""
-    return {
-        "name": config.name,
-        "formats": [
-            [f.total_bits, f.exponent_bits] for f in config.formats
-        ],
-        "log_table_bits": config.log_table_bits,
-        "exp_table_bits": config.exp_table_bits,
-        "trig_table_bits": config.trig_table_bits,
-    }
-
-
 def fn_inputs_hash(spec: GenerateSpec, fn: str) -> str:
     """SHA-256 over every input that determines ``fn``'s artifact bytes."""
-    return _digest({
-        "fn": fn,
-        "family": family_fingerprint(spec.config()),
-        "params": spec.params_for(fn),
-        "format_version": GENERATION_FORMAT_VERSION,
-    })
+    return _digest(search_identity(fn, spec.config(), spec.params_for(fn)))
 
 
 def _digest(obj: dict) -> str:

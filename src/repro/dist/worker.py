@@ -30,7 +30,6 @@ from typing import Dict, Optional, Tuple
 
 from ..core import (
     GenerationError,
-    GenerationStats,
     PieceUnitResult,
     assemble_function,
     collect_constraints,
@@ -138,25 +137,14 @@ class DistWorker:
         params = unit["params"]
         if unit["kind"] == "piece":
             result = search_piece_unit(
-                pipe, cons, unit["nsplits"], unit["piece_index"],
-                max_terms=params["max_terms"],
-                max_iterations=params["max_iterations"],
-                max_specials=params["max_specials"],
-                seed=params["seed"],
+                pipe, cons, unit["nsplits"], unit["piece_index"], params
             )
             return dataclasses.asdict(result)
         # Assemble: rebuild the round's units, re-verify, emit artifact.
         units = [PieceUnitResult(**u) for u in unit["units"]]
-        counters = unit.get("counters", {})
-        stats = GenerationStats(
-            clarkson_iterations=int(counters.get("clarkson_iterations", 0)),
-            lp_solves=int(counters.get("lp_solves", 0)),
-            configs_tried=int(counters.get("configs_tried", 0)),
-            constraints=len(cons),
-        )
         try:
             gen = assemble_function(
-                pipe, cons, forced, units, stats,
+                pipe, cons, forced, units, unit["counters"],
                 max_specials=params["max_specials"],
             )
         except GenerationError as exc:

@@ -5,16 +5,17 @@
 fsynced record format of :mod:`repro.dist.journal` (a torn last record
 is dropped on open).  The records are the distributed coordinator's:
 
-    {"type": "run", "fn": ..., "family": ..., "seed": ..., ...}  # identity
+    {"type": "run", "fn": ..., "params": {...}, ...}  # identity
     {"type": "done", "unit": "<fn>/<nsplits>/<piece>", "result": {...}}
 
 A killed run restarted with ``resume=True`` (the CLI's ``--resume``)
 replays the finished units instead of searching them again.  Each piece
 derives its RNG from ``(seed, nsplits, piece_index)`` (see
 :func:`repro.core.search.piece_rng`), so the resumed artifact is
-byte-identical to an uninterrupted run.  A journal whose header differs
-from the live run's (another seed, budget, family or constraint count)
-is rotated to ``.stale`` and ignored; the journal is deleted on success.
+byte-identical to an uninterrupted run.  The header is the search's
+:func:`~repro.core.search.search_identity` and constraint count; a
+journal with another header is rotated to ``.stale`` and ignored; the
+journal is deleted on success.
 """
 
 from __future__ import annotations
@@ -99,21 +100,12 @@ def open_checkpoint(
     holds by unit id.  Without ``resume`` an existing journal is
     replaced; a journal of another run is rotated to ``.stale``.
     """
-    from ..dist.journal import Journal
+    from ..dist.journal import open_run_journal
 
     path = Path(path)
     if not resume:
         path.unlink(missing_ok=True)
-    journal, records = Journal.open(path)
-    if records and records[0] != header:
-        journal.close()
-        stale = path.with_name(path.name + ".stale")
-        path.replace(stale)
-        logger.warning(
-            "journal %s belongs to another search; rotated to %s",
-            path.name, stale.name,
-        )
-        journal, records = Journal.open(path)
+    journal, records = open_run_journal(path, header.__eq__)
     if not records:
         try:
             save_checkpoint(journal, header)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import repro.api as api
-from repro.core import GenerationError
+from repro.core import GenerationError, generate_function
 from repro.dist import (
     CoordinatorThread,
     DistWorker,
@@ -18,6 +18,8 @@ from repro.dist import (
     spawn_worker,
 )
 from repro.dist.coordinator import JOURNAL_NAME
+from repro.funcs import TINY_CONFIG, make_pipeline
+from repro.libm.artifacts import load_generated
 from repro.resilience.faults import FAULT_EXIT_CODE
 
 
@@ -51,6 +53,56 @@ class TestByteIdentity:
         )
         assert path.read_bytes() == reference_bytes
         assert gen.name == FN and gen.family_name == "tiny"
+
+
+def _counters(gen):
+    s = gen.stats
+    return (s.clarkson_iterations, s.lp_solves, s.configs_tried)
+
+
+class TestRoundPolicyParity:
+    """The coordinator and the single-host loop run one round policy."""
+
+    def test_split_round_matches_single_host(self, tmp_path):
+        # Two terms do not fit log2 in one piece: round 1 fails and the
+        # coordinator must plan the same 2-way round the loop does.
+        ref, ref_path = api.generate(
+            FN, "tiny", max_terms=2, out_dir=tmp_path / "ref"
+        )
+        assert ref.num_pieces == 2
+        spec = GenerateSpec("tiny", [FN], params={"max_terms": 2})
+        paths = run_distributed(spec, tmp_path / "dist", workers=2, timeout=180)
+        assert paths[FN].read_bytes() == ref_path.read_bytes()
+        gen = load_generated(FN, "tiny", tmp_path / "dist")
+        assert gen.num_pieces == 2
+        assert _counters(gen) == _counters(ref)
+
+    def test_exhausted_search_fails_with_one_message(self, tmp_path, oracle):
+        pipe = make_pipeline("exp2", TINY_CONFIG, oracle)
+        with pytest.raises(GenerationError) as single:
+            generate_function(pipe, max_terms=1, max_subdomains=1)
+        spec = GenerateSpec(
+            "tiny", ["exp2"], params={"max_terms": 1, "max_subdomains": 1}
+        )
+        with pytest.raises(GenerationError) as dist:
+            run_distributed(spec, tmp_path, workers=1, timeout=180)
+        assert str(dist.value) == str(single.value)
+        assert not (tmp_path / "tiny_exp2.json").exists()
+
+    def test_zero_subdomains_rejected_like_single_host(self, tmp_path, oracle):
+        pipe = make_pipeline(FN, TINY_CONFIG, oracle)
+        with pytest.raises(ValueError) as single:
+            generate_function(pipe, max_subdomains=0)
+        with pytest.raises(type(single.value)):
+            run_distributed(
+                GenerateSpec("tiny", [FN], params={"max_subdomains": 0}),
+                tmp_path, workers=1, timeout=180,
+            )
+        assert not (tmp_path / f"tiny_{FN}.json").exists()
+
+    def test_zero_subdomains_override_rejected(self):
+        with pytest.raises(ValueError, match="max_subdomains"):
+            GenerateSpec("tiny", [FN], overrides={FN: {"max_subdomains": 0}})
 
 
 class TestCoordinatorCrashRecovery:

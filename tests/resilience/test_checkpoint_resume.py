@@ -9,8 +9,8 @@ import pytest
 
 from repro import api
 from repro.core import search
+from repro.core.search import GENERATION_FORMAT_VERSION
 from repro.dist.journal import replay_journal
-from repro.dist.units import GENERATION_FORMAT_VERSION
 from repro.resilience.checkpoint import (
     delete_checkpoint,
     open_checkpoint,
