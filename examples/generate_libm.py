@@ -22,16 +22,13 @@ import sys
 import time
 
 from repro.fp import sample_finite, stratified_sample
+from repro.fp.enumerate import EXHAUSTIVE_LIMIT
 from repro.funcs import MINI_CONFIG, PAPER_CONFIG, TINY_CONFIG, make_pipeline
 from repro.libm.artifacts import save_generated
 from repro.mp import FUNCTION_NAMES, Oracle
 from repro.core import generate_function
 
 FAMILIES = {"tiny": TINY_CONFIG, "mini": MINI_CONFIG, "paper": PAPER_CONFIG}
-
-#: Cap on exhaustive enumeration per level; bigger formats are sampled.
-EXHAUSTIVE_LIMIT = 1 << 20
-
 
 def inputs_for(config, seed: int = 0):
     """Per-level input lists; None means 'enumerate everything'."""

@@ -73,6 +73,7 @@ from .api import (
     build_table,
     evaluate,
     generate,
+    generate_family,
     load_library,
     make_evaluator,
     oracle_session,
@@ -116,6 +117,7 @@ __all__ = [
     "evaluate",
     "evaluate_generated",
     "generate",
+    "generate_family",
     "generate_function",
     "get_registry",
     "get_tracer",

@@ -6,7 +6,8 @@ should not have to hand-wire ``make_pipeline`` + ``load_generated`` +
 ``RlibmProg`` per call site.  The facade covers the four verbs:
 
 * :func:`generate` — produce and (optionally) save a progressive
-  polynomial artifact for one function;
+  polynomial artifact for one function, and :func:`generate_family`
+  for several (whole functions in parallel, resumable);
 * :func:`verify` — exhaustively check a saved artifact against the
   oracle, every family format and rounding mode;
 * :func:`evaluate` — correctly rounded batch evaluation for any
@@ -30,15 +31,16 @@ Everything here re-exports from ``repro``::
 from __future__ import annotations
 
 import contextlib
+import functools
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .core.search import DEFAULT_PARAMS
 from .fp.format import FPFormat
 from .fp.rounding import IEEE_MODES, RoundingMode
 from .funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
 from .obs import span as obs_span
-from .libm.artifacts import load_generated, save_generated
+from .libm.artifacts import ARTIFACT_DIR, load_generated, save_generated
 from .libm.runtime import RlibmProg
 from .mp.oracle import FUNCTION_NAMES, Oracle
 from .serve.evaluator import BatchEvaluator, BatchResult
@@ -53,6 +55,7 @@ __all__ = [
     "build_table",
     "evaluate",
     "generate",
+    "generate_family",
     "load_library",
     "make_evaluator",
     "oracle_session",
@@ -103,7 +106,8 @@ def oracle_session(
 
 
 class GenerateResult(NamedTuple):
-    """What :func:`generate` hands back."""
+    """What :func:`generate` hands back, per function for
+    :func:`generate_family`."""
 
     generated: "object"  # GeneratedFunction (kept untyped to avoid import cycle)
     path: Optional[Path]
@@ -121,7 +125,6 @@ def generate(
     save: bool = True,
     progress=None,
     resume: bool = False,
-    distributed: Optional[int] = None,
 ) -> GenerateResult:
     """Generate one function's progressive-polynomial artifact.
 
@@ -132,49 +135,144 @@ def generate(
     ``<family>_<fn>.journal`` next to the artifact (deleted on success);
     ``resume=True`` replays a journal of the same search, so a killed
     run continues where it died and produces a byte-identical artifact.
-
-    ``distributed=N`` runs the search through the crash-safe coordinator
-    in :mod:`repro.dist` with ``N`` local worker processes instead of
-    in-process: the run is journaled (a killed coordinator resumes), a
-    re-run with unchanged inputs splices the existing artifact, and the
-    artifact bytes are identical to the in-process path.  Implies
-    ``save``; ``jobs``/``resume``/``oracle`` do not apply (workers own
-    their oracles, and the coordinator resumes from its own journal).
+    ``jobs > 1`` shards the constraint sweep over worker processes.
     """
-    from .core import generate_function
-    from .libm.artifacts import ARTIFACT_DIR
-
     config = resolve_family(family)
-    if distributed:
-        from .dist import GenerateSpec, run_distributed
-
-        if config.name not in FAMILY_CONFIGS:
-            raise ValueError(
-                "distributed generation needs a registered family, "
-                f"not ad-hoc config {config.name!r}"
-            )
-        directory = Path(out_dir or ARTIFACT_DIR)
-        spec = GenerateSpec(
-            config.name, [fn],
-            params={"max_terms": max_terms, "seed": seed},
-        )
-        paths = run_distributed(spec, directory, workers=int(distributed))
-        gen = load_generated(fn, config.name, directory)
-        return GenerateResult(gen, paths[fn])
-    pipe = make_pipeline(fn, config, oracle)
-    journal = None
-    if save:
-        journal = str(Path(out_dir or ARTIFACT_DIR) / f"{config.name}_{fn}.journal")
+    oracle = oracle if oracle is not None else Oracle()
     with obs_span("api.generate", fn=fn, family=config.name, jobs=jobs):
-        gen = generate_function(
-            pipe, max_terms=max_terms, seed=seed, progress=progress,
-            jobs=jobs, journal_path=journal, resume=resume,
+        gen = _search(
+            fn, oracle, config=config,
+            params=dict(max_terms=max_terms, seed=seed),
+            journal_dir=(out_dir or ARTIFACT_DIR) if save else None,
+            resume=resume, jobs=jobs, progress=progress,
         )
         path = save_generated(gen, out_dir) if save else None
-        flush = getattr(pipe.oracle, "flush", None)
-        if flush is not None:
-            flush()
+        _flush(oracle)
     return GenerateResult(gen, path)
+
+
+def generate_family(
+    functions: Iterable[str],
+    family: FamilyLike = "mini",
+    *,
+    max_terms: int = DEFAULT_PARAMS["max_terms"],
+    max_subdomains: int = DEFAULT_PARAMS["max_subdomains"],
+    seed: int = DEFAULT_PARAMS["seed"],
+    jobs: int = 1,
+    oracle: Optional[Oracle] = None,
+    out_dir: Optional[Union[str, Path]] = None,
+    progress=None,
+    resume: bool = False,
+) -> Dict[str, GenerateResult]:
+    """Generate and save the artifacts of several functions of a family.
+
+    Returns a :class:`GenerateResult` per function, in function order.
+    With several functions left to build and ``jobs > 1``, whole
+    functions run in parallel, one per task over ``min(jobs, n)`` pool
+    workers (each search in-process there; a task whose worker raised
+    or died is searched in the parent instead).  Otherwise the functions
+    run one after another and ``jobs`` shards each constraint sweep.
+    Either way every artifact is byte-identical to a serial run's.
+
+    Each search journals to its own ``<family>_<fn>.journal``, and each
+    saved artifact is recorded in the build manifest
+    (:mod:`repro.resilience.manifest`).  ``resume=True`` reuses finished
+    work at both grains: a function whose inputs hash and artifact bytes
+    match its manifest entry is loaded, not rebuilt, and a killed
+    search replays its journal.
+
+    A function whose search fails does not stop the others; at the end
+    one :class:`~repro.core.GenerationError` joins every failed
+    function's reason (each names its function).
+    """
+    from .core import GenerationError
+    from .core.search import Rounds, search_identity
+    from .resilience.manifest import (
+        fn_inputs_hash,
+        incremental_hit,
+        load_manifest,
+        update_manifest,
+    )
+
+    config = resolve_family(family)
+    params = dict(max_terms=max_terms, max_subdomains=max_subdomains, seed=seed)
+    Rounds("", max_terms, max_subdomains)  # a budget without a round fails here
+    directory = Path(out_dir or ARTIFACT_DIR)
+    oracle = oracle if oracle is not None else Oracle()
+    manifest = load_manifest(directory) if resume else {}
+    functions = list(dict.fromkeys(functions))
+    hashes, results, todo = {}, {}, []
+    for fn in functions:
+        hashes[fn] = fn_inputs_hash(
+            search_identity(fn, config, {**DEFAULT_PARAMS, **params})
+        )
+        hit = incremental_hit(
+            directory, manifest, fn, hashes[fn], f"{config.name}_{fn}.json"
+        )
+        if hit is None:
+            todo.append(fn)
+            continue
+        results[fn] = GenerateResult(load_generated(fn, config.name, directory), hit)
+        if progress:
+            progress(f"{fn}: inputs unchanged, reusing {hit.name}")
+    build = functools.partial(
+        _search_or_error, config=config, params=params,
+        journal_dir=directory, resume=resume,
+    )
+    failures = []
+    with obs_span(
+        "api.generate_family", family=config.name, functions=len(todo), jobs=jobs
+    ):
+        if jobs > 1 and len(todo) > 1:
+            from .parallel.pool import shard_functions
+
+            built = shard_functions(build, todo, oracle, jobs)
+        else:
+            built = (build(fn, oracle, jobs=jobs, progress=progress) for fn in todo)
+        for fn, gen in zip(todo, built):
+            if isinstance(gen, GenerationError):
+                failures.append(str(gen))
+                continue
+            path = save_generated(gen, directory)
+            update_manifest(directory, fn, hashes[fn], path)
+            results[fn] = GenerateResult(gen, path)
+            _flush(oracle)
+    if failures:
+        raise GenerationError("; ".join(failures))
+    return {fn: results[fn] for fn in functions}
+
+
+def _search(
+    fn, oracle, *, config, params, journal_dir, resume, jobs=1, progress=None
+):
+    """One function's search, journaled to ``<family>_<fn>.journal`` in
+    ``journal_dir`` (None: no journal)."""
+    from .core import generate_function
+
+    journal = None
+    if journal_dir is not None:
+        journal = str(Path(journal_dir) / f"{config.name}_{fn}.journal")
+    return generate_function(
+        make_pipeline(fn, config, oracle), **params,
+        progress=progress, jobs=jobs, journal_path=journal, resume=resume,
+    )
+
+
+def _search_or_error(fn, oracle, **kwargs):
+    """:func:`_search`, or the :class:`~repro.core.GenerationError` it
+    raised (module-level, so a pool worker can run it)."""
+    from .core import GenerationError
+
+    try:
+        return _search(fn, oracle, **kwargs)
+    except GenerationError as e:
+        return e
+
+
+def _flush(oracle) -> None:
+    flush = getattr(oracle, "flush", None)
+    if flush is not None:
+        flush()
 
 
 def verify(
@@ -228,9 +326,7 @@ def verify(
             levels=len(reports),
             wrong=sum(rep.wrong for rep in reports),
         )
-    flush = getattr(oracle, "flush", None)
-    if flush is not None:
-        flush()
+    _flush(oracle)
     return reports
 
 

@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import signal
 import sys
-from pathlib import Path
 
 from . import api
 from .core.search import DEFAULT_PARAMS
@@ -63,120 +62,34 @@ def _cli_oracle_session(path):
 
 def cmd_generate(args) -> int:
     """`generate`: produce and save progressive-polynomial artifacts."""
+    from .core import GenerationError
     from .parallel import format_phase_report, resolve_jobs
 
     config = _family_of(args.family)
-    if getattr(args, "distributed", None):
-        return _generate_distributed(args, config)
-    jobs = resolve_jobs(args.jobs)
     with _cli_oracle_session(args.oracle_cache) as oracle:
-        for fn in args.functions:
-            gen, path = api.generate(
-                fn,
+        try:
+            results = api.generate_family(
+                args.functions,
                 config,
                 max_terms=args.max_terms,
                 seed=args.seed,
-                jobs=jobs,
+                jobs=resolve_jobs(args.jobs),
                 oracle=oracle,
                 out_dir=args.out_dir,
                 progress=lambda m: print(f"  {m}", flush=True),
                 resume=args.resume,
             )
-            print(f"{fn}: {gen.num_pieces} piece(s), {gen.storage_bytes} bytes -> {path}")
-            if args.timings:
-                print(
-                    format_phase_report(
-                        gen.stats.phase_seconds, gen.stats.wall_seconds
-                    )
+        except (GenerationError, ValueError) as e:
+            raise SystemExit(str(e))
+    for fn, (gen, path) in results.items():
+        print(f"{fn}: {gen.num_pieces} piece(s), {gen.storage_bytes} bytes -> {path}")
+        if args.timings:
+            print(
+                format_phase_report(
+                    gen.stats.phase_seconds, gen.stats.wall_seconds
                 )
+            )
     return 0
-
-
-def _generate_distributed(args, config) -> int:
-    """``generate --distributed N``: one crash-safe coordinated run."""
-    from .core import GenerationError
-    from .dist import GenerateSpec, run_distributed
-    from .libm.artifacts import ARTIFACT_DIR
-
-    spec = GenerateSpec(
-        config.name, list(args.functions),
-        params={"max_terms": args.max_terms, "seed": args.seed},
-    )
-    out_dir = Path(args.out_dir) if args.out_dir else ARTIFACT_DIR
-    try:
-        paths = run_distributed(
-            spec, out_dir, workers=args.distributed
-        )
-    except GenerationError as e:
-        raise SystemExit(str(e))
-    for fn in args.functions:
-        print(f"{fn}: -> {paths[fn]}")
-    return 0
-
-
-def cmd_dist(args) -> int:
-    """`dist`: run a generation coordinator / worker, or query one."""
-    from .dist import DistWorker, GenerateSpec
-
-    if args.dist_command == "worker":
-        worker = DistWorker(
-            args.host, args.port,
-            worker_id=args.worker_id, poll=args.poll,
-        )
-        try:
-            completed = worker.run()
-        except KeyboardInterrupt:
-            completed = worker.completed
-        print(f"worker {worker.worker_id}: {completed} unit(s) completed")
-        return 0
-
-    if args.dist_command == "status":
-        import json as _json
-
-        from .serve.client import ServeClient
-
-        host, _, port = args.server.partition(":")
-        with ServeClient(host or "127.0.0.1", int(port)) as client:
-            resp = client.request({"op": "dist.status"})
-        print(_json.dumps(resp.get("status", resp), indent=2, sort_keys=True))
-        return 0
-
-    # coordinator: foreground until the run finishes or ^C.
-    from .dist import CoordinatorThread
-    from .libm.artifacts import ARTIFACT_DIR
-
-    config = _family_of(args.family)
-    spec = GenerateSpec(
-        config.name, list(args.functions),
-        params={"max_terms": args.max_terms, "seed": args.seed},
-    )
-    out_dir = Path(args.out_dir) if args.out_dir else ARTIFACT_DIR
-    thread = CoordinatorThread(
-        spec, out_dir, host=args.host, port=args.port,
-        lease_ttl=args.lease_ttl, max_attempts=args.max_attempts,
-        incremental=not args.no_incremental,
-    )
-    thread.start()
-    coordinator = thread.coordinator
-    print(
-        f"coordinator for family {config.name!r} on "
-        f"{args.host}:{thread.port} ({len(spec.functions)} function(s); "
-        f"journal in {out_dir})",
-        flush=True,
-    )
-    try:
-        while not thread.wait(0.5):
-            pass
-    except KeyboardInterrupt:
-        print("interrupted; journal preserved — rerun to resume")
-        thread.stop()
-        return 130
-    failed = coordinator.failed_functions()
-    for fn, info in coordinator.status()["functions"].items():
-        tag = info["status"] + (" (spliced)" if info["spliced"] else "")
-        print(f"{fn}: {tag}" + (f" -> {info['artifact']}" if info["artifact"] else ""))
-    thread.stop()
-    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -513,7 +426,8 @@ def main(argv=None) -> int:
     def add_parallel_flags(p):
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="worker processes for the input sweeps (0 = all cores)",
+            help="worker processes (0 = all cores): whole functions when"
+                 " generating several, else chunks of the input sweeps",
         )
         p.add_argument(
             "--oracle-cache", default=None, metavar="PATH",
@@ -534,67 +448,13 @@ def main(argv=None) -> int:
     g.add_argument("--out-dir", default=None)
     g.add_argument(
         "--resume", action="store_true",
-        help="replay the <family>_<fn>.journal a killed run left"
-             " (skips finished pieces; artifact is byte-identical to an"
-             " uninterrupted run)",
-    )
-    g.add_argument(
-        "--distributed", type=int, default=None, metavar="N",
-        help="run through the crash-safe dist coordinator with N local"
-             " worker processes (journaled + incremental; artifact bytes"
-             " identical to the in-process path)",
+        help="reuse finished work: functions whose inputs and artifact"
+             " match the dist-manifest.json entry are kept, and the"
+             " <family>_<fn>.journal a killed run left is replayed"
+             " (artifacts are byte-identical to an uninterrupted run)",
     )
     add_parallel_flags(g)
     g.set_defaults(func=cmd_generate)
-
-    d = sub.add_parser(
-        "dist",
-        help="crash-safe distributed generation (coordinator / workers)",
-    )
-    dsub = d.add_subparsers(dest="dist_command", required=True)
-    dc = dsub.add_parser(
-        "coordinator",
-        help="run a generation coordinator until the run completes",
-    )
-    dc.add_argument("--family", default="mini")
-    dc.add_argument("--functions", nargs="*", default=list(FUNCTION_NAMES))
-    dc.add_argument("--max-terms", type=int, default=DEFAULT_PARAMS["max_terms"])
-    dc.add_argument("--seed", type=int, default=DEFAULT_PARAMS["seed"])
-    dc.add_argument("--out-dir", default=None)
-    dc.add_argument("--host", default="127.0.0.1")
-    dc.add_argument("--port", type=int, default=8319)
-    dc.add_argument(
-        "--lease-ttl", type=float, default=None,
-        help="seconds before an un-renewed lease is reassigned"
-             " (default REPRO_DIST_LEASE_TTL or 10)",
-    )
-    dc.add_argument(
-        "--max-attempts", type=int, default=None,
-        help="attempts before a unit is parked"
-             " (default REPRO_DIST_MAX_ATTEMPTS or 3)",
-    )
-    dc.add_argument(
-        "--no-incremental", action="store_true",
-        help="ignore the dist-manifest and regenerate every function",
-    )
-    dc.set_defaults(func=cmd_dist)
-    dw = dsub.add_parser(
-        "worker", help="run one generation worker against a coordinator"
-    )
-    dw.add_argument("--host", default="127.0.0.1")
-    dw.add_argument("--port", type=int, default=8319)
-    dw.add_argument("--worker-id", default=None)
-    dw.add_argument(
-        "--poll", type=float, default=None,
-        help="seconds between lease polls when idle"
-             " (default REPRO_DIST_POLL or 0.2)",
-    )
-    dw.set_defaults(func=cmd_dist)
-    ds = dsub.add_parser(
-        "status", help="print a running coordinator's scheduling snapshot"
-    )
-    ds.add_argument("--server", default="127.0.0.1:8319", metavar="HOST:PORT")
-    ds.set_defaults(func=cmd_dist)
 
     v = sub.add_parser("verify", help="exhaustively verify artifacts")
     v.add_argument("--family", default="mini")

@@ -26,7 +26,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from ..fp.enumerate import all_finite
+from ..fp.enumerate import EXHAUSTIVE_LIMIT, all_finite
 from ..fp.rounding import RoundingMode
 from ..obs import span as obs_span
 from .clarkson import ClarksonResult, solve_constraints
@@ -107,9 +107,9 @@ def piece_rng(seed: int, nsplits: int, piece_index: int) -> np.random.Generator:
     Every sub-domain piece draws from its own generator, seeded from the
     triple rather than threaded sequentially through the search.  That
     makes each piece an independent, idempotent unit: it can be searched
-    in any order, on any host, any number of times, and always produces
-    the same polynomial — the property the distributed coordinator's
-    lease/retry machinery and ``--resume``'s journal replay both build on.
+    in any order, in any process, any number of times, and always
+    produces the same polynomial — the property ``--resume``'s journal
+    replay builds on.
     """
     return np.random.default_rng([int(seed), int(nsplits), int(piece_index)])
 
@@ -140,8 +140,8 @@ def search_identity(fn: str, config: "FamilyConfig", params: Dict[str, int]) -> 
     """Everything that determines ``fn``'s artifact bytes: the function,
     the structure of the family's format tower and reduction tables, the
     effective search parameters and the artifact format version.  The
-    search's journal header and the distributed run's
-    incremental-regeneration hash are both built from it."""
+    search's journal header and the build manifest's inputs hash are
+    both built from it."""
     return {
         "fn": fn,
         "family": {
@@ -160,26 +160,14 @@ def piece_unit_id(fn: str, nsplits: int, piece_index: int) -> str:
     return f"{fn}/{nsplits}/{piece_index}"
 
 
-def assemble_unit_id(fn: str, nsplits: int) -> str:
-    return f"{fn}/{nsplits}/assemble"
-
-
-def parse_unit_id(unit_id: str) -> Tuple[str, int, Optional[int]]:
-    """``(fn, nsplits, piece_index-or-None-for-assemble)``."""
-    fn, nstr, last = unit_id.rsplit("/", 2)
-    return fn, int(nstr), None if last == "assemble" else int(last)
-
-
 class Rounds:
     """The round policy of one function's progressive search.
 
     The first round searches one sub-domain; after an unsatisfiable
     round the split count doubles while it stays within
-    ``max_subdomains``, then the search gives up.  ``results`` maps unit
-    ids to result dicts (:class:`PieceUnitResult` fields) over every
-    round.  No I/O: the single-host loop and the distributed coordinator
-    each drive one per function, so both plan the same rounds, sum the
-    same counters and give up with the same message.
+    ``max_subdomains``, then the search gives up.  ``results`` maps piece
+    unit ids to result dicts (:class:`PieceUnitResult` fields) over every
+    round.  No I/O: :func:`generate_function` drives one per function.
     """
 
     def __init__(self, fn: str, max_terms: int, max_subdomains: int):
@@ -208,10 +196,9 @@ class Rounds:
     def counters(self) -> Dict[str, int]:
         """The deterministic counters summed over every piece result."""
         out = dict.fromkeys(COUNTERS, 0)
-        for uid, result in self.results.items():
-            if parse_unit_id(uid)[2] is not None:  # assemble results: none
-                for key in COUNTERS:
-                    out[key] += int(result.get("stats", {}).get(key, 0))
+        for result in self.results.values():
+            for key in COUNTERS:
+                out[key] += int(result["stats"][key])
         return out
 
     def split(self, reason: str) -> bool:
@@ -245,6 +232,10 @@ def collect_constraints(
     ``jobs > 1`` shards the enumeration across worker processes; the
     outcome order (and therefore the merged constraint system) is
     bit-identical to the serial sweep for any worker count.
+
+    Without ``inputs_per_level``, a level with more than
+    :data:`~repro.fp.enumerate.EXHAUSTIVE_LIMIT` bit patterns is a
+    ``ValueError``, raised before any sweep.
     """
     from ..funcs.base import chunk_outcomes, merge_constraints
     from ..obs import PhaseTimings
@@ -252,6 +243,14 @@ def collect_constraints(
     timings = timings if timings is not None else PhaseTimings()
     jobs = max(1, int(jobs or 1))
     fam = pipeline.family
+    if inputs_per_level is None:
+        for fmt in fam.formats:
+            if fmt.num_bit_patterns > EXHAUSTIVE_LIMIT:
+                raise ValueError(
+                    f"{fmt.display_name} has {fmt.num_bit_patterns} bit "
+                    f"patterns, more than the {EXHAUSTIVE_LIMIT} this search "
+                    "enumerates; pass sampled inputs per level instead"
+                )
     t0 = time.perf_counter()
     oracle_sec0 = pipeline.oracle.stats.seconds
     with obs_span(
@@ -304,14 +303,14 @@ def generate_function(
     ``jobs`` shards the constraint sweep across processes (1 = fully
     in-process); results are bit-identical for any worker count.
 
-    The search runs the same idempotent piece units as the distributed
-    coordinator (:func:`search_piece_unit`, :func:`assemble_function`),
-    in the rounds :class:`Rounds` plans (``max_subdomains`` below 1 is a
-    ``ValueError``).  ``journal_path`` journals every finished unit; with
-    ``resume=True`` a journal of the same search supplies its units
-    instead of recomputing them, so a killed run continues from where it
-    died and produces an artifact byte-identical to an uninterrupted
-    one.  The journal is deleted on success.
+    The search runs idempotent piece units (:func:`search_piece_unit`,
+    then :func:`assemble_function`) in the rounds :class:`Rounds` plans
+    (``max_subdomains`` below 1 is a ``ValueError``).  ``journal_path``
+    journals every finished unit; with ``resume=True`` a journal of the
+    same search supplies its units instead of recomputing them, so a
+    killed run continues from where it died and produces an artifact
+    byte-identical to an uninterrupted one.  The journal is deleted on
+    success.
     """
     from ..obs import PhaseTimings
     from ..resilience import checkpoint
@@ -656,14 +655,14 @@ _DOUBLE_MAX = float(np.finfo(np.float64).max)
 
 
 # ----------------------------------------------------------------------
-# Work-unit decomposition (distributed generation)
+# Work-unit decomposition (journaled, resumable)
 # ----------------------------------------------------------------------
 @dataclass
 class PieceUnitResult:
     """Outcome of one idempotent ``(nsplits, piece_index)`` search unit.
 
-    Everything in here is JSON-serializable so workers can ship it over
-    the wire; ``piece`` is the artifact piece dict (or None when the
+    Everything in here is JSON-serializable so the journal can record
+    it; ``piece`` is the artifact piece dict (or None when the
     sub-domain is unsatisfiable at the term budget) and ``stats`` holds
     the unit's deterministic counter deltas, which :meth:`Rounds.counters`
     sums — addition is commutative, so completion order does not matter.
@@ -690,11 +689,10 @@ def search_piece_unit(
 
     Deterministic in its arguments: the piece draws from
     ``piece_rng(params["seed"], nsplits, piece_index)``, so re-running the
-    unit —
-    on another host, after a lease expiry, or twice concurrently —
-    yields byte-identical results.  The full constraint set is split
-    locally (``_split_by_r`` is deterministic), so workers only need the
-    shared constraint sweep, not any sibling piece's outcome.
+    unit — after a crash, or in another process — yields byte-identical
+    results.  The full constraint set is split locally (``_split_by_r``
+    is deterministic), so a unit needs only the constraint sweep, not
+    any sibling piece's outcome.
     """
     from ..libm.artifacts import piece_to_dict
 
@@ -747,10 +745,8 @@ def assemble_function(
 
     Raises :class:`GenerationError` when any piece was unsatisfiable,
     the Clarkson failure counts blow the round's special-case budget, or
-    the runtime re-verification finds too many interval escapes.  The
-    single-host search and the distributed coordinator both assemble
-    through here, so their rounds succeed and fail alike.  ``timings``
-    is charged the ``runtime-check`` phase and its oracle seconds.
+    the runtime re-verification finds too many interval escapes.
+    ``timings`` is charged the ``runtime-check`` phase and its oracle seconds.
     """
     units = sorted(unit_results, key=lambda u: u.piece_index)
     nsplits = units[0].nsplits if units else 1

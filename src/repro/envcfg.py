@@ -1,10 +1,9 @@
 """Central parsing of the ``REPRO_*`` environment configuration.
 
 Every tunable the repo reads from the environment — the serving
-fleet's ``REPRO_FLEET_*`` family, the distributed-generation
-``REPRO_DIST_*`` family and the ``REPRO_MP_START`` start-method
-override — goes through the helpers here, so malformed values behave
-the same everywhere:
+fleet's ``REPRO_FLEET_*`` family and the ``REPRO_MP_START``
+start-method override — goes through the helpers here, so malformed
+values behave the same everywhere:
 
 * ``on_error="warn"`` (the default): the bad value is ignored in favour
   of the default, with **one** warning per (variable, value) pair per
@@ -16,7 +15,7 @@ the same everywhere:
   server boot) rather than quietly degrade a long computation.
 
 Bounds (``minimum``/``maximum``) and ``choices`` are validated the same
-way as parse failures, so ``REPRO_DIST_LEASE_TTL=-3`` is a configuration
+way as parse failures, so ``REPRO_FLEET_PROBE_INTERVAL=-3`` is a configuration
 error, not a weird runtime behaviour.
 """
 

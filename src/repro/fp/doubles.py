@@ -11,7 +11,7 @@ float and reads the double straight off the rounded binary64 pattern.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple
+from typing import Iterator, Tuple
 
 from .encode import bits_to_float
 from .format import FLOAT64
@@ -39,6 +39,20 @@ def to_double_up(x) -> float:
 def double_is_exact(x: Fraction) -> bool:
     """True if the rational is exactly a finite double."""
     return exact_bits(x, FLOAT64) is not None
+
+
+def exact_powers_of_ten(first: int, below: int) -> Iterator[Tuple[int, float]]:
+    """``(k, 10**k)`` for k = first, first + 1, ... while ``10**k`` is
+    exactly a double and less than ``below``.
+
+    Integer arithmetic throughout: ``10.0**k`` goes through the C
+    library's ``pow``, whose result follows the hardware rounding mode
+    (under ``FE_DOWNWARD``, ``10.0**2`` is 99.99999999999999).
+    """
+    k = first
+    while 10**k < below and float(10**k) == 10**k:
+        yield k, float(10**k)
+        k += 1
 
 
 def dyadic_parts(x: float) -> Tuple[int, int]:

@@ -9,6 +9,11 @@ from .encode import FPValue, Kind
 from .format import FPFormat
 
 
+#: The most bit patterns a format may have for its inputs to be
+#: enumerated one by one; bigger formats (float32) must be sampled.
+EXHAUSTIVE_LIMIT = 1 << 20
+
+
 def all_patterns(fmt: FPFormat) -> Iterator[FPValue]:
     """Every bit pattern of the format, including infinities and NaNs."""
     for bits in range(fmt.num_bit_patterns):

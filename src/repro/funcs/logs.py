@@ -141,7 +141,7 @@ class Log10Pipeline(_LogPipeline):
         # dyadic); k is bounded by the family's dynamic range.
         if xd < 10.0 or xd != math.floor(xd):
             return None
+        # Python compares int and float exactly, in any hardware
+        # rounding mode (``10.0**k`` would follow the mode).
         k = round(math.log10(xd))
-        if 10.0**k == xd and Fraction(10) ** k == Fraction(xd):
-            return float(k)
-        return None
+        return float(k) if 10**k == xd else None

@@ -24,8 +24,8 @@ def piece_to_dict(p: Piece) -> dict:
     """JSON-serializable form of one sub-domain piece (bit-exact).
 
     Shared by the artifact writer and the piece unit results that the
-    generation journal and the distributed coordinator record, so a
-    resumed run restores the exact polynomial a killed run had found.
+    generation journal records, so a resumed run restores the exact
+    polynomial a killed run had found.
     """
     return {
         "r_max": None if p.r_max is None else p.r_max.hex(),
@@ -116,13 +116,14 @@ def load_generated(
 
 
 def available_artifacts(directory: Optional[Path] = None) -> List[Dict[str, str]]:
-    """(family, name) pairs of every artifact on disk."""
+    """(family, name) pairs of every artifact on disk: the
+    ``<family>_<name>.json`` files (not the build manifest beside them)."""
     directory = Path(directory or ARTIFACT_DIR)
     out = []
     if not directory.is_dir():
         return out
     for fn in sorted(os.listdir(directory)):
-        if fn.endswith(".json"):
-            family, _, name = fn[:-5].partition("_")
+        family, _, name = fn[:-5].partition("_")
+        if fn.endswith(".json") and name:
             out.append({"family": family, "name": name})
     return out

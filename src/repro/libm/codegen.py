@@ -21,6 +21,7 @@ import math
 from typing import List
 
 from ..core.search import GeneratedFunction
+from ..fp.doubles import exact_powers_of_ten
 from ..funcs.base import FunctionPipeline
 
 
@@ -213,13 +214,12 @@ def _log_body(pipeline, gen, sym: str) -> str:
     if pipeline.name == "log2":
         extra = "    if (m2 == 1.0) return (double)(e - 1);\n"
     elif pipeline.name == "log10":
-        checks = []
-        k = 1
-        while 10.0**k <= 2.0 ** (pipeline.family.largest.emax + 1):
-            checks.append(
-                f"    if (x == {_hx(10.0 ** k)}) return {float(k)};"
+        checks = [
+            f"    if (x == {_hx(val)}) return {float(k)};"
+            for k, val in exact_powers_of_ten(
+                1, 2 ** (pipeline.family.largest.emax + 1)
             )
-            k += 1
+        ]
         extra = "\n".join(checks) + "\n"
     # Match the reference runtime's association exactly:
     # off = e + log2F[j] first, then y + off (each its own rounding).
@@ -263,16 +263,12 @@ def _exp_body(pipeline, gen, sym: str) -> str:
     double r = (x - (double)n * {_hx(pipeline.c1)}) - (double)n * {_hx(pipeline.c2)};"""
         exact = ""
         if name == "exp10":
-            checks = []
-            k = 0
-            while True:
-                val = 10.0**k
-                if float(10**k) != val or val >= 2.0 ** (
-                    pipeline.family.largest.emax + 2
-                ):
-                    break
-                checks.append(f"    if (x == {float(k)}) return {_hx(val)};")
-                k += 1
+            checks = [
+                f"    if (x == {float(k)}) return {_hx(val)};"
+                for k, val in exact_powers_of_ten(
+                    0, 2 ** (pipeline.family.largest.emax + 2)
+                )
+            ]
             exact = "\n".join(checks) + "\n"
     return f"""\
     if (isnan(x)) return NAN;

@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.search import GeneratedFunction
+from ..fp.doubles import exact_powers_of_ten
 from ..funcs.base import FunctionPipeline
 from ..funcs.exps import _HUGE, _TINY
 
@@ -135,10 +136,8 @@ class VectorizedFunction:
             exact = m == 1.0
             out = np.where(exact, e.astype(np.float64), out)
         elif self.name == "log10":
-            k = 1
-            while 10.0**k <= 2.0 ** (pipe.family.largest.emax + 1):
-                out = np.where(x == 10.0**k, float(k), out)
-                k += 1
+            for k, val in exact_powers_of_ten(1, 2 ** (pipe.family.largest.emax + 1)):
+                out = np.where(x == val, float(k), out)
         out = np.where(x == 0.0, -np.inf, out)
         out = np.where(x < 0, np.nan, out)
         out = np.where(np.isposinf(x), np.inf, out)
@@ -168,15 +167,9 @@ class VectorizedFunction:
             ints = (x == np.floor(safe)) & (x >= pipe.x_underflow) & (x < pipe.x_overflow)
             out = np.where(ints, np.ldexp(1.0, np.where(ints, safe, 0.0).astype(np.int64)), out)
         elif self.name == "exp10":
-            k = 0
-            while True:
-                val = 10.0**k
-                exact_ok = float(10**k) == val and val < 2.0 ** (pipe.family.largest.emax + 2)
-                if not exact_ok:
-                    break
+            for k, val in exact_powers_of_ten(0, 2 ** (pipe.family.largest.emax + 2)):
                 # Below the overflow clamp only, as in the scalar runtime.
                 out = np.where((x == float(k)) & (x < pipe.x_overflow), val, out)
-                k += 1
         out = np.where(x == 0.0, 1.0, out)
         out = np.where(np.isposinf(x), np.inf, out)
         out = np.where(np.isneginf(x), 0.0, out)

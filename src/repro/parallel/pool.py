@@ -1,10 +1,12 @@
-"""Multi-core sharding of the two embarrassingly parallel hot loops.
+"""Multi-core sharding of the embarrassingly parallel loops.
 
 Both constraint generation (one oracle Ziv evaluation per input per
 level) and exhaustive verification (one runtime-vs-oracle comparison per
 input per mode) iterate a pure function over an enumerable input space.
 This module maps those enumerations over a ``ProcessPoolExecutor`` in
-fixed-size chunks of *bit patterns* (tiny pickles), with:
+fixed-size chunks of *bit patterns* (tiny pickles); a family's
+generation maps whole functions the same way (:func:`shard_functions`,
+one function per task).  All of them share:
 
 * **deterministic merge order** — chunks are emitted level-by-level in
   enumeration order and results are consumed in submission order, so the
@@ -263,6 +265,51 @@ def shard_outcomes(
                 )
             done_levels += 1
     return outcomes
+
+
+# ----------------------------------------------------------------------
+# Whole functions of a family
+# ----------------------------------------------------------------------
+def _init_function_worker(build, cache_path, max_prec) -> None:
+    reset_tracing()
+    _STATE.clear()
+    _STATE["oracle"] = open_oracle(
+        cache_path, max_prec=max_prec, read_only=True, record_new=True
+    )
+    _STATE["build"] = build
+
+
+def _function_task(fn):
+    maybe_crash("worker.crash")
+    oracle = _STATE["oracle"]
+    result = _STATE["build"](fn, oracle)
+    return result, oracle.drain_new(), _drain_stats()
+
+
+def shard_functions(
+    build: Callable, functions: Sequence[str], oracle, jobs: int
+) -> Iterator:
+    """Yield ``build(fn, oracle)`` for each function, in order, one
+    function per task over ``min(jobs, len(functions))`` workers.
+
+    ``build`` must pickle (a module-level function, or a partial of
+    one).  Each worker passes it its own oracle over the parent's
+    persistent cache; the parent absorbs the entries the workers
+    resolved and merges their counters, as :func:`shard_outcomes` does.
+    """
+    results = run_chunks(
+        _function_task,
+        list(functions),
+        lambda fn: (build(fn, oracle), [], OracleStats()),
+        jobs=min(jobs, len(functions)),
+        initializer=_init_function_worker,
+        initargs=(build, persistent_cache_path(oracle), oracle.max_prec),
+        label="generate-family",
+    )
+    for result, entries, stats in results:
+        absorb_entries(oracle, entries)
+        oracle.stats.merge(stats)
+        yield result
 
 
 # ----------------------------------------------------------------------

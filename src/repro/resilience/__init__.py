@@ -13,8 +13,11 @@ through its recovery paths:
   serving tier to shed oracle-fallback work when its error/latency
   budget is blown.
 * :mod:`repro.resilience.checkpoint` — durable (atomic, fsynced) file
-  writes, and the per-function unit journal a killed generation run
-  replays on ``--resume`` to produce a byte-identical artifact.
+  writes, and the per-function unit journal (framed by
+  :mod:`repro.resilience.journal`) a killed generation run replays on
+  ``--resume`` to produce a byte-identical artifact;
+  :mod:`repro.resilience.manifest` records finished artifacts, so a
+  resumed family run reuses them instead of rebuilding.
 """
 
 from .breaker import CircuitBreaker

@@ -2,8 +2,8 @@
 
 ``generate_function`` journals every finished sub-domain piece unit to
 ``<family>_<fn>.journal`` next to the artifact, in the CRC-framed,
-fsynced record format of :mod:`repro.dist.journal` (a torn last record
-is dropped on open).  The records are the distributed coordinator's:
+fsynced record format of :mod:`repro.resilience.journal` (a torn last
+record is dropped on open)::
 
     {"type": "run", "fn": ..., "params": {...}, ...}  # identity
     {"type": "done", "unit": "<fn>/<nsplits>/<piece>", "result": {...}}
@@ -15,7 +15,8 @@ derives its RNG from ``(seed, nsplits, piece_index)`` (see
 byte-identical to an uninterrupted run.  The header is the search's
 :func:`~repro.core.search.search_identity` and constraint count; a
 journal with another header is rotated to ``.stale`` and ignored; the
-journal is deleted on success.
+journal is deleted on success.  Whole functions that finished are
+reused through the manifest of :mod:`repro.resilience.manifest`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..dist.journal import Journal
+    from .journal import Journal
 
 logger = logging.getLogger("repro.resilience")
 
@@ -100,12 +101,21 @@ def open_checkpoint(
     holds by unit id.  Without ``resume`` an existing journal is
     replaced; a journal of another run is rotated to ``.stale``.
     """
-    from ..dist.journal import open_run_journal
+    from .journal import Journal
 
     path = Path(path)
     if not resume:
         path.unlink(missing_ok=True)
-    journal, records = open_run_journal(path, header.__eq__)
+    journal, records = Journal.open(path)
+    if records and records[0] != header:
+        journal.close()
+        stale = path.with_name(path.name + ".stale")
+        path.replace(stale)
+        logger.warning(
+            "journal %s belongs to another run; rotated to %s",
+            path.name, stale.name,
+        )
+        journal, records = Journal.open(path)
     if not records:
         try:
             save_checkpoint(journal, header)

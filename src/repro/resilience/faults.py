@@ -25,36 +25,25 @@ Options per site:
 
 Fault sites wired through the codebase:
 
-=================  ====================================================
-``worker.crash``   pool worker hard-exits (``os._exit``) mid-chunk
-``chunk.slow``     pool worker stalls before computing a chunk
-``cache.corrupt``  oracle cache file is scribbled over before open
-``cache.flush``    sqlite error injected into a cache flush
-``search.crash``   generation run dies right after journaling a piece
-``socket.drop``    server aborts the client transport mid-request
-``oracle.slow``    serving oracle tier stalls per batch
-``oracle.error``   serving oracle tier raises (drives the breaker)
-=================  ====================================================
-
 ======================  ===============================================
+``worker.crash``        pool worker hard-exits (``os._exit``) mid-task
+                        (a sweep chunk or a whole function)
+``chunk.slow``          pool worker stalls before computing a chunk
+``cache.corrupt``       oracle cache file is scribbled over before open
+``cache.flush``         sqlite error injected into a cache flush
+``search.crash``        generation run dies right after journaling a
+                        piece
+``journal.torn-write``  generation journal append writes half a frame
+                        and dies (torn-tail repair drill)
+``socket.drop``         server aborts the client transport mid-request
+``oracle.slow``         serving oracle tier stalls per batch
+``oracle.error``        serving oracle tier raises (drives the breaker)
 ``fleet.worker.boot``   fleet worker hard-exits during startup, before
                         it reports a port — every supervised respawn is
                         a fresh process, so a persistent spec drains
                         the supervisor's restart budget (the give-up
                         path)
 ======================  ===============================================
-
-===========================  ==========================================
-``dist.worker.crash``        generation worker hard-exits mid-lease
-                             (the coordinator's sweep must requeue)
-``dist.worker.slow``         generation worker stalls on a unit past
-                             its lease TTL (tests expiry + duplicate-
-                             completion handling)
-``dist.lease.expire``        coordinator sweep treats every live lease
-                             as expired (mass-reassignment drill)
-``dist.journal.torn-write``  coordinator journal append writes half a
-                             frame and dies (torn-tail repair drill)
-===========================  ==========================================
 
 Counters are per-process: a respawned pool worker starts fresh, which is
 exactly what a chaos test wants (the recovery path, not the fault, must

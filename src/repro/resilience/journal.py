@@ -1,11 +1,9 @@
-"""Crash-safe write-ahead journal for the generation coordinator.
+"""Crash-safe append-only journal of generation progress.
 
-Every scheduling state transition (round planned, unit done, attempt
-failed, unit parked, function finished, run finished) is appended here
-*before* the coordinator acts on it, so a SIGKILL'd coordinator restarted
-over the same journal reconstructs its exact scheduling state — no work
-unit is lost and none is double-counted (completions are idempotent;
-first write wins).
+``generate_function`` appends the run's header and then every finished
+sub-domain piece unit here *before* it goes on, so a SIGKILL'd run
+restarted over the same journal with ``--resume`` replays every unit
+whose record reached the disk and searches only the rest.
 
 File format: a sequence of CRC-framed records, append-only::
 
@@ -37,12 +35,12 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from ..resilience.checkpoint import fsync_dir
-from ..resilience.faults import InjectedFault, maybe_fire
+from .checkpoint import fsync_dir
+from .faults import InjectedFault, maybe_fire
 
-logger = logging.getLogger("repro.dist")
+logger = logging.getLogger("repro.resilience")
 
 MAGIC = b"RJ"
 VERSION = 1
@@ -78,7 +76,7 @@ def replay_journal(path: Union[str, Path]) -> ReplayResult:
     A missing file is an empty journal.  The returned ``torn_bytes``
     covers everything after the last whole record — replay is *lossless*
     for records whose append completed (they were fsynced before the
-    coordinator acted on them) and cleanly drops a record whose append
+    run went on) and cleanly drops a record whose append
     was interrupted mid-write.
     """
     path = Path(path)
@@ -112,17 +110,15 @@ def replay_journal(path: Union[str, Path]) -> ReplayResult:
 class Journal:
     """Append-only record log with torn-tail repair on open."""
 
-    def __init__(self, path: Union[str, Path], *, fsync: bool = True):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.fsync = fsync
         self._file: Optional[io.BufferedWriter] = None
-        self.appended = 0
 
     @classmethod
-    def open(cls, path: Union[str, Path], *, fsync: bool = True) -> Tuple["Journal", List[dict]]:
+    def open(cls, path: Union[str, Path]) -> Tuple["Journal", List[dict]]:
         """Replay an existing journal (repairing any torn tail) and open
         it for appending; returns ``(journal, replayed_records)``."""
-        journal = cls(path, fsync=fsync)
+        journal = cls(path)
         replay = replay_journal(journal.path)
         if replay.torn_bytes:
             logger.warning(
@@ -133,37 +129,34 @@ class Journal:
                 f.truncate(replay.valid_bytes)
                 f.flush()
                 os.fsync(f.fileno())
-        journal._open_for_append(created=not journal.path.exists())
+        journal._open_for_append()
         return journal, replay.records
 
-    def _open_for_append(self, *, created: bool) -> None:
+    def _open_for_append(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists()
+        created = not self.path.exists()
         self._file = open(self.path, "ab")
-        if not existed or created:
+        if created:
             # The journal entry itself must survive a crash, not just
             # its bytes: sync the directory that names it.
-            if self.fsync:
-                os.fsync(self._file.fileno())
-                fsync_dir(self.path.parent)
+            os.fsync(self._file.fileno())
+            fsync_dir(self.path.parent)
 
     def append(self, record: dict) -> None:
         """Durably append one record (fsynced before returning)."""
         assert self._file is not None, "journal not opened"
         frame = encode_record(record)
-        if maybe_fire("dist.journal.torn-write"):
+        if maybe_fire("journal.torn-write"):
             # Injected crash mid-append: half the frame reaches the
             # disk, then the process "dies".  Replay must recover every
             # record before this one and drop the torn tail.
             self._file.write(frame[: max(1, len(frame) // 2)])
             self._file.flush()
             os.fsync(self._file.fileno())
-            raise InjectedFault("injected fault at 'dist.journal.torn-write'")
+            raise InjectedFault("injected fault at 'journal.torn-write'")
         self._file.write(frame)
         self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
-        self.appended += 1
+        os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if self._file is not None:
@@ -175,31 +168,3 @@ class Journal:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def open_run_journal(
-    path: Union[str, Path],
-    belongs: Callable[[dict], bool],
-    *,
-    fsync: bool = True,
-) -> Tuple[Journal, List[dict]]:
-    """Open the journal of one run for replay and appends.
-
-    ``belongs`` judges the first record, the run's header.  A journal of
-    another run is rotated aside to ``<name>.stale`` and an empty one
-    opened in its place; the caller appends its header to an empty
-    journal.  The coordinator and the single-host search both open their
-    journals here.
-    """
-    path = Path(path)
-    journal, records = Journal.open(path, fsync=fsync)
-    if records and not belongs(records[0]):
-        journal.close()
-        stale = path.with_name(path.name + ".stale")
-        path.replace(stale)
-        logger.warning(
-            "journal %s belongs to another run; rotated to %s",
-            path.name, stale.name,
-        )
-        journal, records = Journal.open(path, fsync=fsync)
-    return journal, records

@@ -256,7 +256,6 @@ class TestRounds:
                               "configs_tried": 1}}
 
         rounds.results["log2/1/0"] = result(3)
-        rounds.results["log2/1/assemble"] = {"ok": False}
         assert rounds.round_results() == [result(3)]
         rounds.split("unsatisfiable sub-domain")
         rounds.results["log2/2/1"] = result(5)

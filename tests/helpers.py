@@ -47,3 +47,23 @@ def exact_bounds(c):
     from fractions import Fraction
 
     return tuple(None if v is None else Fraction(v, c.den) for v in (c.lo, c.hi))
+
+
+def run_capped(args, timeout=60, cap=1 << 30):
+    """``python *args`` in a subprocess with this checkout's ``src`` on
+    its path and its address space capped at ``cap`` bytes, so a runaway
+    enumeration fails instead of exhausting the host."""
+    import os
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        timeout=timeout, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )

@@ -57,3 +57,14 @@ class TestRoundTrip:
         back = load_generated("log2", "tiny", tmp_path)
         assert back.stats.constraints == gen.stats.constraints
         assert back.stats.lp_solves == gen.stats.lp_solves
+
+    def test_listing_skips_the_build_manifest(self, tiny_generated, tmp_path):
+        from repro.libm.artifacts import available_artifacts
+        from repro.resilience.manifest import MANIFEST_NAME, update_manifest
+
+        path = save_generated(tiny_generated("log2")[1], tmp_path)
+        update_manifest(tmp_path, "log2", "0" * 64, path)
+        assert (tmp_path / MANIFEST_NAME).exists()
+        assert available_artifacts(tmp_path) == [
+            {"family": "tiny", "name": "log2"}
+        ]

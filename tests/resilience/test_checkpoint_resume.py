@@ -10,7 +10,7 @@ import pytest
 from repro import api
 from repro.core import search
 from repro.core.search import GENERATION_FORMAT_VERSION
-from repro.dist.journal import replay_journal
+from repro.resilience.journal import replay_journal
 from repro.resilience.checkpoint import (
     delete_checkpoint,
     open_checkpoint,
@@ -195,8 +195,8 @@ class TestCrashAndResume:
     @pytest.mark.parametrize(
         "spec",
         [
-            "dist.journal.torn-write:times=1",  # the header
-            "dist.journal.torn-write:after=1,times=1",  # the piece's record
+            "journal.torn-write:times=1",  # the header
+            "journal.torn-write:after=1,times=1",  # the piece's record
         ],
     )
     def test_torn_last_record_resumes(self, tmp_path, faults, spec):

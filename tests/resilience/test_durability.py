@@ -91,7 +91,7 @@ class TestAtomicWrite:
 class TestCallSites:
     def test_save_checkpoint_syncs_directory(self, tmp_path, monkeypatch):
         """Creating a generation journal publishes its directory entry."""
-        from repro.dist import journal as journal_mod
+        from repro.resilience import journal as journal_mod
         from repro.resilience.checkpoint import open_checkpoint, save_checkpoint
 
         dirs = []

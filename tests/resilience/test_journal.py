@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from repro.dist.journal import (
+from repro.resilience.journal import (
     _HEAD,
     Journal,
     encode_record,
@@ -15,11 +15,11 @@ from repro.resilience.faults import InjectedFault
 
 
 RECORDS = [
-    {"type": "run", "spec_hash": "abc"},
-    {"type": "plan", "fn": "log2", "nsplits": 1},
+    {"type": "run", "fn": "log2", "params": {"seed": 0}},
     {"type": "done", "unit": "log2/1/0", "result": {"stats": {"lp_solves": 3}}},
-    {"type": "fail", "unit": "log2/1/0", "worker": "w0", "reason": "boom"},
-    {"type": "run_done"},
+    {"type": "done", "unit": "log2/2/0", "result": {"piece": None}},
+    {"type": "done", "unit": "log2/2/1", "result": {"failure_count": 1}},
+    {"type": "done", "unit": "log2/4/0", "result": {"stats": {}}},
 ]
 
 
@@ -88,14 +88,14 @@ class TestTornTailRepair:
         assert replay_journal(path).records == RECORDS[:4]
 
     def test_injected_torn_write_fault(self, tmp_path, monkeypatch):
-        """The dist.journal.torn-write site writes half a frame and dies;
+        """The journal.torn-write site writes half a frame and dies;
         reopening recovers everything appended before the tear."""
         path = tmp_path / "j.bin"
         journal, _ = Journal.open(path)
         with journal:
             journal.append(RECORDS[0])
             journal.append(RECORDS[1])
-            monkeypatch.setenv("REPRO_FAULTS", "dist.journal.torn-write:times=1")
+            monkeypatch.setenv("REPRO_FAULTS", "journal.torn-write:times=1")
             with pytest.raises(InjectedFault):
                 journal.append(RECORDS[2])
             monkeypatch.delenv("REPRO_FAULTS")

@@ -14,7 +14,7 @@ from repro.fp.format import T8
 from repro.mp import Oracle
 from repro.parallel import CachedOracle
 
-from .helpers import POLY_TIER
+from .helpers import POLY_TIER, run_capped
 
 
 def test_resolve_family():
@@ -26,9 +26,9 @@ def test_resolve_family():
 
 def test_facade_reexported_from_root():
     for name in (
-        "api", "build_table", "evaluate", "generate", "load_library",
-        "make_evaluator", "oracle_session", "resolve_family", "table_index",
-        "verify",
+        "api", "build_table", "evaluate", "generate", "generate_family",
+        "load_library", "make_evaluator", "oracle_session", "resolve_family",
+        "table_index", "verify",
     ):
         assert hasattr(repro, name), name
     assert repro.evaluate is api.evaluate
@@ -97,6 +97,20 @@ def test_generate_without_save(tmp_path, oracle):
     gen, path = api.generate("exp2", "tiny", save=False, oracle=oracle)
     assert path is None
     assert gen.num_pieces >= 1
+
+
+def test_generate_refuses_whole_float32_enumeration():
+    # The paper family's top level is float32: 2^32 patterns to sweep.
+    proc = run_capped([
+        "-c",
+        "from repro import api\n"
+        "try:\n"
+        "    api.generate('log2', 'paper', save=False)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert "float32" in proc.stdout and "sampled inputs" in proc.stdout
 
 
 def test_load_library_shipped_artifacts():

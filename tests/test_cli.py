@@ -8,6 +8,8 @@ import pytest
 from repro.cli import main
 from repro.libm.artifacts import save_generated
 
+from .helpers import run_capped
+
 
 @pytest.fixture(scope="module")
 def artifact_dir(tmp_path_factory, tiny_generated):
@@ -128,6 +130,15 @@ class TestGenerate:
     def test_unknown_family(self):
         with pytest.raises(SystemExit):
             run_cli("generate", "--family", "nope")
+
+    def test_refuses_whole_float32_enumeration(self, tmp_path):
+        proc = run_capped([
+            "-m", "repro", "generate", "--family", "paper",
+            "--functions", "log2", "--out-dir", str(tmp_path),
+        ])
+        assert proc.returncode == 1
+        assert "float32" in proc.stderr and "sampled inputs" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestServe:
