@@ -2,10 +2,11 @@
 
 Clarkson's method for linear programs in low dimensions, extended to the
 progressive-polynomial setting: sample ``6k^2`` constraints by weight,
-solve the sample *exactly* with the margin LP (a certified float guess,
-else the exact rational simplex), count violations over the full
-multiset; on a "lucky" iteration — violated weight at most ``1/(3k-1)``
-of the satisfied weight — double the violated constraints' weights.
+solve the sample *exactly* with the margin LP (a certified float guess
+or Farkas ray, else the exact rational simplex), count violations over
+the full multiset; on a "lucky" iteration — violated weight at most
+``1/(3k-1)`` of the satisfied weight — double the violated constraints'
+weights.
 When the system is full-rank this finds a polynomial satisfying every
 constraint in ``6 k log n`` iterations in expectation.
 """
@@ -19,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..lp.model import CERTIFIED, EXACT, solve_margin_lp
+from ..lp.model import CERTIFIED, EXACT, INFEASIBLE, solve_margin_lp
 from ..obs import get_registry
 from ..obs import span as obs_span
 from .constraints import ConstraintSystem
@@ -116,10 +117,11 @@ def solve_constraints(
         path: registry.counter(
             "repro_lp_solves_total",
             help="Exact rational margin-LP solves, by the path that "
-            "answered: a certified float guess or the exact simplex.",
+            "answered: a certified float guess, a certified Farkas ray "
+            "(infeasible) or the exact simplex.",
             path=path,
         )
-        for path in (CERTIFIED, EXACT)
+        for path in (CERTIFIED, INFEASIBLE, EXACT)
     }
     while stats.iterations < max_iterations:
         stats.iterations += 1
@@ -134,11 +136,12 @@ def solve_constraints(
             )
             sample_rows = [system.rows[int(i)] for i in idx]
             stats.lp_solves += 1
+            answered: List[str] = []
             t_lp = time.perf_counter()
-            sol = solve_margin_lp(sample_rows, system.ncols)
+            sol = solve_margin_lp(sample_rows, system.ncols, paths=answered)
             lp_seconds = time.perf_counter() - t_lp
             stats.lp_seconds += lp_seconds
-            lp_path = EXACT if sol is None else sol.path
+            (lp_path,) = answered
             stats.lp_certified += lp_path == CERTIFIED
             lp_solves_total[lp_path].inc()
             isp.set(

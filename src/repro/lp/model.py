@@ -23,9 +23,19 @@ strict positivity forces every optimum to keep the rows of B tight, and
 (a) leaves only z.  So z is the LP's *unique* optimum, and the exact
 simplex would return the same values.  When only (c) fails, the float
 simplex was blind to a tiny violation: that row is pivoted in and the
-float simplex goes on (a few times at most).  Anything else — infeasible
-samples, float trouble, a singular or degenerate basis — goes to the
-exact simplex :func:`repro.lp.simplex.solve_lp_wide`.
+float simplex goes on (a few times at most).
+
+When the float simplex finds the dual unbounded — a row e violated at
+the vertex of basis B with no positive pivot — the sample looks
+infeasible, and the pair (B, e) is checked exactly instead:
+
+(d) G_B^T w = G_e^T has a solution w <= 0 with h_e - w . h_B < 0.
+
+Then ``r = (1 at e, -w on B, 0 elsewhere)`` is a Farkas ray: r >= 0,
+G^T r = 0 and h . r < 0, so no z satisfies ``G z <= h`` and the exact
+simplex would report the sample infeasible too.  Anything else — float
+trouble, a singular or degenerate basis, a ray that fails (d) — goes to
+the exact simplex :func:`repro.lp.simplex.solve_lp_wide`.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +58,11 @@ ONE = Fraction(1)
 #: ``ConstraintRow.exps`` entry of a zero coefficient: below every other.
 ZERO_EXP = -(1 << 62)
 
-#: ``MarginSolution.path`` values: which solver produced the answer.
+#: Which solver produced an answer, as :func:`solve_margin_lp` reports
+#: it through ``paths``: a certified float guess, a certified Farkas ray
+#: (an infeasible sample), or the exact simplex.
 CERTIFIED = "certified"
+INFEASIBLE = "infeasible"
 EXACT = "exact"
 
 #: Float dual simplex tolerances, on rows scaled to entries of about 1:
@@ -114,15 +127,10 @@ def _nearest(num: int, den: int) -> float:
 
 @dataclass
 class MarginSolution:
-    """Exact coefficients plus the achieved uniform margin.
-
-    ``path`` records how the answer was obtained (:data:`CERTIFIED` or
-    :data:`EXACT`); it never changes the values, so equality ignores it.
-    """
+    """Exact coefficients plus the achieved uniform margin."""
 
     coefficients: List[Fraction]
     margin: Fraction
-    path: str = field(default=EXACT, compare=False)
 
 
 def column_scales(rows: Sequence[ConstraintRow], ncols: int) -> List[Fraction]:
@@ -147,33 +155,63 @@ def _column_shifts(exps: np.ndarray) -> np.ndarray:
     return np.where(top == ZERO_EXP, 0, -top)
 
 
+class Ray(NamedTuple):
+    """What the float guess returns for a sample that looks infeasible:
+    the basis B and the entering row e whose dual ray it ran along."""
+
+    basis: List[int]
+    enter: int
+
+
 def solve_margin_lp(
     rows: Sequence[ConstraintRow],
     ncols: int,
     margin_cap: Fraction = ONE,
     max_pivots: int = 200_000,
+    *,
+    paths: Optional[List[str]] = None,
 ) -> Optional[MarginSolution]:
     """Exactly solve the margin LP; None if the constraints are infeasible.
 
-    A certified float guess answers when it can; the exact simplex
-    answers otherwise.  Both give identical values (module docstring).
+    A certified float guess or a certified Farkas ray answers when it
+    can; the exact simplex answers otherwise.  Both give identical
+    answers (module docstring).  When ``paths`` is given, the path that
+    answered (:data:`CERTIFIED`, :data:`INFEASIBLE` or :data:`EXACT`) is
+    appended to it: the only record of how a None was reached.
     """
+    sol, path = _solve(rows, ncols, margin_cap, max_pivots)
+    if paths is not None:
+        paths.append(path)
+    return sol
+
+
+def _solve(
+    rows: Sequence[ConstraintRow],
+    ncols: int,
+    margin_cap: Fraction,
+    max_pivots: int,
+) -> Tuple[Optional[MarginSolution], str]:
+    """:func:`solve_margin_lp`'s answer and the path that gave it."""
     if not rows:
-        return MarginSolution([ZERO] * ncols, margin_cap)
+        return MarginSolution([ZERO] * ncols, margin_cap), EXACT
     G, h, Gf, hf = _primal(rows, ncols, margin_cap)
-    basis = _float_guess(Gf, hf)
+    guess = _float_guess(Gf, hf)
     for _ in range(_REPAIRS + 1):
-        if basis is None:
+        if isinstance(guess, Ray):
+            if _certify_infeasible(G, h, guess.basis, guess.enter):
+                return None, INFEASIBLE
             break
-        sol, violated = _certify(G, h, basis)
+        if guess is None:
+            break
+        sol, violated = _certify(G, h, guess)
         if sol is not None:
-            return sol
+            return sol, CERTIFIED
         if violated is None:
             break
         # Only (c) failed: rows the floats could not see as violated.
         # Bring one in and let the float simplex go on from there.
-        basis = _float_guess(Gf, hf, basis, violated)
-    return _solve_exact(rows, ncols, margin_cap, max_pivots)
+        guess = _float_guess(Gf, hf, guess, violated)
+    return _solve_exact(rows, ncols, margin_cap, max_pivots), EXACT
 
 
 def _primal(
@@ -272,7 +310,7 @@ def _float_guess(
     h: np.ndarray,
     start: Optional[Sequence[int]] = None,
     enter: Optional[int] = None,
-) -> Optional[List[int]]:
+) -> Union[List[int], Ray, None]:
     """Rows tight at the optimum of ``max delta s.t. G z <= h``, by float.
 
     A dual simplex (equivalently, a primal simplex on the d-row dual
@@ -282,7 +320,8 @@ def _float_guess(
     It starts from the last row — the cap ``delta <= cap``, whose dual 1
     alone is feasible — plus ncols rows spanning the coefficients, or
     from ``start``, with ``enter`` as the first row to bring in.
-    Returns None when the LP looks infeasible or the floats misbehave.
+    Returns the basis, or a :class:`Ray` when the dual is unbounded (the
+    LP looks infeasible), or None when the floats misbehave.
     """
     m, d = G.shape
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(h))):
@@ -312,7 +351,7 @@ def _float_guess(
         steps = np.full(d, np.inf)
         up = w > _PIVOT_TOL
         if not up.any():
-            return None  # dual unbounded: the sample looks infeasible
+            return Ray(basis, enter)  # dual unbounded: looks infeasible
         steps[up] = y[up] / w[up]
         basis[int(np.argmin(steps))] = enter
         enter = None
@@ -336,6 +375,14 @@ def _spanning_rows(A: np.ndarray) -> Optional[List[int]]:
     return chosen
 
 
+def _is_basis(G: Sequence[Sequence[int]], basis: Sequence[int]) -> bool:
+    """Whether ``basis`` names d distinct rows of G (d = its width)."""
+    d = len(G[0])
+    return len(basis) == len(set(basis)) == d and all(
+        0 <= i < len(G) for i in basis
+    )
+
+
 def _certify(
     G: Sequence[Sequence[int]], h: Sequence[int], basis: Sequence[int]
 ) -> Tuple[Optional[MarginSolution], Optional[int]]:
@@ -344,11 +391,9 @@ def _certify(
     Returns ``(exact optimum, None)`` when all pass, ``(None, i)`` when
     only (c) fails (row i is violated), and ``(None, None)`` otherwise.
     """
+    if not _is_basis(G, basis):
+        return None, None
     d = len(G[0])
-    if len(basis) != d or len(set(basis)) != d:
-        return None, None
-    if not all(0 <= i < len(G) for i in basis):
-        return None, None
     GB = [G[i] for i in basis]
     primal = solve_square_int(GB, [h[i] for i in basis])
     if primal is None:
@@ -361,9 +406,28 @@ def _certify(
         if sum(map(mul, g, z)) > hi * D:
             return None, i  # (c) row i is violated
     solution = MarginSolution(
-        [Fraction(v, D) for v in z[:-1]], Fraction(z[-1], D), CERTIFIED
+        [Fraction(v, D) for v in z[:-1]], Fraction(z[-1], D)
     )
     return solution, None
+
+
+def _certify_infeasible(
+    G: Sequence[Sequence[int]], h: Sequence[int], basis: Sequence[int],
+    enter: int,
+) -> bool:
+    """Check (d) of the module docstring on a float :class:`Ray`, in
+    integers: True only when ``G z <= h`` provably has no solution."""
+    if not (_is_basis(G, basis) and 0 <= enter < len(G)):
+        return False
+    # Bareiss on G_B^T: w = num / D with D > 0, so the signs of num are
+    # the signs of w, and h.r < 0 is D h_e - num . h_B < 0.
+    ray = solve_square_int(list(zip(*(G[i] for i in basis))), G[enter])
+    if ray is None:
+        return False  # singular basis
+    D, w = ray
+    if any(v > 0 for v in w):
+        return False  # r would have a negative entry
+    return D * h[enter] < sum(map(mul, w, (h[i] for i in basis)))
 
 
 def _solve_exact(

@@ -23,7 +23,10 @@ one function per task).  All of them share:
   the counters into its own oracle's;
 * **one recovery rule** — a chunk whose worker raised or died is
   computed **in-process** by the parent's serial code path, and a pool
-  broken by a dead worker is replaced for the chunks not yet consumed.
+  broken by a dead worker is replaced for the chunks not yet consumed;
+* **no orphans** — on Linux a worker is SIGKILLed when the parent dies
+  (:func:`_die_with_parent`), so a killed run leaves nothing working
+  on behind it.
 
 There is no per-chunk deadline.  Chunks are deterministic, so a chunk
 that hangs in a worker would hang in the in-process fallback too; a hung
@@ -35,8 +38,11 @@ unchanged in-process with zero pickling overhead.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
+import signal
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -95,6 +101,41 @@ def _chunk_size(total: int, jobs: int) -> int:
     return max(256, total // max(1, jobs * 8) + 1)
 
 
+#: ``prctl`` option: the signal the caller gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent_pid: Optional[int]) -> None:
+    """Have this worker SIGKILLed when its parent dies (Linux only).
+
+    An orphaned pool worker would go on with the tasks already queued to
+    it, then block on the call queue forever.  ``PR_SET_PDEATHSIG``
+    follows the *thread* that forked the worker, not its process:
+    :func:`run_chunks` makes its pools, and so forks every worker, in
+    the thread that calls it, which owns the pools and lives while they
+    do.  A parent that died before the ``prctl`` shows as a changed
+    ``os.getppid()``.  ``parent_pid`` is None under forkserver, where nothing is armed: the
+    workers are children of the fork server, which outlives a killed
+    parent.
+    """
+    if parent_pid is None or not sys.platform.startswith("linux"):
+        return
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _init_worker(parent_pid: Optional[int], initializer, initargs) -> None:
+    """Every pool worker's initializer: tie its life to the parent's,
+    then run the pool's own ``initializer``."""
+    _die_with_parent(parent_pid)
+    initializer(*initargs)
+
+
 def _drain_stats() -> OracleStats:
     """This worker oracle's counters since its last chunk."""
     oracle = _STATE["oracle"]
@@ -123,6 +164,7 @@ def run_chunks(
     what failed.
     """
     ctx = get_context(start_method())
+    parent = None if ctx.get_start_method() == "forkserver" else os.getpid()
     fallbacks = get_registry().counter(
         "repro_pool_fallback_chunks_total",
         help="Chunks computed in-process after their worker raised or died.",
@@ -132,7 +174,8 @@ def run_chunks(
 
     def submit_from(start: int) -> ProcessPoolExecutor:
         executor = ProcessPoolExecutor(
-            jobs, mp_context=ctx, initializer=initializer, initargs=initargs
+            jobs, mp_context=ctx, initializer=_init_worker,
+            initargs=(parent, initializer, initargs),
         )
         # Workers start as tasks are submitted; fork and spawn alike
         # inherit the trace context then, so worker spans join the

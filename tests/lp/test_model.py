@@ -140,20 +140,28 @@ class TestSolveMarginLP:
 
 @contextmanager
 def guess(basis_fn):
-    """Replace the float guess: ``basis_fn(G, h)`` returns row indices.
-    Repair calls (which pass a start basis and an entering row) get the
-    same answer."""
+    """Replace the float guess: ``basis_fn(G, h)`` returns row indices,
+    a :class:`model.Ray` (a forged ray) or None.  Repair calls (which
+    pass a start basis and an entering row) get the same answer."""
     def forged(G, h, start=None, enter=None):
         return basis_fn(G, h)
     with mock.patch.object(model, "_float_guess", forged):
         yield
 
 
+def solve(rows, ncols):
+    """``solve_margin_lp``'s answer and the path that gave it."""
+    paths = []
+    sol = solve_margin_lp(rows, ncols, paths=paths)
+    (path,) = paths
+    return sol, path
+
+
 def exact_only(rows, ncols):
     """The answer of the exact simplex alone (no guess to certify)."""
     with guess(lambda G, h: None):
-        sol = solve_margin_lp(rows, ncols)
-    assert sol is None or sol.path == model.EXACT
+        sol, path = solve(rows, ncols)
+    assert path == model.EXACT
     return sol
 
 
@@ -221,8 +229,8 @@ class TestCertifiedPath:
             x = F(i, 2**10)
             mid = F(math.exp(float(x))).limit_denominator(10**12)
             rows.append(poly_row(x, 3, mid - F(1, 10**6), mid + F(1, 10**6)))
-        sol = solve_margin_lp(rows, 3)
-        assert sol.path == model.CERTIFIED
+        sol, path = solve(rows, 3)
+        assert path == model.CERTIFIED
         assert answer(sol) == answer(exact_only(rows, 3))
 
     def test_every_forged_basis_gives_the_exact_answer(self):
@@ -255,9 +263,9 @@ class TestCertifiedPath:
                     kinds.add("feasible, not optimal")
             kinds.add(kind)
             with guess(lambda G, h: list(basis)):
-                sol = solve_margin_lp(rows, 2)
+                sol, path = solve(rows, 2)
             assert answer(sol) == answer(want), basis
-            assert (sol.path == model.CERTIFIED) == (kind == "optimal")
+            assert (path == model.CERTIFIED) == (kind == "optimal")
         assert kinds >= {"singular", "wrong sign", "feasible, not optimal",
                          "optimal"}
 
@@ -281,9 +289,9 @@ class TestCertifiedPath:
                 return real(G, h, start, enter)
 
             with mock.patch.object(model, "_float_guess", first_guess):
-                sol = solve_margin_lp(rows, 2)
+                sol, path = solve(rows, 2)
             assert answer(sol) == want
-            repaired += sol.path == model.CERTIFIED
+            repaired += path == model.CERTIFIED
         assert repaired >= 10
 
     def test_entries_beyond_double_range(self):
@@ -296,8 +304,8 @@ class TestCertifiedPath:
         ]
         G, h, Gf, hf = model._primal(rows, 2, F(1))
         assert not np.all(np.isfinite(Gf))
-        sol = solve_margin_lp(rows, 2)
-        assert sol.path == model.EXACT
+        sol, path = solve(rows, 2)
+        assert path == model.EXACT
         assert answer(sol) == answer(exact_only(rows, 2))
 
     def test_malformed_guesses_fall_back(self):
@@ -306,22 +314,169 @@ class TestCertifiedPath:
         n = 2 * len(rows) + 2
         for forged in ([0, 1], [0, 1, 2, 3], [0, 0, n - 1], [0, 1, n]):
             with guess(lambda G, h: forged):
-                sol = solve_margin_lp(rows, 2)
-            assert answer(sol) == want and sol.path == model.EXACT
+                sol, path = solve(rows, 2)
+            assert answer(sol) == want and path == model.EXACT
+
+
+# ----------------------------------------------------------------------
+# Certified Farkas rays vs the exact simplex
+# ----------------------------------------------------------------------
+
+
+def incompatible_quadratic():
+    """``C0 + C1 x^2`` through (0, 0), (1, 1) and (2, 5), each within
+    1/100: the last two points ask for C1 near 1 and near 5/4."""
+    return [
+        exact_row((F(1), F(x * x)), y - F(1, 100), y + F(1, 100))
+        for x, y in ((0, 0), (1, 1), (2, 5))
+    ]
+
+
+def farkas_ray(G, h, basis, enter):
+    """The ray r of check (d) for ``(basis, enter)``, over every row of
+    G, by the reference elimination; None when G_B is singular."""
+    w = solve_square(list(zip(*(G[i] for i in basis))), G[enter])
+    if w is None:
+        return None
+    r = [F(0)] * len(G)
+    r[enter] += 1
+    for i, v in zip(basis, w):
+        r[i] -= v
+    return r
+
+
+def ray_kind(G, h, basis, enter):
+    """Why ``(basis, enter)`` is, or is not, a Farkas certificate."""
+    r = farkas_ray(G, h, basis, enter)
+    if r is None:
+        return "singular"
+    assert all(sum(ri * g[j] for ri, g in zip(r, G)) == 0 for j in range(len(G[0])))
+    if any(v < 0 for v in r):
+        return "negative entry"
+    if sum(ri * hi for ri, hi in zip(r, h)) >= 0:
+        return "h.r >= 0"
+    return "certificate"
+
+
+class TestFarkasPath:
+    def test_hand_built_infeasible_lps(self):
+        t = F(1, 2**1100)
+        # C0 + t x C1 through (0, 0), (1, 1) and (2, 3), each within
+        # 1/100: no line fits, and t x is far below the least double,
+        # but the column scaling brings it into range.
+        beyond = [
+            exact_row((F(1), t * x), y - F(1, 100), y + F(1, 100))
+            for x, y in ((0, 0), (1, 1), (2, 3))
+        ]
+        assert {row.approx[1] for row in beyond} == {0.0}
+        lps = {
+            "C <= 0 and C >= 1": (
+                [exact_row((F(1),), None, F(0)), exact_row((F(1),), F(1), None)],
+                1,
+            ),
+            "incompatible quadratic": (incompatible_quadratic(), 2),
+            "entries beyond the double range": (beyond, 2),
+        }
+        for name, (rows, k) in lps.items():
+            assert solve(rows, k) == (None, model.INFEASIBLE), name
+            assert exact_only(rows, k) is None, name
+
+    def test_no_float_ray_goes_exact(self):
+        # Rows that overflow as doubles even after scaling: the float
+        # guess gives up, and the exact simplex finds them infeasible.
+        t = F(1, 2**1100)
+        rows = [
+            exact_row((t, t * F(i, 2**100)), t * (i - F(1, 4)), t * (i + 1))
+            for i in range(1, 5)
+        ]
+        rows += [exact_row((t, t), F(0), t), exact_row((t, t), 2 * t, 3 * t)]
+        _, _, Gf, _ = model._primal(rows, 2, F(1))
+        assert not np.all(np.isfinite(Gf))
+        assert solve(rows, 2) == (None, model.EXACT)
+
+    def test_float_ray_is_a_certificate(self):
+        rows = incompatible_quadratic()
+        G, h, Gf, hf = model._primal(rows, 2, F(1))
+        ray = model._float_guess(Gf, hf)
+        assert isinstance(ray, model.Ray)
+        assert ray_kind(G, h, ray.basis, ray.enter) == "certificate"
+        assert model._certify_infeasible(G, h, ray.basis, ray.enter)
+
+    def test_every_forged_ray_gives_the_exact_answer(self):
+        # Every (basis, enter) pair of a small infeasible LP: only true
+        # Farkas certificates may answer; singular bases, rays with a
+        # negative entry (a positive w) and rays with h.r >= 0 (an enter
+        # row the vertex satisfies, or one in the basis) fall back.
+        rows = incompatible_quadratic()
+        G, h, _, _ = model._primal(rows, 2, F(1))
+        kinds = set()
+        for basis in itertools.combinations(range(len(G)), 3):
+            for enter in range(len(G)):
+                kind = ray_kind(G, h, basis, enter)
+                kinds.add(kind)
+                with guess(lambda G, h: model.Ray(list(basis), enter)):
+                    sol, path = solve(rows, 2)
+                assert sol is None
+                want = model.INFEASIBLE if kind == "certificate" else model.EXACT
+                assert path == want, (basis, enter, kind)
+        assert kinds == {"singular", "negative entry", "h.r >= 0", "certificate"}
+
+    def test_forged_rays_fall_back(self):
+        rows = incompatible_quadratic()
+        G, h, Gf, hf = model._primal(rows, 2, F(1))
+        real = model._float_guess(Gf, hf)
+        b0, b1, b2 = real.basis
+        n = len(G)
+        wrong_enter = [
+            e for e in range(n)
+            if ray_kind(G, h, real.basis, e) != "certificate"
+        ]
+        assert wrong_enter
+        forged = [model.Ray(real.basis, e) for e in wrong_enter] + [
+            model.Ray([b0, b0, b2], real.enter),  # duplicate row
+            model.Ray([b0, b1], real.enter),  # too few rows
+            model.Ray(real.basis, n),  # no such row
+            model.Ray([b0, b1, n], real.enter),
+        ]
+        for ray in forged:
+            with guess(lambda G, h: ray):
+                assert solve(rows, 2) == (None, model.EXACT), ray
+
+    def test_feasible_lp_rejects_every_ray(self):
+        # A feasible LP has no Farkas certificate: every forged ray that
+        # passes the sign check must fail h.r < 0 and fall back.
+        rows = small_lp()
+        want = answer(exact_only(rows, 2))
+        G, h, _, _ = model._primal(rows, 2, F(1))
+        tried = 0
+        for basis in itertools.combinations(range(len(G)), 3):
+            for enter in range(len(G)):
+                kind = ray_kind(G, h, basis, enter)
+                assert kind != "certificate"
+                if kind != "h.r >= 0" or enter in basis:
+                    continue
+                tried += 1
+                with guess(lambda G, h: model.Ray(list(basis), enter)):
+                    sol, path = solve(rows, 2)
+                assert path == model.EXACT and answer(sol) == want
+        assert tried > 0
 
 
 class TestGenerationIdentity:
     def test_tiny_artifacts_identical_without_the_guess(self, tmp_path):
         oracle = Oracle()
-        certified = get_registry().counter(
-            "repro_lp_solves_total", path=model.CERTIFIED
+        registry = get_registry()
+        certified, infeasible = (
+            registry.counter("repro_lp_solves_total", path=path)
+            for path in (model.CERTIFIED, model.INFEASIBLE)
         )
         for fn in ("exp2", "cosh"):
-            before = certified.value
+            before = certified.value, infeasible.value
             with_guess = api.generate(
                 fn, "tiny", oracle=oracle, out_dir=tmp_path / "guess",
             ).path.read_bytes()
-            assert certified.value > before
+            assert certified.value > before[0]
+            assert infeasible.value > before[1]
             with guess(lambda G, h: None):
                 without = api.generate(
                     fn, "tiny", oracle=oracle, out_dir=tmp_path / "exact",

@@ -5,6 +5,8 @@ The exact rows must state the same constraints (equal after dividing
 each row by the gcd of its integers) and the scaled doubles must be
 bit-identical, on random rows and on every sample the Clarkson solver
 hands the LP while generating the tiny functions of the benchmark.
+Those samples also check the Farkas path: every sample it calls
+infeasible is infeasible for the exact simplex and the reference one.
 """
 
 import math
@@ -18,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import clarkson, generate_function
 from repro.fp.doubles import to_double_nearest
 from repro.funcs import TINY_CONFIG, make_pipeline
-from repro.lp import model
+from repro.lp import LPStatus, model
 
 from ..helpers import exact_row
-from .reference import primal
+from .reference import primal, solve_lp
 from .test_model import margin_lps
 
 F = Fraction
@@ -100,3 +102,34 @@ def test_gen_tiny_samples(gen_tiny_samples):
     assert len(gen_tiny_samples) > 100
     for rows, ncols in gen_tiny_samples:
         assert_same(rows, ncols)
+
+
+#: Samples of at most this many rows also go through the reference
+#: simplex (the 54-row ones take seconds each there).
+REFERENCE_ROWS = 24
+
+
+def reference_infeasible(rows, ncols):
+    """Whether the reference ``G z <= h`` has no solution, by the
+    reference Fraction simplex over ``z = u - v``, ``u, v >= 0``."""
+    G, h, _, _ = primal(rows, ncols, F(1))
+    A = [[F(v) for v in g] + [F(-v) for v in g] for g in G]
+    res = solve_lp([F(0)] * (2 * len(G[0])), A, [F(v) for v in h])
+    return res.status is LPStatus.INFEASIBLE
+
+
+def test_gen_tiny_infeasible_samples(gen_tiny_samples):
+    certified = referenced = 0
+    for rows, ncols in gen_tiny_samples:
+        paths = []
+        sol = model.solve_margin_lp(rows, ncols, paths=paths)
+        if paths != [model.INFEASIBLE]:
+            continue
+        certified += 1
+        assert sol is None
+        assert model._solve_exact(rows, ncols, F(1), 200_000) is None
+        if len(rows) <= REFERENCE_ROWS:
+            referenced += 1
+            assert reference_infeasible(rows, ncols)
+    assert certified >= 40
+    assert referenced >= 20

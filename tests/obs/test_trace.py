@@ -253,7 +253,8 @@ class TestLpPath:
         # Which LP path answered shows up three ways, all in agreement:
         # ClarksonStats, the labelled counter and the iteration spans.
         # One unsatisfiable constraint makes every sample that draws it
-        # infeasible (answered by the exact simplex); the rest certify.
+        # infeasible (answered by a certified Farkas ray); the rest
+        # certify.
         system = exp_like_system(n=600, width=Fraction(1, 10**8))
         poisoned = ConstraintSystem(
             list(system.constraints)
@@ -274,14 +275,16 @@ class TestLpPath:
         reg = get_registry()
         by_path = {
             p: reg.counter("repro_lp_solves_total", path=p).value
-            for p in ("certified", "exact")
+            for p in ("certified", "infeasible", "exact")
         }
         assert by_path["certified"] == stats.lp_certified
+        assert 0 < by_path["infeasible"] <= stats.infeasible_samples
         assert sum(by_path.values()) == stats.lp_solves
         iters = _spans_by_name(read_trace(path))["clarkson.iteration"]
         paths = [rec["attrs"]["lp_path"] for rec in iters]
         assert len(paths) == stats.lp_solves
         assert paths.count("certified") == stats.lp_certified
+        assert paths.count("infeasible") == by_path["infeasible"]
 
 
 class TestSummarize:
