@@ -135,7 +135,10 @@ def generate(
     ``<family>_<fn>.journal`` next to the artifact (deleted on success);
     ``resume=True`` replays a journal of the same search, so a killed
     run continues where it died and produces a byte-identical artifact.
-    ``jobs > 1`` shards the constraint sweep over worker processes.
+    ``jobs > 1`` shards the constraint sweep over up to ``jobs`` worker
+    processes when it has enough inputs to pay for them
+    (:func:`~repro.parallel.pool.workers_for`); a tiny function's sweep
+    runs in-process at any ``jobs``.
     """
     config = resolve_family(family)
     oracle = oracle if oracle is not None else Oracle()
@@ -171,7 +174,8 @@ def generate_family(
     functions run in parallel, one per task over ``min(jobs, n)`` pool
     workers (each search in-process there; a task whose worker raised
     or died is searched in the parent instead).  Otherwise the functions
-    run one after another and ``jobs`` shards each constraint sweep.
+    run one after another and ``jobs`` shards each constraint sweep that
+    is large enough to pay for its workers.
     Either way every artifact is byte-identical to a serial run's.
 
     Each search journals to its own ``<family>_<fn>.journal``, and each

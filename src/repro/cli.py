@@ -114,7 +114,7 @@ def cmd_verify(args) -> int:
                 if args.timings:
                     print(
                         f"  wall {rep.wall_seconds:9.3f}s  "
-                        f"oracle {rep.oracle_seconds:9.3f}s  [{jobs} jobs]"
+                        f"oracle {rep.oracle_seconds:9.3f}s  [{rep.workers} workers]"
                     )
                 wrong += rep.wrong
     return 0 if wrong == 0 else 1

@@ -229,9 +229,12 @@ def collect_constraints(
 ) -> Tuple[List[ReducedConstraint], Dict[Tuple[int, float], float]]:
     """Oracle + range reduction for every input of every family level.
 
-    ``jobs > 1`` shards the enumeration across worker processes; the
-    outcome order (and therefore the merged constraint system) is
-    bit-identical to the serial sweep for any worker count.
+    ``jobs > 1`` shards the enumeration across up to ``jobs`` worker
+    processes when the sweep is large enough to pay for them
+    (:func:`~repro.parallel.pool.workers_for` on its total input count);
+    a smaller sweep runs the serial loop in-process.  The outcome order
+    (and therefore the merged constraint system) is bit-identical to the
+    serial sweep for any worker count.
 
     Without ``inputs_per_level``, a level with more than
     :data:`~repro.fp.enumerate.EXHAUSTIVE_LIMIT` bit patterns is a
@@ -251,17 +254,24 @@ def collect_constraints(
                     f"patterns, more than the {EXHAUSTIVE_LIMIT} this search "
                     "enumerates; pass sampled inputs per level instead"
                 )
+    workers = 1
+    if jobs > 1:
+        from ..parallel.pool import shard_outcomes, workers_for
+
+        workers = workers_for(sum(
+            len(inputs_per_level[level]) if inputs_per_level is not None
+            else fmt.num_bit_patterns
+            for level, fmt in enumerate(fam.formats)
+        ), jobs)
     t0 = time.perf_counter()
     oracle_sec0 = pipeline.oracle.stats.seconds
     with obs_span(
-        "search.constraints", fn=pipeline.name, jobs=jobs
+        "search.constraints", fn=pipeline.name, jobs=jobs, workers=workers
     ) as sp:
-        if jobs > 1:
-            from ..parallel.pool import shard_outcomes
-
+        if workers > 1:
             # The workers' oracle counters are merged into the parent's.
             outcomes = shard_outcomes(
-                pipeline, inputs_per_level, jobs=jobs, progress=progress
+                pipeline, inputs_per_level, jobs=workers, progress=progress
             )
         else:
             outcomes = []
@@ -300,8 +310,10 @@ def generate_function(
 ) -> GeneratedFunction:
     """End-to-end generation of one function's progressive polynomials.
 
-    ``jobs`` shards the constraint sweep across processes (1 = fully
-    in-process); results are bit-identical for any worker count.
+    ``jobs`` caps the workers of the constraint sweep (1 = fully
+    in-process; a sweep too small to pay for workers runs in-process
+    too, see :func:`collect_constraints`); results are bit-identical
+    for any worker count.  ``stats.jobs`` records the requested value.
 
     The search runs idempotent piece units (:func:`search_piece_unit`,
     then :func:`assemble_function`) in the rounds :class:`Rounds` plans

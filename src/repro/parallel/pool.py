@@ -32,17 +32,21 @@ There is no per-chunk deadline.  Chunks are deterministic, so a chunk
 that hangs in a worker would hang in the in-process fallback too; a hung
 generation run is killed and resumed from its journal instead.
 
-``jobs=1`` callers never reach this module: the serial code path runs
-unchanged in-process with zero pickling overhead.
+A sweep gets workers only when it pays for them: :func:`workers_for`
+grants one worker per :data:`MIN_INPUTS_PER_WORKER` inputs, up to
+``jobs``.  A sweep that gets one — every ``jobs=1`` sweep, and a small
+one such as a tiny function's 1,280 inputs at any ``jobs`` — runs its
+serial code path in-process with no pool, so none of this module's
+machinery runs.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import os
+import select
 import signal
-import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -76,6 +80,24 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, int(jobs))
 
 
+#: Fewest sweep inputs per worker for which forking the pool pays: a
+#: sweep of ``n`` inputs gets ``n // MIN_INPUTS_PER_WORKER`` workers at
+#: most.  Set from the measured crossover of the mini levels' sweeps
+#: (EXPERIMENTS.md, "Fork sweep workers only when they pay").
+MIN_INPUTS_PER_WORKER = 2048
+
+
+def workers_for(n_inputs: int, jobs: int) -> int:
+    """Workers a sweep of ``n_inputs`` inputs gets out of ``jobs``.
+
+    1 means the caller runs its serial loop in-process: below the
+    break-even, starting workers (each building its pipeline and
+    oracle), pickling chunks and absorbing the results costs more than
+    the workers save.
+    """
+    return max(1, min(jobs, n_inputs // max(1, MIN_INPUTS_PER_WORKER)))
+
+
 def start_method() -> str:
     """The multiprocessing start method: ``REPRO_MP_START`` env override,
     else fork where available (cheap) falling back to spawn.  All worker
@@ -101,35 +123,37 @@ def _chunk_size(total: int, jobs: int) -> int:
     return max(256, total // max(1, jobs * 8) + 1)
 
 
-#: ``prctl`` option: the signal the caller gets when its parent dies.
-_PR_SET_PDEATHSIG = 1
-
-
-def _die_with_parent(parent_pid: Optional[int]) -> None:
-    """Have this worker SIGKILLed when its parent dies (Linux only).
+def _die_with_parent(parent_pid: int) -> None:
+    """Have this worker SIGKILLed when ``parent_pid`` exits (Linux).
 
     An orphaned pool worker would go on with the tasks already queued to
-    it, then block on the call queue forever.  ``PR_SET_PDEATHSIG``
-    follows the *thread* that forked the worker, not its process:
-    :func:`run_chunks` makes its pools, and so forks every worker, in
-    the thread that calls it, which owns the pools and lives while they
-    do.  A parent that died before the ``prctl`` shows as a changed
-    ``os.getppid()``.  ``parent_pid`` is None under forkserver, where nothing is armed: the
-    workers are children of the fork server, which outlives a killed
-    parent.
+    it, then block on the call queue forever.  A daemon thread waits on
+    a pidfd of the process that made the pool and kills the worker once
+    it exits.  It watches that process, not this worker's parent: under
+    forkserver the workers are children of the fork server, which lives
+    as long as any worker holds its pipe.  A pool maker already gone
+    fails ``pidfd_open`` with ``ProcessLookupError``.  A no-op where
+    ``os.pidfd_open`` is missing (not Linux, or a kernel before 5.3).
     """
-    if parent_pid is None or not sys.platform.startswith("linux"):
+    if not hasattr(os, "pidfd_open"):
         return
     try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, AttributeError):
+        pidfd = os.pidfd_open(parent_pid)
+    except ProcessLookupError:
+        os.kill(os.getpid(), signal.SIGKILL)
+    except OSError:
         return
-    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
-    if os.getppid() != parent_pid:
+
+    def wait_for_exit():
+        select.select([pidfd], [], [])
         os.kill(os.getpid(), signal.SIGKILL)
 
+    threading.Thread(
+        target=wait_for_exit, name="die-with-parent", daemon=True
+    ).start()
 
-def _init_worker(parent_pid: Optional[int], initializer, initargs) -> None:
+
+def _init_worker(parent_pid: int, initializer, initargs) -> None:
     """Every pool worker's initializer: tie its life to the parent's,
     then run the pool's own ``initializer``."""
     _die_with_parent(parent_pid)
@@ -164,7 +188,6 @@ def run_chunks(
     what failed.
     """
     ctx = get_context(start_method())
-    parent = None if ctx.get_start_method() == "forkserver" else os.getpid()
     fallbacks = get_registry().counter(
         "repro_pool_fallback_chunks_total",
         help="Chunks computed in-process after their worker raised or died.",
@@ -175,7 +198,7 @@ def run_chunks(
     def submit_from(start: int) -> ProcessPoolExecutor:
         executor = ProcessPoolExecutor(
             jobs, mp_context=ctx, initializer=_init_worker,
-            initargs=(parent, initializer, initargs),
+            initargs=(os.getpid(), initializer, initargs),
         )
         # Workers start as tasks are submitted; fork and spawn alike
         # inherit the trace context then, so worker spans join the
@@ -304,7 +327,7 @@ def shard_outcomes(
                 fmt = fam.formats[done_levels]
                 progress(
                     f"{pipeline.name}: level {done_levels}"
-                    f" ({fmt.display_name}) reduced [{jobs} jobs]"
+                    f" ({fmt.display_name}) reduced [{jobs} workers]"
                 )
             done_levels += 1
     return outcomes
@@ -418,7 +441,7 @@ def shard_verify(
     tasks = _chunks(bits, _chunk_size(len(bits), jobs))
     modes = tuple(modes)
     spec = (library, fn, fmt, level, modes, canonical_zeros, max_recorded_failures)
-    report = VerificationReport(library.label, fn, fmt)
+    report = VerificationReport(library.label, fn, fmt, workers=jobs)
     report.by_mode = {m: 0 for m in modes}
     t0 = time.perf_counter()
     oracle_sec0 = oracle.stats.seconds

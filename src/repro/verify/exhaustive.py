@@ -52,6 +52,8 @@ class VerificationReport:
     #: (summed across workers for sharded sweeps).
     wall_seconds: float = 0.0
     oracle_seconds: float = 0.0
+    #: Processes the sweep ran on: 1 is in-process.
+    workers: int = 1
 
     @property
     def all_correct(self) -> bool:
@@ -82,17 +84,26 @@ def verify_exhaustive(
     """Check ``library``'s ``fn`` on every input of ``fmt`` for ``modes``.
 
     Failures are recorded input-major, then in ``modes`` order.
-    ``jobs > 1`` shards the sweep across worker processes; the merged
-    report (counters, per-mode counts, recorded failures) is identical
-    to the serial one for any worker count.
+    ``jobs > 1`` shards the sweep across up to ``jobs`` worker processes
+    when it has enough inputs to pay for them
+    (:func:`~repro.parallel.pool.workers_for`, the rule the generation
+    sweep uses); a smaller sweep runs in-process.  The merged report
+    (counters, per-mode counts, recorded failures) is identical to the
+    serial one for any worker count; ``workers`` says how many ran.
     """
     if jobs and jobs > 1:
-        from ..parallel.pool import shard_verify
+        from ..parallel.pool import shard_verify, workers_for
 
-        return shard_verify(
-            library, fn, fmt, level, oracle, modes, inputs,
-            canonical_zeros, max_recorded_failures, jobs=jobs,
+        if inputs is not None:
+            inputs = list(inputs)
+        workers = workers_for(
+            len(inputs) if inputs is not None else fmt.num_bit_patterns, jobs
         )
+        if workers > 1:
+            return shard_verify(
+                library, fn, fmt, level, oracle, modes, inputs,
+                canonical_zeros, max_recorded_failures, jobs=workers,
+            )
     t0 = time.perf_counter()
     oracle_sec0 = oracle.stats.seconds
     modes = tuple(modes)

@@ -1,4 +1,5 @@
-"""Shared fixtures: one oracle and lazily generated tiny-family functions.
+"""Shared fixtures: one oracle, lazily generated tiny-family functions,
+and pool submit counters.
 
 Every test session builds compiled kernels into its own temporary
 ``XDG_CACHE_HOME``, so tests never write into ``$HOME``.  Server
@@ -6,6 +7,7 @@ subprocesses inherit the variable, and share the session's builds.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -45,3 +47,29 @@ def tiny_generated(oracle):
         return cache[name]
 
     return get
+
+
+@pytest.fixture
+def pool_submits(monkeypatch):
+    """Count the tasks handed to pool workers, by worker function name."""
+    from repro.parallel import pool
+
+    submits = Counter()
+
+    class CountingExecutor(pool.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submits[fn.__name__] += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", CountingExecutor)
+    return submits
+
+
+@pytest.fixture
+def forced_pool(monkeypatch, pool_submits):
+    """Shard every sweep on the pool whatever its size (tiny's 1,280
+    inputs are below the break-even); yields the submit counts."""
+    from repro.parallel import pool
+
+    monkeypatch.setattr(pool, "MIN_INPUTS_PER_WORKER", 0)
+    return pool_submits

@@ -216,11 +216,12 @@ class TestPropagation:
 
 class TestSpawnWorkers:
     def test_spawn_worker_spans_merge_with_correct_parents(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, forced_pool
     ):
         # The real thing: a spawn-started pool generating constraints
         # must land its chunk spans in the parent's trace file, under
-        # the parent's open span, from distinct worker pids.
+        # the parent's open span, from distinct worker pids.  Tiny's
+        # sweep is below the pool's break-even, so forced_pool shards it.
         monkeypatch.setenv("REPRO_MP_START", "spawn")
         path = tmp_path / "trace.jsonl"
         configure_tracing(str(path))
@@ -246,6 +247,27 @@ class TestSpawnWorkers:
             # that was open when the pool was created.
             parent = by_id[chunk["parent"]]
             assert parent["name"] == "search.constraints"
+        # The span records the workers the sweep used next to the jobs asked.
+        (sweep,) = by_name["search.constraints"]
+        assert (sweep["attrs"]["jobs"], sweep["attrs"]["workers"]) == (2, 2)
+        assert forced_pool["_gen_chunk"] == len(chunks)
+
+    def test_sweep_below_break_even_runs_in_process(self, tmp_path):
+        # Unforced, tiny's 1,280 inputs at jobs=2 get one worker: the
+        # span says so and no chunk leaves the parent.
+        path = tmp_path / "trace.jsonl"
+        configure_tracing(str(path))
+        try:
+            generate_function(
+                make_pipeline("log2", TINY_CONFIG, Oracle()), seed=1, jobs=2
+            )
+        finally:
+            reset_tracing()
+        by_name = _spans_by_name(read_trace(path))
+        (sweep,) = by_name["search.constraints"]
+        assert (sweep["attrs"]["jobs"], sweep["attrs"]["workers"]) == (2, 1)
+        assert "pool.gen_chunk" not in by_name
+        assert len({rec["pid"] for rec in read_trace(path)}) == 1
 
 
 class TestLpPath:

@@ -1,5 +1,6 @@
 """Pool workers die with their parent: a SIGKILLed ``repro generate``
-leaves no worker running in its process group."""
+leaves no worker running in its process group, whatever the start
+method (under forkserver the workers are the fork server's children)."""
 
 import os
 import signal
@@ -14,7 +15,7 @@ import repro
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
-    reason="PR_SET_PDEATHSIG is Linux-only",
+    reason="workers watch their parent through a Linux pidfd",
 )
 
 
@@ -36,11 +37,16 @@ def live_members(pgid):
     return pids
 
 
-def test_killed_family_run_leaves_no_worker(tmp_path):
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_killed_family_run_leaves_no_worker(tmp_path, method):
     # Three functions at --jobs 2 run one function per pool worker.
     # SIGKILL the parent as soon as the first journal exists; its
-    # workers must be gone within 5 s.
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    # workers (and under forkserver the fork server and its resource
+    # tracker) must be gone within 5 s.
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]),
+        REPRO_MP_START=method,
+    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "generate", "--family", "tiny",
          "--functions", "log2", "exp2", "cosh", "--jobs", "2",

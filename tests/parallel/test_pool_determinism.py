@@ -1,4 +1,8 @@
-"""Sharded runs must be bit-identical to serial ones, for any job count."""
+"""Sharded runs must be bit-identical to serial ones, for any job count.
+
+Tiny sweeps are below the pool's break-even, so the sharded side of
+each test forces the pool (``forced_pool``) and checks that it ran.
+"""
 
 import pytest
 
@@ -30,7 +34,7 @@ class TestGenerationDeterminism:
     # multipliers and scale_pow) and cosh (two polynomials): outcomes
     # cross the pool as integers and doubles.
     @pytest.mark.parametrize("fn", ["log2", "ln", "exp", "cosh"])
-    def test_jobs_4_matches_serial(self, fn):
+    def test_jobs_4_matches_serial(self, fn, forced_pool):
         serial = generate_function(
             make_pipeline(fn, TINY_CONFIG, Oracle()), jobs=1
         )
@@ -39,9 +43,10 @@ class TestGenerationDeterminism:
         )
         assert _fingerprint(sharded) == _fingerprint(serial)
         assert sharded.stats.jobs == 4
+        assert forced_pool["_gen_chunk"] > 0
 
     @pytest.mark.parametrize("fn", ["log2", "ln", "exp", "cosh"])
-    def test_worker_oracle_counters_reach_the_parent(self, fn):
+    def test_worker_oracle_counters_reach_the_parent(self, fn, forced_pool):
         # Pool workers ship each chunk's OracleStats delta; merged into
         # the parent's oracle they count the sweep's Ziv work exactly as
         # a serial sweep does, and the oracle phase counts it once.
@@ -58,6 +63,7 @@ class TestGenerationDeterminism:
         assert stats[2].computes == stats[1].computes > 0
         assert stats[2].escalations == stats[1].escalations
         assert stats[2].calls == stats[1].calls
+        assert forced_pool["_gen_chunk"] > 0
 
     def test_warm_cache_matches_cold(self, tmp_path):
         path = str(tmp_path / "oracle.sqlite")
@@ -77,7 +83,7 @@ class TestGenerationDeterminism:
         assert warm_oracle.stats.disk_hits > 0
         warm_oracle.close()
 
-    def test_sharded_with_cache_matches(self, tmp_path):
+    def test_sharded_with_cache_matches(self, tmp_path, forced_pool):
         path = str(tmp_path / "oracle.sqlite")
         plain = generate_function(
             make_pipeline("log2", TINY_CONFIG, Oracle()), jobs=1
@@ -88,6 +94,7 @@ class TestGenerationDeterminism:
         )
         oracle.close()
         assert _fingerprint(sharded) == _fingerprint(plain)
+        assert forced_pool["_gen_chunk"] > 0
 
     def test_phase_timings_recorded(self):
         gen = generate_function(make_pipeline("log2", TINY_CONFIG, Oracle()))
@@ -128,7 +135,7 @@ class TestVerifyDeterminism:
             [(f.input_bits, f.mode, f.got_bits, f.want_bits) for f in rep.failures],
         )
 
-    def test_jobs_3_matches_serial(self, lib, oracle):
+    def test_jobs_3_matches_serial(self, lib, oracle, forced_pool):
         for fmt, level in ((T8, 0), (T10, 1)):
             serial = verify_exhaustive(lib, "exp2", fmt, level, oracle, IEEE_MODES)
             sharded = verify_exhaustive(
@@ -136,8 +143,10 @@ class TestVerifyDeterminism:
             )
             assert self._fields(sharded) == self._fields(serial)
             assert sharded.wall_seconds > 0.0
+            assert sharded.workers == 3
+        assert forced_pool["_verify_chunk"] > 0
 
-    def test_failures_merge_in_input_order(self, lib, oracle):
+    def test_failures_merge_in_input_order(self, lib, oracle, forced_pool):
         """A broken library's recorded failures match serial order and cap."""
         broken = _BitFlipLibrary(lib)
         serial = verify_exhaustive(broken, "exp2", T8, 0, oracle, IEEE_MODES)
@@ -147,6 +156,7 @@ class TestVerifyDeterminism:
         assert serial.wrong > 0
         assert len(serial.failures) == 32  # cap reached
         assert self._fields(sharded) == self._fields(serial)
+        assert forced_pool["_verify_chunk"] > 0
 
 
 class TestResolveJobs:

@@ -23,7 +23,9 @@ CHAOS = (
 
 
 class TestChaosRoundTrip:
-    def test_roundtrip_bit_identical(self, tmp_path, faults):
+    def test_roundtrip_bit_identical(self, tmp_path, faults, forced_pool):
+        # Tiny sweeps are below the pool's break-even: forced_pool shards
+        # them anyway, so the worker faults below reach real workers.
         # --- fault-free reference ------------------------------------
         ref_dir = tmp_path / "ref"
         _, ref_path = api.generate("log2", TINY_CONFIG, out_dir=ref_dir)
@@ -47,12 +49,14 @@ class TestChaosRoundTrip:
                 oracle=oracle, resume=True,
             )
         assert path.read_bytes() == ref_path.read_bytes()
+        assert forced_pool["_gen_chunk"] > 0
 
         # verify: sharded sweep under the same worker faults.
         reports = api.verify(
             "log2", TINY_CONFIG, directory=run_dir, jobs=2, levels=(0,)
         )
         assert all(rep.wrong == 0 for rep in reports)
+        assert forced_pool["_verify_chunk"] > 0
 
         # serve: the socket.drop fault severs the first request; the
         # client reconnects and the answers still match the reference.

@@ -129,9 +129,11 @@ class TestCrashAndResume:
         _crash_and_resume(tmp_path, faults, jobs=1)
 
     def test_resumed_artifact_is_byte_identical_with_jobs(
-        self, tmp_path, faults
+        self, tmp_path, faults, forced_pool
     ):
+        # Tiny's sweep is below the pool's break-even: force the pool.
         _crash_and_resume(tmp_path, faults, jobs=2)
+        assert forced_pool["_gen_chunk"] > 0
 
     def test_resume_without_checkpoint_regenerates(self, tmp_path):
         ref_dir = tmp_path / "ref"

@@ -4,6 +4,8 @@ Fault specs ride the environment into fork/spawn-started workers, so
 these tests exercise the *real* multi-process recovery rule — a chunk
 whose worker raised or died is computed in-process, and a pool broken
 by a dead worker is replaced for the remaining chunks — never mocks.
+Tiny sweeps are below the pool's break-even, so each test forces the
+pool (``forced_pool``) and checks that chunks reached it.
 """
 
 import pytest
@@ -34,7 +36,9 @@ def clean_log2():
 
 
 class TestGenerationRecovery:
-    def test_sporadic_worker_crashes_recover(self, faults, clean_log2):
+    def test_sporadic_worker_crashes_recover(
+        self, faults, clean_log2, forced_pool
+    ):
         # Each (re)spawned worker crashes on ~40% of its chunk pickups,
         # at most twice per process; fallbacks + respawns must converge.
         faults("worker.crash:p=0.4,seed=3,times=2")
@@ -42,8 +46,11 @@ class TestGenerationRecovery:
             make_pipeline("log2", TINY_CONFIG, Oracle()), jobs=2
         )
         assert _fingerprint(gen) == _fingerprint(clean_log2)
+        assert forced_pool["_gen_chunk"] > 0
 
-    def test_poison_chunks_fall_back_in_process(self, faults, clean_log2):
+    def test_poison_chunks_fall_back_in_process(
+        self, faults, clean_log2, forced_pool
+    ):
         # Every worker dies on every chunk: nothing can succeed in the
         # pool, so every chunk must be computed by the parent's serial
         # fallback — and the merge must still be bit-identical.
@@ -52,10 +59,13 @@ class TestGenerationRecovery:
             make_pipeline("log2", TINY_CONFIG, Oracle()), jobs=2
         )
         assert _fingerprint(gen) == _fingerprint(clean_log2)
+        assert forced_pool["_gen_chunk"] > 0
 
 
 class TestVerifyRecovery:
-    def test_verify_matches_serial_under_crashes(self, faults, oracle):
+    def test_verify_matches_serial_under_crashes(
+        self, faults, oracle, forced_pool
+    ):
         pipe = make_pipeline("exp2", TINY_CONFIG, oracle)
         gen = generate_function(pipe)
         lib = GeneratedLibrary({"exp2": pipe}, {"exp2": gen}, label="rlibm-prog")
@@ -75,6 +85,7 @@ class TestVerifyRecovery:
             (f.input_bits, f.mode, f.got_bits, f.want_bits)
             for f in serial.failures
         ]
+        assert forced_pool["_verify_chunk"] > 0
 
 
 class TestStartMethodValidation:
