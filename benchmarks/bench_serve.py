@@ -209,7 +209,7 @@ def main(argv=None):
     ap.add_argument("--smoke", action="store_true", help="CI smoke gate")
     ap.add_argument("--function", default="exp2")
     ap.add_argument(
-        "--protocol", choices=("auto", "binary", "json"), default="binary",
+        "--protocol", choices=("binary", "json"), default="binary",
         help="wire protocol for the sweep client (recorded in the payload;"
              " default binary)",
     )

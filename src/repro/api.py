@@ -360,10 +360,9 @@ def make_evaluator(
     calls on hot paths.
 
     ``tiers`` selects the dispatch table: ``None`` (all built-in tiers,
-    including the precomputed-table tier when ``.tbl`` sidecars exist),
-    a :class:`~repro.serve.tiers.TierRegistry`, or a sequence of tier
-    names — ``tiers=("vector", "scalar", "oracle")`` pins the polynomial
-    path.
+    including the precomputed-table tier when ``.tbl`` sidecars exist)
+    or a sequence of tier names — ``tiers=("vector", "scalar",
+    "oracle")`` pins the polynomial path.
     """
     registry = ServingRegistry(family, directory, names=names, oracle=oracle)
     return BatchEvaluator(registry, tiers=tiers)

@@ -9,8 +9,6 @@ have doubled many times.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -62,10 +60,3 @@ class WeightState:
         wv = float(w[violated].sum()) if len(violated) else 0.0
         return wv, float(w.sum()) - wv
 
-
-def sample_constraints(
-    state: WeightState, size: int, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Weight-proportional sample from the multiset state."""
-    rng = rng or np.random.default_rng()
-    return weighted_sample_indices(state.weights, size, rng)

@@ -132,11 +132,6 @@ class FunctionPipeline:
         """Range-reduce a poly-path input (assumes special_value was None)."""
         raise NotImplementedError
 
-    def domain_split_point(self, xd: float) -> int:
-        """Sub-domain index of a reduced input when the search splits the
-        domain; default: single domain."""
-        return 0
-
     # -- shapes -------------------------------------------------------------
     @property
     def num_polys(self) -> int:

@@ -130,10 +130,6 @@ class Exp2Pipeline(_ExpPipeline):
 class _CodyWaiteExp(_ExpPipeline):
     """Shared reduction for exp and exp10: r = (x - N*C1) - N*C2."""
 
-    def _reduction_log(self) -> Fraction:
-        """Exact bound-friendly rational close to log_b(2) (for clamps)."""
-        raise NotImplementedError
-
     def _log_b2_double_pair(self) -> None:
         """Set self.c1 (top bits of log_b(2)/2^J2) and self.c2 (residual),
         plus self.inv_scale = double nearest 2^J2 / log_b(2)."""

@@ -72,15 +72,6 @@ class FI:
         v = num // x.denominator
         return cls(v, v, prec)
 
-    @classmethod
-    def hull_fractions(cls, lo: Fraction, hi: Fraction, prec: int) -> "FI":
-        """Outward enclosure of a rational interval."""
-        return cls(
-            floor_div(lo.numerator << prec, lo.denominator),
-            ceil_div(hi.numerator << prec, hi.denominator),
-            prec,
-        )
-
     # -- inspection --------------------------------------------------------
     @property
     def lo_fraction(self) -> Fraction:

@@ -226,18 +226,6 @@ class OracleCache:
         if len(self._pending) >= self._FLUSH_EVERY:
             self.flush()
 
-    def put_raw(self, entries: Iterable[RawEntry]) -> None:
-        """Queue wire-format entries (what pool workers ship back)."""
-        if self.read_only:
-            return
-        for fn, num, den, total, ebits, mode, bits in entries:
-            key = (
-                f"{fn}|{num}/{den}|{total}:{ebits}|{mode}"
-            )
-            self._pending[key] = str(bits)
-        if len(self._pending) >= self._FLUSH_EVERY:
-            self.flush()
-
     #: Pending-map size past which a persistently failing flush starts
     #: dropping entries (the cache is best-effort; memory is not).
     _PENDING_CAP = 8 * _FLUSH_EVERY

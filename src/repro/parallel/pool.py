@@ -20,7 +20,9 @@ one function per task).  All of them share:
   and returns the entries it resolved plus its :class:`OracleStats`
   delta; the parent absorbs the entries into its memo (persisting them,
   so downstream phases and warm re-runs skip the Ziv loops) and merges
-  the counters into its own oracle's;
+  the counters into its own oracle's.  Verification workers ship
+  entries only when the parent oracle has a persistent cache: nothing
+  else reads a verified input's result again;
 * **one recovery rule** — a chunk whose worker raised or died is
   computed **in-process** by the parent's serial code path, and a pool
   broken by a dead worker is replaced for the chunks not yet consumed;
@@ -65,7 +67,12 @@ from ..obs import (
 )
 from ..obs import span as obs_span
 from ..resilience.faults import maybe_crash, maybe_sleep
-from .cache import absorb_entries, open_oracle, persistent_cache_path
+from .cache import (
+    CachedOracle,
+    absorb_entries,
+    open_oracle,
+    persistent_cache_path,
+)
 
 logger = logging.getLogger("repro.parallel")
 
@@ -384,7 +391,8 @@ def shard_functions(
 def _init_verify_worker(spec, cache_path, max_prec) -> None:
     reset_tracing()
     oracle = open_oracle(
-        cache_path, max_prec=max_prec, read_only=True, record_new=True
+        cache_path, max_prec=max_prec, read_only=True,
+        record_new=cache_path is not None,
     )
     _STATE.clear()
     _STATE["oracle"] = oracle
@@ -411,7 +419,9 @@ def _verify_chunk(bits):
         "pool.verify_chunk", fn=spec[1], level=spec[3], inputs=len(bits)
     ):
         report = _verify_bits(spec, _STATE["oracle"], bits)
-    return report, _STATE["oracle"].drain_new(), _drain_stats()
+    oracle = _STATE["oracle"]
+    entries = oracle.drain_new() if isinstance(oracle, CachedOracle) else []
+    return report, entries, _drain_stats()
 
 
 def shard_verify(

@@ -51,10 +51,6 @@ _HEAD = struct.Struct("<2sBII")  # magic, version, payload len, payload crc32
 MAX_RECORD = 64 * 1024 * 1024
 
 
-class JournalError(RuntimeError):
-    """The journal is damaged beyond a torn tail."""
-
-
 @dataclass
 class ReplayResult:
     """What :func:`replay_journal` recovered."""

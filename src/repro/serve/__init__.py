@@ -11,9 +11,9 @@ exposes per-tier counters and batch-size / latency histograms.  Small
 formats can be served from dense precomputed ``.tbl`` tables
 (:mod:`repro.libm.tables`) — one mmap'd ``np.take`` per batch.
 
-Connections speak newline-delimited JSON and may negotiate up to the
+Connections start in newline-delimited JSON; the clients negotiate the
 zero-copy ``binary.v1`` frame protocol (:mod:`repro.serve.frames`) for
-bulk data.  :class:`FleetThread` / ``repro serve --workers N`` scale one
+bulk data unless built with ``protocol="json"``.  :class:`FleetThread` / ``repro serve --workers N`` scale one
 family horizontally: N identical worker processes, each a
 :class:`ServeServer` over the full registry, accept on one
 ``SO_REUSEPORT`` port, so the kernel spreads connections across them.
@@ -59,7 +59,7 @@ _EXPORTS = {
     "resolve_mode": "evaluator",
     "start_fleet_thread": "fleet",
     "start_server_thread": "server",
-    "tune_gc_for_serving": "base",
+    "tune_gc_for_serving": "server",
 }
 
 __all__ = [

@@ -1,14 +1,15 @@
 """Clients for the serving protocol: synchronous and asyncio.
 
-Both clients speak the newline-JSON protocol and the ``binary.v1``
-framed protocol, negotiated per connection (``protocol="auto"``, the
-default): right after connecting the client offers ``binary.v1``; a
-server that speaks it answers in kind and the connection flips to
-frames, while an older server answers ``unknown op`` and the client
-simply stays on line JSON.  Negotiation runs again on *every* reconnect
-— the process listening on a host:port can change across a connection
-drop (a rolling downgrade, a failover to an older build), so the
-protocol is per-connection state, never per-client state.
+Both clients speak the ``binary.v1`` framed protocol by default
+(``protocol="binary"``): right after connecting the client offers
+``binary.v1`` with the ``negotiate`` op and the connection flips to
+frames.  A server that answers anything else is a
+:class:`~repro.serve.protocol.ProtocolError`.  ``protocol="json"`` skips
+negotiation and stays on newline JSON (the fleet's private-port probes
+use it).  Negotiation runs again on *every* reconnect: the process
+listening on a host:port can change across a connection drop (a
+restarted server, a fleet worker respawned), and the new one starts
+every connection in line JSON.
 
 :class:`ServeClient` — the synchronous client.  Transient transport
 failures (connection reset, server-side drop, broken pipe) are retried
@@ -56,10 +57,47 @@ from .protocol import ProtocolError, parse_float_token
 
 __all__ = ["AsyncServeClient", "ServeClient"]
 
-_PROTOCOL_CHOICES = ("auto", "binary", "json")
-#: Reserved request id of the negotiation round trip (never collides
-#: with the integer ids the request machinery assigns).
-_NEGOTIATE_ID = "__negotiate__"
+_PROTOCOL_CHOICES = ("binary", "json")
+#: The negotiation round trip's request line.  Its reserved id never
+#: collides with the integer ids the request machinery assigns.
+_NEGOTIATE_LINE = (
+    json.dumps({
+        "op": "negotiate", "id": "__negotiate__", "protocols": [PROTOCOL_NAME],
+    }) + "\n"
+).encode()
+
+
+def _check_protocol(protocol: str) -> None:
+    if protocol not in _PROTOCOL_CHOICES:
+        raise ValueError(
+            f"protocol must be one of {_PROTOCOL_CHOICES}, not {protocol!r}"
+        )
+
+
+def _check_negotiated(line: bytes) -> None:
+    """The server's answer to :data:`_NEGOTIATE_LINE` must be ``binary.v1``."""
+    if not line:
+        raise ConnectionError("server closed during negotiation")
+    resp = json.loads(line)
+    if not (resp.get("ok") and resp.get("protocol") == PROTOCOL_NAME):
+        raise ProtocolError(
+            f"server does not speak {PROTOCOL_NAME}: "
+            f"{resp.get('error') or resp.get('protocol') or resp!r}"
+        )
+
+
+def _eval_request(fn, inputs, fmt, level, mode, budget) -> dict:
+    """The ``eval`` request both clients send (ndarrays ship as-is)."""
+    if not isinstance(inputs, np.ndarray):
+        inputs = list(inputs)
+    req: dict = {"op": "eval", "fn": fn, "inputs": inputs, "mode": mode}
+    if fmt is not None:
+        req["fmt"] = fmt
+    if level is not None:
+        req["level"] = level
+    if budget is not None:
+        req["budget"] = budget
+    return req
 
 
 def _coerce_inputs(inputs) -> np.ndarray:
@@ -127,15 +165,12 @@ class ServeClient:
         port: int,
         timeout: float = 30.0,
         *,
-        protocol: str = "auto",
+        protocol: str = "binary",
         array_results: bool = False,
         reconnect_attempts: int = 3,
         reconnect_backoff: float = 0.05,
     ):
-        if protocol not in _PROTOCOL_CHOICES:
-            raise ValueError(
-                f"protocol must be one of {_PROTOCOL_CHOICES}, not {protocol!r}"
-            )
+        _check_protocol(protocol)
         self._host = host
         self._port = port
         self._timeout = timeout
@@ -168,32 +203,16 @@ class ServeClient:
         self._file = self._sock.makefile("rwb")
         self._framed = False
         self.protocol = "json"
-        if self._want in ("auto", "binary"):
-            self._negotiate()
-
-    def _negotiate(self) -> None:
-        """One line-JSON round trip deciding this connection's protocol."""
-        req = {
-            "op": "negotiate",
-            "id": _NEGOTIATE_ID,
-            "protocols": [PROTOCOL_NAME, "json"],
-        }
-        self._file.write((json.dumps(req) + "\n").encode())
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed during negotiation")
-        resp = json.loads(line)
-        if resp.get("ok") and resp.get("protocol") == PROTOCOL_NAME:
+        if self._want == "binary":
+            try:
+                self._file.write(_NEGOTIATE_LINE)
+                self._file.flush()
+                _check_negotiated(self._file.readline())
+            except BaseException:
+                self.close()
+                raise
             self._framed = True
             self.protocol = PROTOCOL_NAME
-        elif self._want == "binary":
-            raise ProtocolError(
-                f"server does not speak {PROTOCOL_NAME}: "
-                f"{resp.get('error') or resp.get('protocol') or resp!r}"
-            )
-        # else: an old server's ``unknown op`` error or an explicit
-        # ``"json"`` answer — either way this connection stays line JSON.
 
     def _reconnect(self) -> None:
         """Bounded reconnect-with-backoff, renegotiate, replay unanswered."""
@@ -216,9 +235,8 @@ class ServeClient:
                 f"{self.reconnect_attempts} attempts"
             ) from last
         self.reconnects += 1
-        # _connect renegotiated, so replays are encoded for the protocol
-        # the *new* server speaks — including the fall-back to plain
-        # JSON when the new listener predates binary framing.
+        # _connect renegotiated, so replays are encoded for the new
+        # connection's wire mode.
         for obj in list(self._unanswered.values()):
             self._write(obj)
 
@@ -297,16 +315,9 @@ class ServeClient:
         the server-side deadline (seconds): the server answers
         ``deadline_exceeded`` rather than work past it.
         """
-        if not isinstance(inputs, np.ndarray):
-            inputs = list(inputs)
-        req: dict = {"op": "eval", "fn": fn, "inputs": inputs, "mode": mode}
-        if fmt is not None:
-            req["fmt"] = fmt
-        if level is not None:
-            req["level"] = level
-        if budget is not None:
-            req["budget"] = budget
-        return self.request(req)
+        return self.request(
+            _eval_request(fn, inputs, fmt, level, mode, budget)
+        )
 
     def eval_many(self, requests: List[dict]) -> List[dict]:
         """Pipeline several eval requests at once (they may coalesce
@@ -367,13 +378,10 @@ class AsyncServeClient:
         host: str,
         port: int,
         *,
-        protocol: str = "auto",
+        protocol: str = "binary",
         array_results: bool = True,
     ):
-        if protocol not in _PROTOCOL_CHOICES:
-            raise ValueError(
-                f"protocol must be one of {_PROTOCOL_CHOICES}, not {protocol!r}"
-            )
+        _check_protocol(protocol)
         self._host = host
         self._port = port
         self._want = protocol
@@ -405,32 +413,19 @@ class AsyncServeClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._framed = False
         self.protocol = "json"
-        if self._want in ("auto", "binary"):
-            await self._negotiate()
+        if self._want == "binary":
+            try:
+                self._writer.write(_NEGOTIATE_LINE)
+                await self._writer.drain()
+                _check_negotiated(await self._reader.readline())
+            except BaseException:
+                await self.aclose()
+                raise
+            self._framed = True
+            self.protocol = PROTOCOL_NAME
         self._closed = False
         self._reader_task = asyncio.ensure_future(self._read_loop())
         return self
-
-    async def _negotiate(self) -> None:
-        req = {
-            "op": "negotiate",
-            "id": _NEGOTIATE_ID,
-            "protocols": [PROTOCOL_NAME, "json"],
-        }
-        self._writer.write((json.dumps(req) + "\n").encode())
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionError("server closed during negotiation")
-        resp = json.loads(line)
-        if resp.get("ok") and resp.get("protocol") == PROTOCOL_NAME:
-            self._framed = True
-            self.protocol = PROTOCOL_NAME
-        elif self._want == "binary":
-            raise ProtocolError(
-                f"server does not speak {PROTOCOL_NAME}: "
-                f"{resp.get('error') or resp.get('protocol') or resp!r}"
-            )
 
     async def _read_loop(self) -> None:
         error: Optional[BaseException] = None
@@ -508,16 +503,9 @@ class AsyncServeClient:
 
         ``budget`` caps the server-side deadline (seconds).
         """
-        if not isinstance(inputs, np.ndarray):
-            inputs = list(inputs)
-        req: dict = {"op": "eval", "fn": fn, "inputs": inputs, "mode": mode}
-        if fmt is not None:
-            req["fmt"] = fmt
-        if level is not None:
-            req["level"] = level
-        if budget is not None:
-            req["budget"] = budget
-        return await self.request(req)
+        return await self.request(
+            _eval_request(fn, inputs, fmt, level, mode, budget)
+        )
 
     async def ping(self) -> bool:
         """Liveness probe."""
@@ -531,10 +519,6 @@ class AsyncServeClient:
     async def stats(self) -> dict:
         """The server's metrics snapshot."""
         return (await self.request({"op": "stats"}))["stats"]
-
-    async def metrics_payload(self) -> dict:
-        """The full ``metrics`` op response (JSON model + Prometheus)."""
-        return await self.request({"op": "metrics"})
 
     async def info(self) -> dict:
         """The server's registry description."""

@@ -75,7 +75,6 @@ from .tiers import (
     CLAIMS_NONE,
     EvalContext,
     OracleUnavailable,
-    TierRegistry,
     UNCLAIMED,
     default_tier_registry,
     resolve_tiers,
@@ -326,11 +325,10 @@ def _assemble(answers, n: int, fmt: FPFormat):
 class BatchEvaluator:
     """In-process batch-evaluation API over a :class:`ServingRegistry`.
 
-    ``tiers`` selects the dispatch table: ``None`` (the process-global
-    default registry — table/compiled/vector/scalar/oracle), a
-    :class:`~repro.serve.tiers.TierRegistry`, or a sequence of built-in
-    tier names (``tiers=("vector", "scalar", "oracle")`` disables the
-    table tier without touching wire codes).
+    ``tiers`` selects the dispatch table: ``None`` (every built-in tier —
+    table/compiled/vector/scalar/oracle) or a sequence of built-in tier
+    names (``tiers=("vector", "scalar", "oracle")`` disables the table
+    tier without touching wire codes).
     """
 
     def __init__(
@@ -338,7 +336,7 @@ class BatchEvaluator:
         registry: ServingRegistry,
         metrics: Optional[ServerMetrics] = None,
         breaker: Optional[CircuitBreaker] = None,
-        tiers: Union[None, TierRegistry, Sequence[str]] = None,
+        tiers: Optional[Sequence[str]] = None,
     ):
         self.registry = registry
         self.metrics = metrics or ServerMetrics()
@@ -361,7 +359,7 @@ class BatchEvaluator:
     ) -> BatchResult:
         """Correctly rounded bit patterns for a batch of double inputs.
 
-        Walks the tier registry in rank order; each tier claims the
+        Walks the tiers in dispatch order; each tier claims the
         still-unanswered inputs its capability covers.  ``n_requests``
         is how many client requests this batch answers — the coalescing
         dispatcher passes the fused-request count so the metrics count

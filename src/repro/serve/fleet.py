@@ -51,15 +51,17 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..obs import merge_metrics_json, prometheus_from_json
 from ..parallel.pool import start_method
 from ..resilience.faults import maybe_crash
-from .base import DEFAULT_MAX_PENDING, DEFAULT_REQUEST_DEADLINE, tune_gc_for_serving
 from .client import AsyncServeClient
 from .metrics import fleet_registry
 from .registry import FamilyLike, ServingRegistry, resolve_family
 from .server import (
     DEFAULT_BATCH_WINDOW,
     DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_PENDING,
+    DEFAULT_REQUEST_DEADLINE,
     ServerThread,
     ServeServer,
+    tune_gc_for_serving,
 )
 
 __all__ = [
@@ -223,7 +225,7 @@ class FleetWorker(ServeServer):
         peer_timeout: float = 5.0,
         **server_kwargs,
     ):
-        # The base listener is the private loopback port.
+        # The inherited listener is the private loopback port.
         super().__init__(registry, "127.0.0.1", 0, **server_kwargs)
         self.slots = slots
         self.index = index

@@ -44,10 +44,9 @@ Truncated, oversized, or unrecognisable frames raise
 so servers answer them with a structured error instead of dying.
 
 Sessions start in the newline-JSON protocol and upgrade via the
-``negotiate`` op (see :mod:`repro.serve.protocol`); a server that
-predates this module answers ``negotiate`` with an ``unknown op`` error
-and the client simply stays on JSON — old and new speak to each other
-in both directions.
+``negotiate`` op (see :mod:`repro.serve.server`): a client that offers
+``binary.v1`` gets it, and a client that never negotiates stays on
+line JSON.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ HEADER = struct.Struct("<2sBBI")
 _META_LEN = struct.Struct("<H")
 
 #: Tier names in wire order; a result's ``uint8`` tier code indexes this.
-#: Derived from the tier registry (:mod:`repro.serve.tiers`), whose wire
-#: codes are append-only — existing codes never move, so old peers keep
-#: decoding new servers' responses by index.
+#: Derived from the fixed tier table (:mod:`repro.serve.tiers`).
 TIER_NAMES = default_tier_registry().wire_names()
 TIER_CODES = default_tier_registry().wire_codes()
 

@@ -12,11 +12,10 @@ pipelined and arrive out of order).  Operations:
     ``float.hex`` strings (``"0x1.8p+1"``) for bit-exact requests.
     Response: ``{"id": 1, "ok": true, "fn": ..., "fmt": ..., "level":
     ..., "mode": ..., "bits": [...], "values": [...], "tiers": [...]}``.
-    ``tiers`` names the serving tier per element; the set of names and
-    their binary-protocol codes come from the tier registry
-    (:func:`repro.serve.tiers.default_tier_registry` — table / vector /
-    scalar / oracle today), so a new tier extends responses without a
-    protocol revision.  An optional ``"budget": <seconds>`` caps the
+    ``tiers`` names the serving tier per element; the names and their
+    binary-protocol codes come from the fixed tier table
+    (:func:`repro.serve.tiers.default_tier_registry` — table / compiled
+    / vector / scalar / oracle).  An optional ``"budget": <seconds>`` caps the
     server-side deadline below the server default.
 
 ``stats``

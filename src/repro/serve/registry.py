@@ -39,7 +39,7 @@ from ..funcs.base import FunctionPipeline
 from ..libm import tables as tbl
 from ..libm.artifacts import load_generated
 from ..libm.compiled import CompiledFunction, CompiledUnavailable, load_compiled
-from ..libm.runtime import RlibmProg, RlibmProgFunction
+from ..libm.runtime import RlibmProgFunction
 from ..libm.vectorized import VectorizedFunction
 from ..libm.vround import supports_vector_rounding
 from ..mp.oracle import FUNCTION_NAMES, Oracle
@@ -308,13 +308,6 @@ class ServingRegistry:
         done.set_result(None)
 
     # ------------------------------------------------------------------
-    def as_library(self) -> RlibmProg:
-        """The loaded functions as a plain :class:`RlibmProg` library."""
-        lib = RlibmProg(self.family, self.oracle)
-        for fn, scalar in self.scalars.items():
-            lib.add_generated(scalar.generated)
-        return lib
-
     def describe(self) -> dict:
         """The ``info`` op response body."""
         return {

@@ -1,22 +1,16 @@
-"""The pluggable serving-tier registry.
+"""The serving tiers and their fixed dispatch table.
 
-The evaluator used to hard-code its fallback order as a three-tuple
-(vector / scalar / oracle) mirrored into the wire protocol's tier codes
-and the stats counters — adding a tier meant editing all of them in
-lockstep.  This module makes tiers first-class: a :class:`Tier` bundles
-a *name*, a stable *wire code*, a dispatch *rank*, a capability
-predicate (:attr:`Tier.claims`) and an evaluation function, and an
-ordered :class:`TierRegistry` is what :class:`~repro.serve.evaluator.
-BatchEvaluator` dispatches through and what :mod:`repro.serve.frames`
-derives its wire tables from.
+A :class:`Tier` bundles a *name*, a *wire code*, a capability predicate
+(:attr:`Tier.claims`) and an evaluation function.  The five built-in
+tiers form one immutable :class:`TierRegistry` in dispatch order —
+table (a mapped ``np.take``), compiled (one fused C pass), vector (numpy
+kernel sweep), scalar, oracle — which is what
+:class:`~repro.serve.evaluator.BatchEvaluator` dispatches through and
+what :mod:`repro.serve.frames` derives its wire tables from.
 
-Wire codes are append-only and frozen forever — old clients decode new
-servers' responses by index, so ``vector=0, scalar=1, oracle=2`` keep
-the codes they have had since the protocol shipped, the ``table`` tier
-took the next free code (3) and the ``compiled`` tier the one after
-(4).  Dispatch *rank* is independent of code: table (a mapped
-``np.take``) dispatches first, then compiled (one fused C pass), then
-vector (numpy kernel sweep), despite their higher codes.
+Wire codes are independent of dispatch order: ``vector=0, scalar=1,
+oracle=2, table=3, compiled=4``.  A result's per-element ``uint8`` tier
+code indexes :meth:`TierRegistry.wire_names`.
 
 Capability model
 ----------------
@@ -24,16 +18,15 @@ Capability model
 ``tier.claims(ctx)`` answers for one batch: ``"none"`` (tier cannot
 serve this ``(fn, format)``), ``"members"`` (tier serves the inputs that
 are exact member values of the requested format) or ``"all"`` (tier
-serves every input).  The evaluator walks tiers in rank order and hands
-each the still-unclaimed inputs its claim covers — so a table serves
-member inputs, non-members drop to the scalar runtime, and the slow
-oracle only ever runs when no artifact exists at all (exactly the
-semantics the hard-coded dispatch had).
+serves every input).  The evaluator walks tiers in dispatch order and
+hands each the still-unclaimed inputs its claim covers — so a table
+serves member inputs, non-members drop to the scalar runtime, and the
+slow oracle only ever runs when no artifact exists at all.
 
-The default registry is process-global (:func:`default_tier_registry`);
-``BatchEvaluator(tiers=...)`` accepts a custom registry or a name subset
+``BatchEvaluator(tiers=...)`` accepts a subset of the built-in names
 for callers that want to pin or disable tiers (benchmarks disable the
-table tier to measure the polynomial path).
+table tier to measure the polynomial path); a subset keeps the
+built-in codes and dispatch order.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,7 +136,7 @@ CLAIMS_ALL = "all"
 
 @dataclass(frozen=True)
 class Tier:
-    """One serving tier: identity, wire code, dispatch rank, behaviour.
+    """One serving tier: identity, wire code, behaviour.
 
     ``evaluate(ctx, sel)`` answers the selected inputs (``sel`` is an
     index array or ``slice(None)`` for the whole batch) with
@@ -162,7 +155,6 @@ class Tier:
 
     name: str
     code: int
-    rank: int
     claims: Callable[[EvalContext], str]
     evaluate: Callable[
         [EvalContext, object],
@@ -173,88 +165,47 @@ class Tier:
         Callable[[EvalContext], Optional[Tuple[np.ndarray, np.ndarray]]]
     ] = None
 
-    def __post_init__(self):
-        if not 0 <= self.code < UNCLAIMED:
-            raise ValueError(
-                f"tier code {self.code} outside the uint8 wire range "
-                f"[0, {UNCLAIMED})"
-            )
-
 
 class TierRegistry:
-    """An ordered, code-stable collection of serving tiers.
+    """An immutable sequence of serving tiers in dispatch order.
 
-    Iteration yields tiers in *dispatch* order (ascending rank);
-    :meth:`wire_names` lays names out by *code* for the wire protocol.
-    Names and codes are unique; codes are append-only by convention —
-    :meth:`subset` keeps the original codes so a server running fewer
-    tiers still speaks the same wire dialect.
+    :meth:`wire_names` lays the built-in names out by *code* for the
+    wire protocol; :meth:`subset` keeps the built-in codes, so a server
+    running fewer tiers still speaks the same wire dialect.
     """
 
-    def __init__(self, tiers: Sequence[Tier] = ()):
-        self._by_name: Dict[str, Tier] = {}
-        #: Dispatch order, rebuilt on :meth:`register` (read at least
-        #: once per evaluated batch).
-        self._ordered: Tuple[Tier, ...] = ()
-        for tier in tiers:
-            self.register(tier)
+    __slots__ = ("_tiers",)
 
-    def register(self, tier: Tier) -> Tier:
-        """Add one tier; name and code collisions are errors."""
-        if tier.name in self._by_name:
-            raise ValueError(f"tier {tier.name!r} already registered")
-        for other in self._by_name.values():
-            if other.code == tier.code:
-                raise ValueError(
-                    f"tier code {tier.code} already taken by {other.name!r}"
-                )
-        self._by_name[tier.name] = tier
-        self._ordered = tuple(
-            sorted(self._by_name.values(), key=lambda t: (t.rank, t.name))
-        )
-        return tier
-
-    def get(self, name: str) -> Tier:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown tier {name!r}; registered: {sorted(self._by_name)}"
-            ) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self._by_name)
+    def __init__(self, tiers: Iterable[Tier]):
+        self._tiers: Tuple[Tier, ...] = tuple(tiers)
 
     def __iter__(self) -> Iterator[Tier]:
-        """Tiers in dispatch order (ascending rank, name tie-break)."""
-        return iter(self._ordered)
+        """Tiers in dispatch order."""
+        return iter(self._tiers)
 
     def names(self) -> Tuple[str, ...]:
         """Tier names in dispatch order."""
-        return tuple(t.name for t in self)
+        return tuple(t.name for t in self._tiers)
 
-    def max_code(self) -> int:
-        return max((t.code for t in self._by_name.values()), default=-1)
-
-    def wire_names(self) -> Tuple[str, ...]:
-        """Names laid out by wire code (``names[code] == name``); codes
-        with no registered tier (subsets) keep a placeholder so indexing
-        by any historical code stays well-defined."""
-        out = ["?"] * (self.max_code() + 1)
-        for tier in self._by_name.values():
-            out[tier.code] = tier.name
-        return tuple(out)
+    @staticmethod
+    def wire_names() -> Tuple[str, ...]:
+        """Every built-in tier's name laid out by wire code
+        (``names[code] == name``)."""
+        return tuple(t.name for t in sorted(_BUILTIN, key=lambda t: t.code))
 
     def wire_codes(self) -> Dict[str, int]:
-        """``name -> code`` for every registered tier."""
-        return {t.name: t.code for t in self._by_name.values()}
+        """``name -> code`` for every tier in this registry."""
+        return {t.name: t.code for t in self._tiers}
 
     def subset(self, names: Sequence[str]) -> "TierRegistry":
-        """A registry of just ``names``, keeping their codes and ranks."""
-        return TierRegistry([self.get(n) for n in names])
+        """The tiers named in ``names``, in this registry's dispatch order."""
+        unknown = set(names) - set(self.names())
+        if unknown:
+            raise KeyError(
+                f"unknown tier {sorted(unknown)[0]!r}; registered: "
+                f"{list(self.names())}"
+            )
+        return TierRegistry(t for t in self._tiers if t.name in names)
 
 
 # ----------------------------------------------------------------------
@@ -369,50 +320,45 @@ def _oracle_eval(ctx: EvalContext, sel):
     return bits, raw, raw
 
 
-#: The built-in tiers.  Codes are the frozen wire contract (vector /
-#: scalar / oracle predate the registry; table appended at 3, compiled
-#: at 4); ranks order dispatch — the table's O(1) gather outranks the
-#: fused C pass, which outranks the numpy kernel sweep.
-TIER_TABLE_DEF = Tier(
-    "table", code=3, rank=0, claims=_table_claims, evaluate=_table_eval,
-    doc="dense precomputed .tbl lookup (np.take on an mmap'd array)",
-)
-TIER_COMPILED_DEF = Tier(
-    "compiled", code=4, rank=5, claims=_compiled_claims,
-    evaluate=_compiled_eval, encode=_compiled_encode,
-    doc="gcc-built C kernel: evaluate, round and decode in one pass",
-)
-TIER_VECTOR_DEF = Tier(
-    "vector", code=0, rank=10, claims=_vector_claims, evaluate=_vector_eval,
-    doc="numpy kernel sweep + vectorized rounding",
-)
-TIER_SCALAR_DEF = Tier(
-    "scalar", code=1, rank=20, claims=_scalar_claims, evaluate=_scalar_eval,
-    doc="scalar runtime + exact rational rounding, element-wise",
-)
-TIER_ORACLE_DEF = Tier(
-    "oracle", code=2, rank=30, claims=_oracle_claims, evaluate=_oracle_eval,
-    doc="mpmath Ziv oracle (artifact missing), behind a circuit breaker",
+#: The built-in tiers in dispatch order: the table's O(1) gather before
+#: the fused C pass, before the numpy kernel sweep.  Codes are the wire
+#: contract (vector / scalar / oracle at 0-2, table 3, compiled 4).
+_BUILTIN = (
+    Tier(
+        "table", code=3, claims=_table_claims, evaluate=_table_eval,
+        doc="dense precomputed .tbl lookup (np.take on an mmap'd array)",
+    ),
+    Tier(
+        "compiled", code=4, claims=_compiled_claims,
+        evaluate=_compiled_eval, encode=_compiled_encode,
+        doc="gcc-built C kernel: evaluate, round and decode in one pass",
+    ),
+    Tier(
+        "vector", code=0, claims=_vector_claims, evaluate=_vector_eval,
+        doc="numpy kernel sweep + vectorized rounding",
+    ),
+    Tier(
+        "scalar", code=1, claims=_scalar_claims, evaluate=_scalar_eval,
+        doc="scalar runtime + exact rational rounding, element-wise",
+    ),
+    Tier(
+        "oracle", code=2, claims=_oracle_claims, evaluate=_oracle_eval,
+        doc="mpmath Ziv oracle (artifact missing), behind a circuit breaker",
+    ),
 )
 
-_DEFAULT = TierRegistry([
-    TIER_TABLE_DEF, TIER_COMPILED_DEF, TIER_VECTOR_DEF, TIER_SCALAR_DEF,
-    TIER_ORACLE_DEF,
-])
+_DEFAULT = TierRegistry(_BUILTIN)
 
 
 def default_tier_registry() -> TierRegistry:
-    """The process-global registry of built-in tiers (table / compiled /
-    vector / scalar / oracle).  Shared: registering here affects every evaluator
-    constructed without an explicit ``tiers=``."""
+    """The registry of every built-in tier (table / compiled / vector /
+    scalar / oracle), shared by every evaluator built without ``tiers=``."""
     return _DEFAULT
 
 
-def resolve_tiers(tiers=None) -> TierRegistry:
-    """A :class:`TierRegistry` from ``None`` (the default registry), a
-    registry instance, or a sequence of built-in tier names."""
+def resolve_tiers(tiers: Optional[Sequence[str]] = None) -> TierRegistry:
+    """The default registry for ``None``, else the subset of built-in
+    tiers named in ``tiers`` (an unknown name raises :class:`KeyError`)."""
     if tiers is None:
         return _DEFAULT
-    if isinstance(tiers, TierRegistry):
-        return tiers
     return _DEFAULT.subset(tuple(tiers))

@@ -15,6 +15,7 @@ from repro.funcs import TINY_CONFIG, make_pipeline
 from repro.libm.baselines import GeneratedLibrary
 from repro.mp import Oracle
 from repro.parallel import open_oracle, resolve_jobs
+from repro.parallel.cache import OracleCache
 from repro.verify import verify_exhaustive
 
 
@@ -157,6 +158,59 @@ class TestVerifyDeterminism:
         assert len(serial.failures) == 32  # cap reached
         assert self._fields(sharded) == self._fields(serial)
         assert forced_pool["_verify_chunk"] > 0
+
+
+    def test_plain_oracle_ships_no_entries(
+        self, lib, oracle, forced_pool, monkeypatch
+    ):
+        # Without a persistent cache nothing reads a verified input's
+        # result again, so workers ship none back.
+        shipped = _count_shipped(monkeypatch)
+        serial = verify_exhaustive(lib, "exp2", T10, 1, oracle, IEEE_MODES)
+        sharded = verify_exhaustive(
+            lib, "exp2", T10, 1, Oracle(), IEEE_MODES, jobs=2
+        )
+        assert self._fields(sharded) == self._fields(serial)
+        assert forced_pool["_verify_chunk"] > 0
+        assert len(shipped) == forced_pool["_verify_chunk"]
+        assert sum(map(len, shipped)) == 0
+
+    def test_cached_oracle_ships_entries_to_its_file(
+        self, lib, oracle, tmp_path, forced_pool, monkeypatch
+    ):
+        shipped = _count_shipped(monkeypatch)
+        path = str(tmp_path / "oracle.sqlite")
+        cached = open_oracle(path)
+        serial = verify_exhaustive(lib, "exp2", T8, 0, oracle, IEEE_MODES)
+        sharded = verify_exhaustive(
+            lib, "exp2", T8, 0, cached, IEEE_MODES, jobs=2
+        )
+        assert self._fields(sharded) == self._fields(serial)
+        assert forced_pool["_verify_chunk"] > 0
+        assert sum(map(len, shipped)) > 0
+        cached.flush()
+        cached.close()
+        # One row per distinct query (signed zeros share their key).
+        keys = {entry[:-1] for chunk in shipped for entry in chunk}
+        with OracleCache(path, read_only=True) as disk:
+            assert len(disk) == len(keys) > 0
+
+
+def _count_shipped(monkeypatch):
+    """Patch the pool's ``absorb_entries`` to record the entries each
+    merged chunk shipped; returns one list of entries per chunk."""
+    from repro.parallel import pool
+
+    shipped = []
+    real = pool.absorb_entries
+
+    def counting(oracle, entries):
+        entries = list(entries)
+        shipped.append(entries)
+        real(oracle, entries)
+
+    monkeypatch.setattr(pool, "absorb_entries", counting)
+    return shipped
 
 
 class TestResolveJobs:

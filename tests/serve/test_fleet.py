@@ -1,5 +1,5 @@
 """Fleet integration: shared-port topology, bit-identity, fleet view,
-drain, protocol fallback.
+drain, reconnect and protocol choices.
 
 The acceptance bar for the fleet (N identical workers on one
 ``SO_REUSEPORT`` port):
@@ -9,12 +9,16 @@ The acceptance bar for the fleet (N identical workers on one
 * the kernel spreads connections over the workers, and any worker
   answers ``health``/``stats``/``metrics``/``info`` for the whole fleet;
 * SIGTERM drains every worker to exit code 0;
-* a client reconnecting to a server that no longer speaks binary.v1
-  falls back to JSON and replays, invisibly to the caller.
+* a client whose server restarts reconnects, renegotiates binary.v1
+  and replays, invisibly to the caller.
 """
 
+import asyncio
+import gc
 import socket
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from repro.fp import RoundingMode, all_finite
 from repro.funcs import TINY_CONFIG
 from repro.mp.oracle import FUNCTION_NAMES
 from repro.serve import (
+    AsyncServeClient,
     FleetThread,
     ServeClient,
     ServerThread,
@@ -205,7 +210,7 @@ def test_sigterm_drains_every_worker():
 
 
 # ----------------------------------------------------------------------
-# Protocol fallback on reconnect (rolling-downgrade drill)
+# Reconnect, renegotiation and the protocol choices
 # ----------------------------------------------------------------------
 def _reserve_port() -> int:
     """An ephemeral port number that is free right now."""
@@ -215,10 +220,10 @@ def _reserve_port() -> int:
         return s.getsockname()[1]
 
 
-def test_reconnect_renegotiates_down_to_json():
-    # A binary.v1 session whose server is replaced by a pre-binary build
-    # on the same port: the client reconnects, renegotiates, falls back
-    # to line JSON, and replays — the caller just sees answers.
+def test_reconnect_renegotiates_after_restart():
+    # A binary.v1 session whose server is replaced by a fresh one on the
+    # same port: the client reconnects, renegotiates binary.v1 and
+    # replays — the caller just sees the same answers.
     registry = ServingRegistry("tiny", names=("exp2",))
     port = _reserve_port()
     first = ServerThread(registry, port=port, batch_window=0.0).start()
@@ -232,14 +237,12 @@ def test_reconnect_renegotiates_down_to_json():
 
         first.stop()
         first = None
-        second = ServerThread(
-            registry, port=port, batch_window=0.0, binary=False
-        ).start()
+        second = ServerThread(registry, port=port, batch_window=0.0).start()
 
         after = client.eval("exp2", np.array([1.0, 2.0]), fmt="t8")
         assert after["ok"]
         assert after["bits"] == before["bits"]
-        assert client.protocol == "json"
+        assert client.protocol == PROTOCOL_NAME
         assert client.reconnects >= 1
     finally:
         if client is not None:
@@ -250,15 +253,69 @@ def test_reconnect_renegotiates_down_to_json():
             second.stop()
 
 
-def test_auto_client_stays_json_against_old_server():
-    # ``binary=False`` simulates a server that predates the frames
-    # module: negotiate answers ``unknown op`` and auto-mode clients
-    # just keep speaking line JSON.
+def test_protocol_choices():
+    # Both clients default to binary.v1; "auto" is not a choice; a json
+    # client stays on line JSON and gets the same bits.
     registry = ServingRegistry("tiny", names=("exp2",))
-    with ServerThread(registry, batch_window=0.0, binary=False) as srv:
-        with pytest.raises(ProtocolError):
-            ServeClient("127.0.0.1", srv.port, protocol="binary")
-        with ServeClient("127.0.0.1", srv.port) as c:
-            assert c.protocol == "json"
-            resp = c.eval("exp2", [3.0], fmt="t8")
-            assert resp["ok"] and resp["values"] == [8.0]
+    with ServerThread(registry, batch_window=0.0) as srv:
+        for protocol in ("auto", "frames"):
+            with pytest.raises(ValueError, match="protocol must be one of"):
+                ServeClient("127.0.0.1", srv.port, protocol=protocol)
+            with pytest.raises(ValueError, match="protocol must be one of"):
+                AsyncServeClient("127.0.0.1", srv.port, protocol=protocol)
+
+        async def async_protocol() -> str:
+            async with AsyncServeClient("127.0.0.1", srv.port) as c:
+                assert await c.ping()
+                return c.protocol
+
+        assert asyncio.run(async_protocol()) == PROTOCOL_NAME
+        with ServeClient("127.0.0.1", srv.port) as cb, \
+             ServeClient("127.0.0.1", srv.port, protocol="json") as cj:
+            assert cb.protocol == PROTOCOL_NAME
+            assert cj.protocol == "json"
+            rb = cb.eval("exp2", [3.0, 0.5], fmt="t8")
+            rj = cj.eval("exp2", [3.0, 0.5], fmt="t8")
+            assert rb["ok"] and rj["ok"]
+            assert rj["values"][0] == 8.0
+            assert rb["bits"] == rj["bits"]
+            assert rb["tiers"] == rj["tiers"]
+
+
+def test_binary_client_refuses_a_server_without_binary_frames():
+    # A listener that answers ``negotiate`` with anything but binary.v1
+    # (here: an ``unknown op`` error) is refused, not silently
+    # downgraded, and the refused client closes its socket itself
+    # instead of leaving it to the garbage collector.
+    answer = (b'{"id": "__negotiate__", "ok": false, '
+              b'"error": "unknown op \'negotiate\'"}\n')
+
+    def serve_refusals(listener, n):
+        for _ in range(n):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as f:
+                f.readline()
+                f.write(answer)
+                f.flush()
+
+    async def connect_async(port):
+        await AsyncServeClient("127.0.0.1", port).connect()
+
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+        port = listener.getsockname()[1]
+        t = threading.Thread(
+            target=serve_refusals, args=(listener, 2), daemon=True
+        )
+        t.start()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ProtocolError, match="does not speak binary.v1"):
+                ServeClient("127.0.0.1", port, timeout=5.0)
+            with pytest.raises(ProtocolError, match="does not speak binary.v1"):
+                asyncio.run(connect_async(port))
+            gc.collect()
+        t.join(5.0)
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == []

@@ -10,6 +10,13 @@ from repro.fp import IEEE_MODES, all_finite
 from repro.funcs import TINY_CONFIG
 from repro.libm.runtime import RlibmProg
 from repro.serve import ServeClient, ServerThread, ServingRegistry
+from repro.serve.frames import (
+    FRAME_JSON,
+    PROTOCOL_NAME,
+    decode_json_frame,
+    encode_json_frame,
+    read_frame_sync,
+)
 
 from ..helpers import POLY_TIER
 
@@ -180,6 +187,42 @@ def test_raw_garbage_line(server):
         f.flush()
         resp = json.loads(f.readline())
         assert resp["ok"] is False
+
+
+def test_negotiate_answers(server):
+    # The server side of negotiation, spoken raw: an offer without
+    # binary.v1 keeps line JSON, a malformed offer is an error, and an
+    # offer with it flips the connection to frames, where a second
+    # negotiate is confirmed in a JSON frame.
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as s:
+        f = s.makefile("rwb")
+
+        def line(obj):
+            f.write((json.dumps(obj) + "\n").encode())
+            f.flush()
+            return json.loads(f.readline())
+
+        resp = line({"op": "negotiate", "id": 1, "protocols": ["json"]})
+        assert resp == {"id": 1, "ok": True, "protocol": "json"}
+        resp = line({"op": "negotiate", "id": 2, "protocols": "binary.v1"})
+        assert resp["ok"] is False and "list" in resp["error"]
+        assert line({"op": "ping", "id": 3})["pong"] is True
+        resp = line({"op": "negotiate", "id": 4, "protocols": [PROTOCOL_NAME]})
+        assert resp == {"id": 4, "ok": True, "protocol": PROTOCOL_NAME}
+
+        f.write(encode_json_frame(
+            {"op": "negotiate", "id": 5, "protocols": [PROTOCOL_NAME]}
+        ))
+        f.write(encode_json_frame({"op": "ping", "id": 6}))
+        f.flush()
+        answers = {}
+        for _ in range(2):
+            ftype, payload = read_frame_sync(f)
+            assert ftype == FRAME_JSON
+            resp = decode_json_frame(payload)
+            answers[resp["id"]] = resp
+        assert answers[5]["protocol"] == PROTOCOL_NAME
+        assert answers[6]["pong"] is True
 
 
 def test_missing_artifact_server_reports_oracle_tier(tmp_path):
