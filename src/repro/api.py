@@ -76,13 +76,7 @@ def artifact_index(directory: Optional[Union[str, Path]] = None):
 
 
 @contextlib.contextmanager
-def oracle_session(
-    cache_path: Optional[Union[str, Path]] = None,
-    *,
-    max_prec: int = 1 << 15,
-    read_only: bool = False,
-    record_new: bool = False,
-):
+def oracle_session(cache_path: Optional[Union[str, Path]] = None):
     """An oracle, optionally backed by a persistent sqlite cache.
 
     Yields a plain :class:`Oracle` when ``cache_path`` is None, else a
@@ -91,12 +85,7 @@ def oracle_session(
     """
     from .parallel import open_oracle
 
-    oracle = open_oracle(
-        None if cache_path is None else str(cache_path),
-        max_prec=max_prec,
-        read_only=read_only,
-        record_new=record_new,
-    )
+    oracle = open_oracle(None if cache_path is None else str(cache_path))
     try:
         yield oracle
     finally:
@@ -190,7 +179,7 @@ def generate_family(
     function's reason (each names its function).
     """
     from .core import GenerationError
-    from .core.search import Rounds, search_identity
+    from .core.search import round_sizes, search_identity
     from .resilience.manifest import (
         fn_inputs_hash,
         incremental_hit,
@@ -200,7 +189,7 @@ def generate_family(
 
     config = resolve_family(family)
     params = dict(max_terms=max_terms, max_subdomains=max_subdomains, seed=seed)
-    Rounds("", max_terms, max_subdomains)  # a budget without a round fails here
+    round_sizes(max_subdomains)  # a budget without a round fails here
     directory = Path(out_dir or ARTIFACT_DIR)
     oracle = oracle if oracle is not None else Oracle()
     manifest = load_manifest(directory) if resume else {}
@@ -377,7 +366,6 @@ def build_table(
     mode: Union[str, RoundingMode] = RoundingMode.RNE,
     directory: Optional[Union[str, Path]] = None,
     out_dir: Optional[Union[str, Path]] = None,
-    verify: bool = True,
     progress=None,
 ) -> Path:
     """Build the dense precomputed ``.tbl`` result table for one
@@ -393,8 +381,7 @@ def build_table(
     config = resolve_family(family)
     return _build(
         fn, config, fmt=fmt, level=level, mode=mode,
-        directory=directory, out_dir=out_dir, verify=verify,
-        progress=progress,
+        directory=directory, out_dir=out_dir, progress=progress,
     )
 
 

@@ -211,7 +211,6 @@ def cmd_tables(args) -> int:
                 fn, config,
                 fmt=args.fmt, level=args.level, mode=args.mode,
                 directory=args.dir, out_dir=args.out_dir,
-                verify=not args.no_verify,
             )
         except FileNotFoundError:
             print(f"skipping {fn}: no {config.name} artifact on disk")
@@ -511,10 +510,6 @@ def main(argv=None) -> int:
     tb.add_argument(
         "--out-dir", default=None,
         help="where to write .tbl files (default: next to the artifacts)",
-    )
-    tb.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the re-read verification sweep after writing",
     )
     tb.set_defaults(func=cmd_tables)
     tl = tsub.add_parser("list", help="list .tbl tables on disk")

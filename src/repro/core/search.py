@@ -6,8 +6,8 @@ counts: find the minimal total term count ``k1`` whose system the
 randomized Clarkson solver can satisfy, then greedily shrink the term
 counts of the smaller representations while the progressive constraints
 stay satisfiable.  If no single polynomial fits within the term budget the
-reduced domain is split into 2 or 4 sub-domains (the paper's cap; the
-round rule is :class:`Rounds`).
+reduced domain is split into 2, then 4 sub-domains (the paper's cap; see
+:func:`round_sizes`).
 Candidate polynomials are validated by re-running the *actual* double
 runtime on every generation input against the round-to-odd oracle
 intervals; residual failures (at most a handful, per the paper) are stored
@@ -26,7 +26,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from ..fp.enumerate import EXHAUSTIVE_LIMIT, all_finite
+from ..fp.enumerate import EXHAUSTIVE_LIMIT, all_finite, count_finite
 from ..fp.rounding import RoundingMode
 from ..obs import span as obs_span
 from .clarkson import ClarksonResult, solve_constraints
@@ -115,7 +115,7 @@ def piece_rng(seed: int, nsplits: int, piece_index: int) -> np.random.Generator:
 
 
 # ----------------------------------------------------------------------
-# Search parameters, work-unit ids and the round policy
+# Search parameters, work-unit ids and the round sizes
 # ----------------------------------------------------------------------
 #: The search parameters' defaults, read by every entry point: the
 #: paper's caps of 4 sub-domains and 4 special inputs per sub-domain.
@@ -160,64 +160,19 @@ def piece_unit_id(fn: str, nsplits: int, piece_index: int) -> str:
     return f"{fn}/{nsplits}/{piece_index}"
 
 
-class Rounds:
-    """The round policy of one function's progressive search.
-
-    The first round searches one sub-domain; after an unsatisfiable
-    round the split count doubles while it stays within
-    ``max_subdomains``, then the search gives up.  ``results`` maps piece
-    unit ids to result dicts (:class:`PieceUnitResult` fields) over every
-    round.  No I/O: :func:`generate_function` drives one per function.
-    """
-
-    def __init__(self, fn: str, max_terms: int, max_subdomains: int):
-        if max_subdomains < 1:
-            raise ValueError(
-                f"max_subdomains must be at least 1, not {max_subdomains}"
-            )
-        self.fn = fn
-        self.max_terms = max_terms
-        self.max_subdomains = max_subdomains
-        self.nsplits = 1
-        self.results: Dict[str, dict] = {}
-        self.failure: Optional[str] = None
-
-    def piece_ids(self) -> List[str]:
-        """The current round's piece unit ids, in piece order."""
-        return [piece_unit_id(self.fn, self.nsplits, i) for i in range(self.nsplits)]
-
-    def round_results(self) -> Optional[List[dict]]:
-        """The current round's piece results; None while one is missing."""
-        ids = self.piece_ids()
-        if any(uid not in self.results for uid in ids):
-            return None
-        return [self.results[uid] for uid in ids]
-
-    def counters(self) -> Dict[str, int]:
-        """The deterministic counters summed over every piece result."""
-        out = dict.fromkeys(COUNTERS, 0)
-        for result in self.results.values():
-            for key in COUNTERS:
-                out[key] += int(result["stats"][key])
-        return out
-
-    def split(self, reason: str) -> bool:
-        """Close the current round as unsatisfiable for ``reason``; True
-        when a next round follows, False when the budget is spent."""
-        self.failure = reason
-        nsplits = self.nsplits * 2
-        if nsplits > self.max_subdomains:
-            return False
-        self.nsplits = nsplits
-        return True
-
-    def error(self) -> GenerationError:
-        """The give-up error of an exhausted search."""
-        return GenerationError(
-            f"could not generate {self.fn} within {self.max_terms} terms and "
-            f"{self.max_subdomains} sub-domains"
-            + (f" ({self.failure})" if self.failure else "")
+def round_sizes(max_subdomains: int) -> List[int]:
+    """The split counts of the search's rounds: 1, 2, 4, ... up to
+    ``max_subdomains``.  The first round searches one sub-domain; each
+    unsatisfiable round doubles the split count.  Below 1 there is no
+    round at all, which is a ``ValueError``."""
+    if max_subdomains < 1:
+        raise ValueError(
+            f"max_subdomains must be at least 1, not {max_subdomains}"
         )
+    sizes = [1]
+    while sizes[-1] * 2 <= max_subdomains:
+        sizes.append(sizes[-1] * 2)
+    return sizes
 
 
 def collect_constraints(
@@ -260,7 +215,7 @@ def collect_constraints(
 
         workers = workers_for(sum(
             len(inputs_per_level[level]) if inputs_per_level is not None
-            else fmt.num_bit_patterns
+            else count_finite(fmt)
             for level, fmt in enumerate(fam.formats)
         ), jobs)
     t0 = time.perf_counter()
@@ -315,9 +270,11 @@ def generate_function(
     too, see :func:`collect_constraints`); results are bit-identical
     for any worker count.  ``stats.jobs`` records the requested value.
 
-    The search runs idempotent piece units (:func:`search_piece_unit`,
-    then :func:`assemble_function`) in the rounds :class:`Rounds` plans
-    (``max_subdomains`` below 1 is a ``ValueError``).  ``journal_path``
+    Each round of :func:`round_sizes` (``max_subdomains`` below 1 is a
+    ``ValueError``, raised before the sweep) runs one idempotent piece
+    unit per sub-domain (:func:`search_piece_unit`), then
+    :func:`assemble_function`; the first round that assembles wins, and
+    the search counters are summed over every round run.  ``journal_path``
     journals every finished unit; with ``resume=True`` a journal of the
     same search supplies its units instead of recomputing them, so a
     killed run continues from where it died and produces an artifact
@@ -328,7 +285,7 @@ def generate_function(
     from ..resilience import checkpoint
     from ..resilience.faults import maybe_raise
 
-    rounds = Rounds(pipeline.name, max_terms, max_subdomains)
+    sizes = round_sizes(max_subdomains)
     params = dict(
         max_terms=max_terms, max_subdomains=max_subdomains,
         max_specials=max_specials, max_iterations=max_iterations, seed=seed,
@@ -355,13 +312,20 @@ def generate_function(
             }, resume)
             if replayed and progress:
                 progress(f"{pipeline.name}: resuming with {len(replayed)} unit(s) done")
+        counters = dict.fromkeys(COUNTERS, 0)  # summed over every round
         try:
-            while True:
-                for pi, uid in enumerate(rounds.piece_ids()):
+            for nsplits in sizes:
+                if nsplits > 1 and progress:
+                    progress(
+                        f"{pipeline.name}: splitting into {nsplits} sub-domains"
+                    )
+                results = []
+                for pi in range(nsplits):
+                    uid = piece_unit_id(pipeline.name, nsplits, pi)
                     result = replayed.get(uid)
                     if result is None:
                         result = asdict(search_piece_unit(
-                            pipeline, constraints, rounds.nsplits, pi,
+                            pipeline, constraints, nsplits, pi,
                             params=params, power_cache=power_cache,
                             timings=timings,
                         ))
@@ -370,22 +334,22 @@ def generate_function(
                                 "type": "done", "unit": uid, "result": result,
                             })
                             maybe_raise("search.crash")
-                    rounds.results[uid] = result
+                    results.append(PieceUnitResult(**result))
+                    for key in COUNTERS:
+                        counters[key] += int(result["stats"][key])
                 try:
                     gen = assemble_function(
-                        pipeline, constraints, forced_specials,
-                        [PieceUnitResult(**r) for r in rounds.round_results()],
-                        rounds.counters(), max_specials, timings=timings,
+                        pipeline, constraints, forced_specials, results,
+                        counters, max_specials, timings=timings,
                     )
                     break
                 except GenerationError as e:
-                    if not rounds.split(str(e)):
-                        raise rounds.error() from e
-                    if progress:
-                        progress(
-                            f"{pipeline.name}: splitting into "
-                            f"{rounds.nsplits} sub-domains"
-                        )
+                    failure = e
+            else:
+                raise GenerationError(
+                    f"could not generate {pipeline.name} within {max_terms} "
+                    f"terms and {max_subdomains} sub-domains ({failure})"
+                ) from failure
             if journal is not None:
                 checkpoint.delete_checkpoint(journal)
         finally:
@@ -676,8 +640,8 @@ class PieceUnitResult:
     Everything in here is JSON-serializable so the journal can record
     it; ``piece`` is the artifact piece dict (or None when the
     sub-domain is unsatisfiable at the term budget) and ``stats`` holds
-    the unit's deterministic counter deltas, which :meth:`Rounds.counters`
-    sums — addition is commutative, so completion order does not matter.
+    the unit's deterministic counter deltas, which
+    :func:`generate_function` sums over every round.
     """
 
     nsplits: int
@@ -752,8 +716,8 @@ def assemble_function(
 ) -> GeneratedFunction:
     """Assemble one round's piece units into a finished artifact.
 
-    ``counters`` are the search counters summed over every round so far
-    (:meth:`Rounds.counters`); they become the artifact's stats.
+    ``counters`` are the search counters summed over every round so far;
+    they become the artifact's stats.
 
     Raises :class:`GenerationError` when any piece was unsatisfiable,
     the Clarkson failure counts blow the round's special-case budget, or

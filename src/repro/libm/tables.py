@@ -31,8 +31,8 @@ alignment keeps the mmap'd array cache-line aligned.
 Tables are built by :func:`build_table` through the same vectorized
 runtime the serve vector tier runs (`kernel` sweep + ``vround``
 rounding), so table results are bit-identical to the vector tier *by
-construction*; ``verify=True`` (the default) re-reads the written file
-and re-checks every entry.  Writes are atomic (tmp file + ``os.replace``)
+construction*; every build re-reads the written file and re-checks
+every entry.  Writes are atomic (tmp file + ``os.replace``)
 so a killed build never leaves a half-written table where the serving
 discovery would find it.
 
@@ -350,7 +350,6 @@ def build_table(
     directory: Optional[Union[str, Path]] = None,
     out_dir: Optional[Union[str, Path]] = None,
     chunk: int = 1 << 16,
-    verify: bool = True,
     progress=None,
 ) -> Path:
     """Exhaustively evaluate ``fn`` over every encoding of a small format
@@ -359,7 +358,7 @@ def build_table(
     The sweep runs the *same* computation as the serve vector tier — the
     numpy kernel followed by the vectorized rounding — over
     ``decode(enc)`` for every encoding, so the table is bit-identical to
-    the vector tier by construction.  ``verify=True`` re-opens the
+    the vector tier by construction.  The build then re-opens the
     written file (full CRC + mmap) and re-checks every entry against the
     in-memory sweep.  Returns the written path.
 
@@ -417,14 +416,11 @@ def build_table(
             meta,
             bits,
         )
-        if verify:
-            table = open_table(
-                path, expect_fingerprint=meta["artifact_sha256"]
-            )
-            if not np.array_equal(
-                table.data.astype(np.int64), bits
-            ):  # pragma: no cover - would mean a broken write path
-                raise TableError(f"{path.name}: verification sweep mismatch")
+        table = open_table(path, expect_fingerprint=meta["artifact_sha256"])
+        if not np.array_equal(
+            table.data.astype(np.int64), bits
+        ):  # pragma: no cover - would mean a broken write path
+            raise TableError(f"{path.name}: verification sweep mismatch")
     return path
 
 

@@ -3,7 +3,9 @@
 Implements Ziv's strategy on top of the rigorous enclosures in
 :mod:`repro.mp.functions`: evaluate at some working precision, check
 whether both interval endpoints round to the same bit pattern, and double
-the precision until they do.  Exactly-representable results are decided in
+the precision until they do.  One loop decides every requested rounding
+mode from the same enclosure (:meth:`Oracle._compute_all`); a single-mode
+query runs it on one mode.  Exactly-representable results are decided in
 closed form first (Lindemann-Weierstrass / Gelfond-Schneider / Niven
 guarantee that all remaining cases are transcendental, so the loop always
 terminates).
@@ -212,27 +214,9 @@ class Oracle:
             self._rounded_cache.update(items)
 
     def _compute(self, fn: str, x: Fraction, fmt: FPFormat, mode: RoundingMode) -> FPValue:
+        """One compute: the all-modes Ziv loop on ``mode`` alone."""
         self.stats.computes += 1
-        # The shortcut goes first: it bounds |x| before exact_value
-        # raises 2 or 10 to an integral x, which is unbounded work.
-        shortcut = self._range_shortcut(fn, x, fmt)
-        if shortcut is not None:
-            return round_real(shortcut, fmt, mode)
-        exact = exact_value(fn, x)
-        if exact is not None:
-            return round_real(exact, fmt, mode)
-        prec = start = self.initial_precision(fn, x, fmt)
-        while prec <= self.max_prec:
-            self.stats.escalations += prec == 2 * start
-            fi = self.enclosure(fn, x, prec)
-            scale = 1 << fi.prec
-            lo = round_ratio_bits(fi.lo, scale, fmt, mode)
-            if lo == round_ratio_bits(fi.hi, scale, fmt, mode):
-                return FPValue(fmt, lo)
-            prec *= 2
-        raise OraclePrecisionError(
-            f"{fn}({x}) undecided at {self.max_prec} bits for {fmt} {mode}"
-        )
+        return self._compute_all(fn, x, fmt, (mode,))[mode]
 
     def _range_shortcut(self, fn: str, x: Fraction, fmt: FPFormat) -> Optional[Fraction]:
         """A *representative* value for results provably far outside the
@@ -308,7 +292,9 @@ class Oracle:
     def _compute_all(
         self, fn: str, x: Fraction, fmt: FPFormat, modes: Tuple[RoundingMode, ...]
     ) -> Dict[RoundingMode, FPValue]:
-        shortcut = self._range_shortcut(fn, x, fmt)  # first: see _compute
+        # The shortcut goes first: it bounds |x| before exact_value
+        # raises 2 or 10 to an integral x, which is unbounded work.
+        shortcut = self._range_shortcut(fn, x, fmt)
         if shortcut is not None:
             return {m: round_real(shortcut, fmt, m) for m in modes}
         exact = exact_value(fn, x)
@@ -316,30 +302,32 @@ class Oracle:
             return {m: round_real(exact, fmt, m) for m in modes}
         out: Dict[RoundingMode, FPValue] = {}
         prec = start = self.initial_precision(fn, x, fmt)
-        remaining = list(modes)
-        while prec <= self.max_prec and remaining:
+        while prec <= self.max_prec:
             self.stats.escalations += prec == 2 * start
             fi = self.enclosure(fn, x, prec)
             scale = 1 << fi.prec
-            decided = round_interval_bits(fi.lo, fi.hi, scale, fmt, remaining)
-            if decided is not None:
-                for m, bits in decided.items():
-                    out[m] = FPValue(fmt, bits)
-                return out
-            still = []
-            for m in remaining:
+            # The shared split pays from two modes up; one mode takes the
+            # same two endpoint splits either way.
+            if len(modes) > 1:
+                decided = round_interval_bits(fi.lo, fi.hi, scale, fmt, modes)
+                if decided is not None:
+                    for m, bits in decided.items():
+                        out[m] = FPValue(fmt, bits)
+                    return out
+            undecided = []
+            for m in modes:
                 lo = round_ratio_bits(fi.lo, scale, fmt, m)
                 if lo == round_ratio_bits(fi.hi, scale, fmt, m):
                     out[m] = FPValue(fmt, lo)
                 else:
-                    still.append(m)
-            remaining = still
+                    undecided.append(m)
+            if not undecided:
+                return out
+            modes = undecided
             prec *= 2
-        if remaining:
-            raise OraclePrecisionError(
-                f"{fn}({x}) undecided at {self.max_prec} bits for {remaining}"
-            )
-        return out
+        raise OraclePrecisionError(
+            f"{fn}({x}) undecided at {self.max_prec} bits for {list(modes)}"
+        )
 
     def tight_value(self, fn: str, x: Fraction, rel_bits: int) -> Fraction:
         """A rational approximation of f(x) with ~rel_bits correct bits

@@ -246,27 +246,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """The text exposition format (``# HELP`` / ``# TYPE`` / samples)."""
-        lines: List[str] = []
-        with self._lock:
-            families = {
-                name: (fam, dict(fam.children))
-                for name, fam in self._families.items()
-            }
-        for name in sorted(families):
-            fam, children = families[name]
-            if fam.help:
-                lines.append(f"# HELP {name} {_escape_help(fam.help)}")
-            lines.append(f"# TYPE {name} {fam.kind}")
-            for label_key in sorted(children):
-                child = children[label_key]
-                if isinstance(child, Histogram):
-                    lines.extend(_histogram_lines(name, label_key, child))
-                else:
-                    lines.append(
-                        f"{name}{_label_str(label_key)} "
-                        f"{_format_value(child.value)}"
-                    )
-        return "\n".join(lines) + "\n" if lines else ""
+        return prometheus_from_json(self.to_json())
 
 
 # ----------------------------------------------------------------------
@@ -300,31 +280,6 @@ def _format_value(value: float) -> str:
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
     return repr(float(value))
-
-
-def _format_bound(bound: float) -> str:
-    return _format_value(bound)
-
-
-def _histogram_lines(name: str, label_key, hist: Histogram) -> List[str]:
-    lines = []
-    with hist._lock:
-        counts = list(hist.counts)
-        total, total_sum = hist.total, hist.sum
-    cumulative = 0
-    for bound, count in zip(hist.bounds, counts):
-        cumulative += count
-        lines.append(
-            f"{name}_bucket"
-            f"{_label_str(label_key, [('le', _format_bound(bound))])} "
-            f"{cumulative}"
-        )
-    lines.append(
-        f"{name}_bucket{_label_str(label_key, [('le', '+Inf')])} {total}"
-    )
-    lines.append(f"{name}_sum{_label_str(label_key)} {_format_value(total_sum)}")
-    lines.append(f"{name}_count{_label_str(label_key)} {total}")
-    return lines
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +396,9 @@ def _finalize_row(slot: dict) -> dict:
 def prometheus_from_json(payload: dict) -> str:
     """Registry-model JSON rendered as Prometheus text exposition.
 
-    The inverse of scraping: :meth:`MetricsRegistry.to_prometheus`
-    renders live instruments, this renders a (possibly merged) JSON
-    snapshot — a fleet worker serves the merged fleet view through it.
+    The one renderer: :meth:`MetricsRegistry.to_prometheus` renders its
+    own snapshot through it, and a fleet worker serves the merged fleet
+    view through it.
     """
     lines: List[str] = []
     for name in sorted(payload):
@@ -463,7 +418,7 @@ def prometheus_from_json(payload: dict) -> str:
                 for bucket in row["buckets"]:
                     le = _bucket_le(bucket.get("le", "inf"))
                     cumulative += int(bucket.get("count", 0))
-                    le_str = "+Inf" if math.isinf(le) else _format_bound(le)
+                    le_str = "+Inf" if math.isinf(le) else _format_value(le)
                     lines.append(
                         f"{name}_bucket"
                         f"{_label_str(label_key, [('le', le_str)])} "

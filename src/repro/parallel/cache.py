@@ -19,9 +19,9 @@ subnormals and NaN payloads included.
 Warm re-runs of a search skip the Ziv loops entirely: a fresh process
 pointing at the same cache file resolves every previously seen
 ``correctly_rounded`` query with a point lookup.  Pool workers open the
-cache read-only and ship the entries they resolve back to the parent,
-which both seeds its in-memory memo (so the post-LP runtime re-check is
-warm) and flushes the new rows to disk in one transaction.
+cache read-only and ship the entries they resolve back to the parent
+(:func:`repro.parallel.pool.run_chunks` says when), which seeds its
+in-memory memo and flushes the new rows to disk in one transaction.
 
 The cache is *self-healing*: every open runs ``PRAGMA integrity_check``
 and validates the schema version, and a corrupt or unreadable file is
@@ -287,11 +287,13 @@ class OracleCache:
 class CachedOracle(Oracle):
     """An :class:`Oracle` with a persistent disk layer under the memo.
 
-    Lookup order: in-memory memo (inherited) -> disk cache -> Ziv compute.
-    With ``record_new=True`` every result resolved below the memo (disk
-    hits included) is also queued as a wire-format entry; pool workers
-    drain those per chunk and ship them to the parent, whose own oracle
-    absorbs them into its memo and persists them.
+    Lookup order: in-memory memo (inherited) -> disk cache -> Ziv compute
+    (the oracle's one loop, :meth:`Oracle._compute_all`, which single-mode
+    computes reach too).  With ``record_new=True`` every result resolved
+    below the memo (disk hits included) is also queued as a wire-format
+    entry; pool workers drain those per task and ship them to the
+    parent, whose own oracle absorbs them into its memo and persists
+    them.
     """
 
     def __init__(
@@ -307,19 +309,6 @@ class CachedOracle(Oracle):
         self._new: List[RawEntry] = []
 
     # ------------------------------------------------------------------
-    def _compute(self, fn, x, fmt, mode):
-        if self.cache is not None:
-            got = self.cache.get(fn, x, fmt, mode)
-            if got is not None:
-                self.stats.disk_hits += 1
-                self._record(fn, x, fmt, mode, got)
-                return got
-        result = super()._compute(fn, x, fmt, mode)
-        if self.cache is not None:
-            self.cache.put(fn, x, fmt, mode, result)
-        self._record(fn, x, fmt, mode, result)
-        return result
-
     def _compute_all(self, fn, x, fmt, modes):
         if self.cache is not None:
             out = {}

@@ -12,17 +12,19 @@ one function per task).  All of them share:
   enumeration order and results are consumed in submission order, so the
   merged outcome/report sequence is byte-identical to the serial sweep
   for any worker count — and for any number of worker failures;
-* **spawn-safety** — workers are initialized by module-level functions
-  from picklable specs (function name, family, artifact, cache path);
-  no closures or lambdas cross the process boundary;
-* **oracle result shipping** — each worker runs its own
-  :class:`CachedOracle` (reading the shared persistent cache read-only)
-  and returns the entries it resolved plus its :class:`OracleStats`
-  delta; the parent absorbs the entries into its memo (persisting them,
-  so downstream phases and warm re-runs skip the Ziv loops) and merges
-  the counters into its own oracle's.  Verification workers ship
-  entries only when the parent oracle has a persistent cache: nothing
-  else reads a verified input's result again;
+* **one worker protocol** — every pool's workers run one module-level
+  initializer (:func:`_init_worker`) on a picklable state (function
+  name and family, build function, verify spec) and the parent's cache
+  path; no closures or lambdas cross the process boundary.  Each task
+  returns its result with its worker oracle's :class:`OracleStats`
+  delta, which :func:`run_chunks` merges into the parent's oracle;
+* **oracle result shipping, one rule** — each worker runs its own
+  oracle over the parent's persistent cache (opened read-only), and it
+  ships the entries it resolved back only when the parent reads or
+  persists them: sweep chunks always (the post-LP runtime re-check
+  reads their round-to-odd results), function and verify tasks only
+  when the parent oracle has a persistent cache.  The parent absorbs
+  shipped entries into its memo and, with a cache, persists them;
 * **one recovery rule** — a chunk whose worker raised or died is
   computed **in-process** by the parent's serial code path, and a pool
   broken by a dead worker is replaced for the chunks not yet consumed;
@@ -37,7 +39,7 @@ generation run is killed and resumed from its journal instead.
 A sweep gets workers only when it pays for them: :func:`workers_for`
 grants one worker per :data:`MIN_INPUTS_PER_WORKER` inputs, up to
 ``jobs``.  A sweep that gets one — every ``jobs=1`` sweep, and a small
-one such as a tiny function's 1,280 inputs at any ``jobs`` — runs its
+one such as a tiny function's 1,200 inputs at any ``jobs`` — runs its
 serial code path in-process with no pool, so none of this module's
 machinery runs.
 """
@@ -76,7 +78,7 @@ from .cache import (
 
 logger = logging.getLogger("repro.parallel")
 
-#: Per-process worker state, populated by the pool initializers.
+#: Per-process worker state, set by :func:`_init_worker`.
 _STATE: dict = {}
 
 
@@ -160,18 +162,38 @@ def _die_with_parent(parent_pid: int) -> None:
     ).start()
 
 
-def _init_worker(parent_pid: int, initializer, initargs) -> None:
-    """Every pool worker's initializer: tie its life to the parent's,
-    then run the pool's own ``initializer``."""
+def _init_worker(parent_pid, cache_path, max_prec, ship, state, setup) -> None:
+    """Every pool worker's initializer.
+
+    Ties the worker's life to the parent's, rebinds the tracer, opens
+    the worker oracle over the parent's persistent cache (read-only,
+    recording what it resolves when ``ship``) and builds the pool's
+    state: ``setup(state, oracle)``, or ``state`` itself without a
+    ``setup``.
+    """
     _die_with_parent(parent_pid)
-    initializer(*initargs)
+    # Rebind the tracer from the env the parent exported: forked workers
+    # inherited the parent's tracer (and its open-span stack), spawned
+    # workers have none; either way the env is the source of truth.
+    reset_tracing()
+    oracle = open_oracle(
+        cache_path, max_prec=max_prec, read_only=True, record_new=ship
+    )
+    _STATE.clear()
+    _STATE["oracle"] = oracle
+    _STATE["state"] = state if setup is None else setup(state, oracle)
+    # The parent built its own state: ship the tasks' counters only.
+    oracle.stats = OracleStats()
 
 
-def _drain_stats() -> OracleStats:
-    """This worker oracle's counters since its last chunk."""
+def _shipped(result):
+    """A task's result with the entries and counters of this worker's
+    oracle since its previous task: the envelope :func:`run_chunks`
+    unpacks."""
     oracle = _STATE["oracle"]
+    entries = oracle.drain_new() if isinstance(oracle, CachedOracle) else []
     stats, oracle.stats = oracle.stats, OracleStats()
-    return stats
+    return result, entries, stats
 
 
 def run_chunks(
@@ -180,21 +202,32 @@ def run_chunks(
     fallback: Callable,
     *,
     jobs: int,
-    initializer: Callable,
-    initargs: tuple,
+    oracle,
+    state,
+    setup: Optional[Callable] = None,
+    reads_entries: bool = False,
     label: str = "sweep",
 ) -> Iterator:
     """Yield ``worker_fn(task)`` results in task order.
 
+    Workers start through :func:`_init_worker` with ``state`` and
+    ``setup``; each result's worker oracle counters are merged into
+    ``oracle``, the parent's.  Workers ship the oracle entries they
+    resolved only when the parent reads them (``reads_entries``) or
+    persists them (``oracle`` has a persistent cache); the parent
+    absorbs what they ship.
+
     A task whose future fails — its worker raised, or died and broke the
     pool (``BrokenProcessPool``) — is computed in-process by
-    ``fallback``, the parent's serial code path, which shares none of
-    the worker machinery.  After a break a fresh pool takes every task
-    not yet consumed.  Results are yielded strictly in task order, so
-    callers' merges stay bit-identical to the serial sweep regardless of
-    what failed.
+    ``fallback``, the parent's serial code path on ``oracle``, which
+    shares none of the worker machinery.  After a break a fresh pool
+    takes every task not yet consumed.  Results are yielded strictly in
+    task order, so callers' merges stay bit-identical to the serial
+    sweep regardless of what failed.
     """
     ctx = get_context(start_method())
+    cache_path = persistent_cache_path(oracle)
+    ship = reads_entries or cache_path is not None
     fallbacks = get_registry().counter(
         "repro_pool_fallback_chunks_total",
         help="Chunks computed in-process after their worker raised or died.",
@@ -205,7 +238,9 @@ def run_chunks(
     def submit_from(start: int) -> ProcessPoolExecutor:
         executor = ProcessPoolExecutor(
             jobs, mp_context=ctx, initializer=_init_worker,
-            initargs=(os.getpid(), initializer, initargs),
+            initargs=(
+                os.getpid(), cache_path, oracle.max_prec, ship, state, setup,
+            ),
         )
         # Workers start as tasks are submitted; fork and spawn alike
         # inherit the trace context then, so worker spans join the
@@ -218,7 +253,7 @@ def run_chunks(
     try:
         for i, task in enumerate(tasks):
             try:
-                result = futures[i].result()
+                result, entries, stats = futures[i].result()
             except Exception as e:
                 logger.warning(
                     "%s: chunk %d/%d failed (%s); computing in-process",
@@ -230,6 +265,9 @@ def run_chunks(
                 if isinstance(e, BrokenProcessPool):
                     executor.shutdown(cancel_futures=True)
                     executor = submit_from(i + 1)
+            else:
+                absorb_entries(oracle, entries)
+                oracle.stats.merge(stats)
             yield result
     finally:
         executor.shutdown(cancel_futures=True)
@@ -238,21 +276,11 @@ def run_chunks(
 # ----------------------------------------------------------------------
 # Constraint generation
 # ----------------------------------------------------------------------
-def _init_gen_worker(fn_name, family, cache_path, max_prec) -> None:
+def _gen_setup(state, oracle):
     from ..funcs import make_pipeline
 
-    # Rebind the tracer from the env the parent exported: forked workers
-    # inherited the parent's tracer (and its open-span stack), spawned
-    # workers have none; either way the env is the source of truth.
-    reset_tracing()
-    oracle = open_oracle(
-        cache_path, max_prec=max_prec, read_only=True, record_new=True
-    )
-    _STATE.clear()
-    _STATE["oracle"] = oracle
-    _STATE["pipeline"] = make_pipeline(fn_name, family, oracle)
-    # The parent built its own pipeline: ship the sweep's counters only.
-    oracle.stats = OracleStats()
+    fn_name, family = state
+    return make_pipeline(fn_name, family, oracle)
 
 
 def _gen_chunk(task):
@@ -261,7 +289,7 @@ def _gen_chunk(task):
     maybe_crash("worker.crash")
     maybe_sleep("chunk.slow")
     level, bits = task
-    pipeline = _STATE["pipeline"]
+    pipeline = _STATE["state"]
     fmt = pipeline.family.formats[level]
     with obs_span(
         "pool.gen_chunk", fn=pipeline.name, level=level, inputs=len(bits)
@@ -269,7 +297,7 @@ def _gen_chunk(task):
         outcomes = chunk_outcomes(
             pipeline, level, [FPValue(fmt, b) for b in bits]
         )
-    return outcomes, _STATE["oracle"].drain_new(), _drain_stats()
+    return _shipped(outcomes)
 
 
 def shard_outcomes(
@@ -282,7 +310,9 @@ def shard_outcomes(
     computed across ``jobs`` workers in serial enumeration order.
 
     The parent pipeline's oracle is seeded with every result the workers
-    resolved, and its counters absorb theirs.
+    resolved (:func:`runtime_interval_failures
+    <repro.core.search.runtime_interval_failures>` reads them), and its
+    counters absorb theirs.
     """
     from ..funcs.base import chunk_outcomes
 
@@ -305,10 +335,7 @@ def shard_outcomes(
         # which records its results and counters directly.
         level, bits = task
         fmt = fam.formats[level]
-        outs = chunk_outcomes(
-            pipeline, level, [FPValue(fmt, b) for b in bits]
-        )
-        return outs, [], OracleStats()
+        return chunk_outcomes(pipeline, level, [FPValue(fmt, b) for b in bits])
 
     outcomes: list = []
     done_levels = 0
@@ -317,18 +344,14 @@ def shard_outcomes(
         tasks,
         fallback,
         jobs=jobs,
-        initializer=_init_gen_worker,
-        initargs=(
-            pipeline.name, fam,
-            persistent_cache_path(pipeline.oracle),
-            pipeline.oracle.max_prec,
-        ),
+        oracle=pipeline.oracle,
+        state=(pipeline.name, fam),
+        setup=_gen_setup,
+        reads_entries=True,
         label=f"generate:{pipeline.name}",
     )
-    for i, (chunk_out, entries, stats) in enumerate(results):
+    for i, chunk_out in enumerate(results):
         outcomes.extend(chunk_out)
-        absorb_entries(pipeline.oracle, entries)
-        pipeline.oracle.stats.merge(stats)
         while done_levels < len(level_end) and i + 1 == level_end[done_levels]:
             if progress:
                 fmt = fam.formats[done_levels]
@@ -343,20 +366,9 @@ def shard_outcomes(
 # ----------------------------------------------------------------------
 # Whole functions of a family
 # ----------------------------------------------------------------------
-def _init_function_worker(build, cache_path, max_prec) -> None:
-    reset_tracing()
-    _STATE.clear()
-    _STATE["oracle"] = open_oracle(
-        cache_path, max_prec=max_prec, read_only=True, record_new=True
-    )
-    _STATE["build"] = build
-
-
 def _function_task(fn):
     maybe_crash("worker.crash")
-    oracle = _STATE["oracle"]
-    result = _STATE["build"](fn, oracle)
-    return result, oracle.drain_new(), _drain_stats()
+    return _shipped(_STATE["state"](fn, _STATE["oracle"]))
 
 
 def shard_functions(
@@ -367,38 +379,24 @@ def shard_functions(
 
     ``build`` must pickle (a module-level function, or a partial of
     one).  Each worker passes it its own oracle over the parent's
-    persistent cache; the parent absorbs the entries the workers
-    resolved and merges their counters, as :func:`shard_outcomes` does.
+    persistent cache, and the parent merges the workers' counters.
+    Nothing in the parent reads a finished function's oracle results,
+    so workers ship them only to persist them in the cache.
     """
-    results = run_chunks(
+    return run_chunks(
         _function_task,
         list(functions),
-        lambda fn: (build(fn, oracle), [], OracleStats()),
+        lambda fn: build(fn, oracle),
         jobs=min(jobs, len(functions)),
-        initializer=_init_function_worker,
-        initargs=(build, persistent_cache_path(oracle), oracle.max_prec),
+        oracle=oracle,
+        state=build,
         label="generate-family",
     )
-    for result, entries, stats in results:
-        absorb_entries(oracle, entries)
-        oracle.stats.merge(stats)
-        yield result
 
 
 # ----------------------------------------------------------------------
 # Exhaustive verification
 # ----------------------------------------------------------------------
-def _init_verify_worker(spec, cache_path, max_prec) -> None:
-    reset_tracing()
-    oracle = open_oracle(
-        cache_path, max_prec=max_prec, read_only=True,
-        record_new=cache_path is not None,
-    )
-    _STATE.clear()
-    _STATE["oracle"] = oracle
-    _STATE["verify"] = spec
-
-
 def _verify_bits(spec, oracle, bits):
     from ..verify.exhaustive import verify_exhaustive
 
@@ -414,14 +412,12 @@ def _verify_bits(spec, oracle, bits):
 def _verify_chunk(bits):
     maybe_crash("worker.crash")
     maybe_sleep("chunk.slow")
-    spec = _STATE["verify"]
+    spec = _STATE["state"]
     with obs_span(
         "pool.verify_chunk", fn=spec[1], level=spec[3], inputs=len(bits)
     ):
         report = _verify_bits(spec, _STATE["oracle"], bits)
-    oracle = _STATE["oracle"]
-    entries = oracle.drain_new() if isinstance(oracle, CachedOracle) else []
-    return report, entries, _drain_stats()
+    return _shipped(report)
 
 
 def shard_verify(
@@ -441,7 +437,8 @@ def shard_verify(
     Merging is deterministic: counters add, per-chunk failure lists (each
     already the chunk's first failures in enumeration order) concatenate
     in chunk order and truncate to ``max_recorded_failures`` — exactly
-    the serial report.
+    the serial report.  Nothing reads a verified input's oracle result
+    again, so workers ship theirs only to persist them in the cache.
     """
     from ..verify.exhaustive import VerificationReport
 
@@ -456,28 +453,23 @@ def shard_verify(
     t0 = time.perf_counter()
     oracle_sec0 = oracle.stats.seconds
 
-    def fallback(chunk_bits):
-        # Failed chunk: verify in-process with the parent's oracle.
-        return _verify_bits(spec, oracle, chunk_bits), [], OracleStats()
-
     results = run_chunks(
         _verify_chunk,
         tasks,
-        fallback,
+        # Failed chunk: verify in-process with the parent's oracle.
+        lambda chunk_bits: _verify_bits(spec, oracle, chunk_bits),
         jobs=jobs,
-        initializer=_init_verify_worker,
-        initargs=(spec, persistent_cache_path(oracle), oracle.max_prec),
+        oracle=oracle,
+        state=spec,
         label=f"verify:{fn}",
     )
-    for rep, entries, stats in results:
+    for rep in results:
         report.total_checks += rep.total_checks
         report.wrong += rep.wrong
         for mode, n in rep.by_mode.items():
             report.by_mode[mode] += n
         room = max_recorded_failures - len(report.failures)
         report.failures.extend(rep.failures[:room])
-        absorb_entries(oracle, entries)
-        oracle.stats.merge(stats)
     report.wall_seconds = time.perf_counter() - t0
     report.oracle_seconds = oracle.stats.seconds - oracle_sec0
     return report

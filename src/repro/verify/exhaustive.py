@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..fp.encode import FPValue
+from ..fp.enumerate import count_finite
 from ..fp.format import FPFormat
 from ..fp.rounding import IEEE_MODES, RoundingMode
 from ..mp.oracle import Oracle
@@ -97,7 +98,7 @@ def verify_exhaustive(
         if inputs is not None:
             inputs = list(inputs)
         workers = workers_for(
-            len(inputs) if inputs is not None else fmt.num_bit_patterns, jobs
+            len(inputs) if inputs is not None else count_finite(fmt), jobs
         )
         if workers > 1:
             return shard_verify(

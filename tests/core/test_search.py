@@ -15,9 +15,9 @@ from repro.core.search import (
     GeneratedFunction,
     GenerationError,
     Piece,
-    Rounds,
     _absorb_runtime_failures,
     _split_by_r,
+    round_sizes,
 )
 from repro.core.polynomial import ProgressivePolynomial
 from repro.fp import RoundingMode, all_finite, round_real
@@ -108,8 +108,13 @@ class TestGenerationError:
 
     def test_exhaustion_respects_subdomain_budget(self, oracle):
         pipe = make_pipeline("exp2", TINY_CONFIG, oracle)
-        with pytest.raises(GenerationError, match=r"4 sub-domains"):
+        with pytest.raises(GenerationError) as err:
             generate_function(pipe, max_terms=1, max_subdomains=4)
+        # The give-up message names the budgets and the last round's reason.
+        assert str(err.value) == (
+            "could not generate exp2 within 1 terms and 4 sub-domains "
+            "(exp2: unsatisfiable sub-domain at 4 splits)"
+        )
 
     def test_zero_subdomains_rejected_before_the_sweep(self, oracle):
         pipe = make_pipeline("log2", TINY_CONFIG, oracle)
@@ -210,58 +215,17 @@ class TestCollectConstraints:
         assert shared > 10
 
 
-def _round_sizes(max_subdomains):
-    rounds = Rounds("log2", 8, max_subdomains)
-    sizes = [rounds.nsplits]
-    while rounds.split("unsatisfiable"):
-        sizes.append(rounds.nsplits)
-    return sizes, rounds
-
-
 class TestRounds:
-    """The round policy alone: no pipeline, no search."""
+    """The round sizes alone: no pipeline, no search."""
 
     @pytest.mark.parametrize(
         "max_subdomains, sizes",
         [(1, [1]), (2, [1, 2]), (3, [1, 2]), (4, [1, 2, 4]), (8, [1, 2, 4, 8])],
     )
     def test_split_counts_double_within_the_budget(self, max_subdomains, sizes):
-        assert _round_sizes(max_subdomains)[0] == sizes
-
-    def test_piece_ids_name_the_current_round(self):
-        rounds = Rounds("exp2", 8, 4)
-        assert rounds.piece_ids() == ["exp2/1/0"]
-        rounds.split("no fit")
-        assert rounds.piece_ids() == ["exp2/2/0", "exp2/2/1"]
-
-    def test_give_up_message(self):
-        _, rounds = _round_sizes(3)
-        err = rounds.error()
-        assert isinstance(err, GenerationError)
-        assert str(err) == (
-            "could not generate log2 within 8 terms and 3 sub-domains "
-            "(unsatisfiable)"
-        )
+        assert round_sizes(max_subdomains) == sizes
 
     @pytest.mark.parametrize("max_subdomains", [0, -1])
     def test_budget_without_a_round_is_rejected(self, max_subdomains):
         with pytest.raises(ValueError, match="max_subdomains"):
-            Rounds("log2", 8, max_subdomains)
-
-    def test_results_and_counters_span_every_round(self):
-        rounds = Rounds("log2", 2, 4)
-
-        def result(n):
-            return {"stats": {"clarkson_iterations": n, "lp_solves": 2 * n,
-                              "configs_tried": 1}}
-
-        rounds.results["log2/1/0"] = result(3)
-        assert rounds.round_results() == [result(3)]
-        rounds.split("unsatisfiable sub-domain")
-        rounds.results["log2/2/1"] = result(5)
-        assert rounds.round_results() is None  # piece 0 still missing
-        rounds.results["log2/2/0"] = result(4)
-        assert rounds.round_results() == [result(4), result(5)]
-        assert rounds.counters() == {
-            "clarkson_iterations": 12, "lp_solves": 24, "configs_tried": 3,
-        }
+            round_sizes(max_subdomains)

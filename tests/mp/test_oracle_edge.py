@@ -20,6 +20,8 @@ from repro.mp import Oracle, OraclePrecisionError
 from repro.mp import oracle as oracle_mod
 from repro.mp.oracle import _log2_magnitude_estimate
 
+from ..verify.reference import reference_rounded_all
+
 
 class TestInitialPrecision:
     def test_tiny_results_get_more_bits(self):
@@ -69,14 +71,19 @@ class TestPrecisionEscalation:
         assert abs(v.value - 2) <= Fraction(1, 1 << 22)
 
     def test_correctly_rounded_all_consistent(self):
-        oracle = Oracle()
+        # Both entry points run the one Ziv loop; the reference decides
+        # mode by mode, independently of it.
         from repro.fp import IEEE_MODES
 
-        x = Fraction(7, 8)
-        both = oracle.correctly_rounded_all("exp", x, FLOAT16, IEEE_MODES)
-        for mode in IEEE_MODES:
-            single = oracle.correctly_rounded("exp", x, FLOAT16, mode)
-            assert both[mode].bits == single.bits
+        for fn, x, fmt in (
+            ("exp", Fraction(7, 8), FLOAT16),
+            ("log2", self._hard_input(), FLOAT32),
+        ):
+            want = reference_rounded_all(Oracle(), fn, x, fmt, IEEE_MODES)
+            both = Oracle().correctly_rounded_all(fn, x, fmt, IEEE_MODES)
+            for mode in IEEE_MODES:
+                single = Oracle().correctly_rounded(fn, x, fmt, mode)
+                assert both[mode].bits == single.bits == want[mode].bits
 
     def test_escalations_counted(self):
         # The hard input needs more than its starting precision, once per

@@ -14,6 +14,7 @@ from repro.obs import (
     MetricsRegistry,
     exponential_buckets,
 )
+from repro.obs.metrics import prometheus_from_json
 
 SAMPLE_LINE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"'
@@ -150,6 +151,53 @@ class TestPrometheusText:
         text = reg.to_prometheus()
         assert "# HELP repro_g line1\\nline2 \\\\ slash" in text
         assert "repro_g +Inf" in text
+
+    def test_one_renderer_for_live_and_snapshot_registries(self):
+        # The live registry renders through its own JSON snapshot: the
+        # text is the one the fleet serves for a merged snapshot, down to
+        # escaped help and label values, overflow observations and an
+        # empty histogram.
+        reg = MetricsRegistry()
+        reg.counter("repro_weird_total", help="a\\b\nc", path='C:\\d\n"q"').inc(3)
+        reg.gauge("repro_g", help="gauge").set(2.5)
+        hist = reg.histogram(
+            "repro_lat_seconds", buckets=[0.1, 1.0], help="latency", fn="exp2"
+        )
+        for v in (0.05, 0.5, 7.0, 9.0):
+            hist.observe(v)
+        reg.histogram("repro_empty_seconds", buckets=[0.5, 2.0])
+        text = reg.to_prometheus()
+        assert text == prometheus_from_json(reg.to_json())
+        assert text == (
+            "# TYPE repro_empty_seconds histogram\n"
+            'repro_empty_seconds_bucket{le="0.5"} 0\n'
+            'repro_empty_seconds_bucket{le="2"} 0\n'
+            'repro_empty_seconds_bucket{le="+Inf"} 0\n'
+            "repro_empty_seconds_sum 0\n"
+            "repro_empty_seconds_count 0\n"
+            "# HELP repro_g gauge\n"
+            "# TYPE repro_g gauge\n"
+            "repro_g 2.5\n"
+            "# HELP repro_lat_seconds latency\n"
+            "# TYPE repro_lat_seconds histogram\n"
+            'repro_lat_seconds_bucket{fn="exp2",le="0.1"} 1\n'
+            'repro_lat_seconds_bucket{fn="exp2",le="1"} 2\n'
+            'repro_lat_seconds_bucket{fn="exp2",le="+Inf"} 4\n'
+            'repro_lat_seconds_sum{fn="exp2"} 16.55\n'
+            'repro_lat_seconds_count{fn="exp2"} 4\n'
+            "# HELP repro_weird_total a\\\\b\\nc\n"
+            "# TYPE repro_weird_total counter\n"
+            'repro_weird_total{path="C:\\\\d\\n\\"q\\""} 3\n'
+        )
+
+    def test_server_metrics_render_their_snapshot(self):
+        from repro.serve.metrics import ServerMetrics
+
+        metrics = ServerMetrics()
+        metrics.batch_sizes.observe(5)
+        metrics.errors.inc()
+        reg = metrics.registry
+        assert reg.to_prometheus() == prometheus_from_json(reg.to_json())
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""

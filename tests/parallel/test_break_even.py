@@ -60,6 +60,14 @@ class TestSmallSweepsStayInProcess:
         assert rep.wrong == 0 and rep.workers == 1
 
 
+@pytest.mark.parametrize("fn", ["exp2", "ln"])
+def test_mini_p12_verify_at_jobs_2_starts_no_pool(fn, no_pool):
+    # p12 has 3,968 finite inputs, fewer than two workers' worth: the
+    # verify sweep counts the finite inputs it checks, not every pattern.
+    (report,) = api.verify(fn, "mini", jobs=2, levels=[0])
+    assert report.wrong == 0 and report.workers == 1
+
+
 def _mini_inputs(n):
     """``n`` inputs spread over the mini levels, strided through each."""
     levels = [list(all_finite(fmt)) for fmt in MINI_CONFIG.formats]

@@ -6,6 +6,7 @@ each test forces the pool (``forced_pool``) and checks that it ran.
 
 import pytest
 
+from repro import api
 from repro.fp.encode import FPValue
 
 from repro.core import collect_constraints, generate_function
@@ -194,6 +195,23 @@ class TestVerifyDeterminism:
         keys = {entry[:-1] for chunk in shipped for entry in chunk}
         with OracleCache(path, read_only=True) as disk:
             assert len(disk) == len(keys) > 0
+
+
+def test_plain_oracle_function_pool_ships_no_entries(
+    tmp_path, forced_pool, monkeypatch
+):
+    # A family run's parent never reads a finished function's oracle
+    # results, so without a persistent cache its workers ship none; their
+    # counters still reach the parent's oracle.
+    shipped = _count_shipped(monkeypatch)
+    oracle = Oracle()
+    api.generate_family(
+        ["log2", "exp2"], "tiny", jobs=2, oracle=oracle, out_dir=tmp_path
+    )
+    assert forced_pool["_function_task"] == 2
+    assert len(shipped) == 2
+    assert sum(map(len, shipped)) == 0
+    assert oracle.stats.computes > 0
 
 
 def _count_shipped(monkeypatch):

@@ -12,7 +12,7 @@ from repro.funcs import MINI_CONFIG, TINY_CONFIG
 from repro.fp import RoundingMode
 from repro.fp.format import T8
 from repro.mp import Oracle
-from repro.parallel import CachedOracle
+from repro.parallel import CachedOracle, OracleCache
 
 from .helpers import POLY_TIER, run_capped
 
@@ -57,8 +57,8 @@ def test_oracle_session_closes_on_error(tmp_path):
     with pytest.raises(sqlite3.ProgrammingError):
         oracle.cache._conn.execute("SELECT 1")
     # ...and pending entries were flushed to disk first.
-    with api.oracle_session(path, read_only=True) as reopened:
-        assert len(reopened.cache) == 1
+    with OracleCache(str(path), read_only=True) as reopened:
+        assert len(reopened) == 1
 
 
 def test_generate_verify_evaluate_round_trip(tmp_path, oracle):
