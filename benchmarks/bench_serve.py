@@ -114,9 +114,7 @@ def run_bench(fn="exp2", out_path=None, batch_sizes=BATCH_SIZES,
     """The --json sweep; returns the result dict."""
     fmt = TINY_CONFIG.formats[-1]
     registry = ServingRegistry("tiny", names=(fn,))
-    # Zero window: a sequential client can never coalesce with itself,
-    # so holding its requests would only tax the latency numbers.
-    with ServerThread(registry, batch_window=0.0) as srv:
+    with ServerThread(registry) as srv:
         with ServeClient("127.0.0.1", srv.port, protocol=protocol) as client:
             # What actually got negotiated, not what was asked for.
             wire = "binary" if client.protocol == PROTOCOL_NAME else "json"
@@ -157,7 +155,7 @@ def run_smoke():
         print(f"FAIL: missing artifacts {sorted(registry.missing)}")
         return 1
     failures = []
-    with ServerThread(registry, batch_window=0.005) as srv:
+    with ServerThread(registry) as srv:
         with ServeClient("127.0.0.1", srv.port) as client:
             for fmt in TINY_CONFIG.formats:
                 xs = _member_inputs(fmt, 64)

@@ -198,10 +198,8 @@ def _start_fleet_proc(workers, max_pending):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--family", "tiny",
          "--workers", str(workers), "--port", "0",
-         # Zero batch window (pipelined clients coalesce by arrival,
-         # holding buckets open would only tax latency); admission cap
-         # sized for the fan-in scenario's concurrency.
-         "--batch-window-ms", "0", "--max-pending", str(max_pending)],
+         # Admission cap sized for the fan-in scenario's concurrency.
+         "--max-pending", str(max_pending)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
     deadline = time.time() + 120.0
@@ -325,9 +323,7 @@ async def _smoke_async(port, failures):
 def run_smoke():
     """CI gate: 2-worker fleet serves everything, then drains cleanly."""
     failures = []
-    srv = FleetThread(
-        TINY_CONFIG, n_workers=2, batch_window=0.002
-    ).start(timeout=120.0)
+    srv = FleetThread(TINY_CONFIG, n_workers=2).start(timeout=120.0)
     procs = [w.process for w in srv.server.workers]
     try:
         asyncio.run(_smoke_async(srv.port, failures))

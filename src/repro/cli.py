@@ -267,7 +267,6 @@ def cmd_serve(args) -> int:
                 n_workers=args.workers,
                 names=args.functions,
                 max_batch=args.max_batch,
-                batch_window=args.batch_window_ms / 1000.0,
                 max_pending=args.max_pending,
                 request_deadline=args.request_deadline,
                 config=fleet_config,
@@ -276,8 +275,7 @@ def cmd_serve(args) -> int:
             print(
                 f"serving family {config.name!r} on {args.host}:{server.port} "
                 f"(fleet: {args.workers} workers on one SO_REUSEPORT port, "
-                f"batch window {args.batch_window_ms}ms, max batch "
-                f"{args.max_batch})",
+                f"coalescing by arrival, max batch {args.max_batch})",
                 flush=True,
             )
             for w in server.workers:
@@ -300,14 +298,14 @@ def cmd_serve(args) -> int:
                 args.host,
                 args.port,
                 max_batch=args.max_batch,
-                batch_window=args.batch_window_ms / 1000.0,
                 max_pending=args.max_pending,
                 request_deadline=args.request_deadline,
             )
             await server.start()
             print(
                 f"serving family {config.name!r} on {args.host}:{server.port} "
-                f"(batch window {args.batch_window_ms}ms, max batch {args.max_batch})",
+                f"(batch window 0ms: coalescing by arrival, max batch "
+                f"{args.max_batch})",
                 flush=True,
             )
         # This process exists only to serve: trade collection frequency
@@ -525,10 +523,6 @@ def main(argv=None) -> int:
     s.add_argument(
         "--max-batch", type=int, default=4096,
         help="flush a coalesced batch at this many pending inputs",
-    )
-    s.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="how long to hold requests for coalescing (milliseconds)",
     )
     s.add_argument(
         "--max-pending", type=int, default=256,

@@ -24,7 +24,7 @@ from .format import (
     T10,
 )
 from .encode import FPValue, Kind, float_to_fraction, float_to_fpvalue, ilog2
-from .rounding import RoundingMode, IEEE_MODES, exact_bits, round_real, round_nearest_even
+from .rounding import RoundingMode, IEEE_MODES, exact_bits, round_real
 from .intervals import Interval, rounding_interval
 from .enumerate import all_finite, all_patterns, count_finite, sample_finite, stratified_sample
 
@@ -36,7 +36,6 @@ __all__ = [
     "IEEE_MODES",
     "Interval",
     "round_real",
-    "round_nearest_even",
     "rounding_interval",
     "exact_bits",
     "float_to_fraction",

@@ -198,8 +198,3 @@ def exact_bits(x, fmt: FPFormat) -> Optional[int]:
     if q is None or q[2]:
         return None
     return (fmt.sign_mask if n < 0 else 0) | (q[0] + q[1])
-
-
-def round_nearest_even(x: Fraction, fmt: FPFormat) -> FPValue:
-    """Shorthand for the default IEEE mode."""
-    return round_real(x, fmt, RoundingMode.RNE)

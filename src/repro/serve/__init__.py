@@ -35,7 +35,6 @@ _EXPORTS = {
     "BatchEvaluator": "evaluator",
     "BatchResult": "evaluator",
     "BatchingDispatcher": "server",
-    "DEFAULT_BATCH_WINDOW": "server",
     "DEFAULT_MAX_BATCH": "server",
     "DEFAULT_MAX_PENDING": "server",
     "DEFAULT_REQUEST_DEADLINE": "server",
@@ -67,7 +66,6 @@ __all__ = [
     "BatchEvaluator",
     "BatchResult",
     "BatchingDispatcher",
-    "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_PENDING",
     "DEFAULT_REQUEST_DEADLINE",

@@ -55,7 +55,6 @@ from .client import AsyncServeClient
 from .metrics import fleet_registry
 from .registry import FamilyLike, ServingRegistry, resolve_family
 from .server import (
-    DEFAULT_BATCH_WINDOW,
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
     DEFAULT_REQUEST_DEADLINE,
@@ -431,7 +430,6 @@ class FleetSupervisor:
         n_workers: int = 2,
         names: Optional[Sequence[str]] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         max_pending: int = DEFAULT_MAX_PENDING,
         request_deadline: float = DEFAULT_REQUEST_DEADLINE,
         config: Optional[FleetConfig] = None,
@@ -453,7 +451,6 @@ class FleetSupervisor:
         self.workers: List[_Worker] = [_Worker(i) for i in range(n_workers)]
         self._server_kwargs = {
             "max_batch": max_batch,
-            "batch_window": batch_window,
             "max_pending": max_pending,
             "request_deadline": request_deadline,
             "peer_timeout": self.config.probe_timeout,

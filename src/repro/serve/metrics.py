@@ -23,6 +23,7 @@ requests it carried, so coalesced members were visible only through
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Optional, Sequence, Union
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -84,6 +85,10 @@ class ServerMetrics:
         self.request_latency = reg.histogram(
             "repro_serve_request_latency_seconds", buckets=LATENCY_BOUNDS,
             help="Server-side wall-clock per protocol request.",
+        )
+        self.queue_wait = reg.histogram(
+            "repro_serve_queue_wait_seconds", buckets=LATENCY_BOUNDS,
+            help="Per request: dispatcher submit to its batch's evaluation.",
         )
 
     # ------------------------------------------------------------------
@@ -170,6 +175,13 @@ class ServerMetrics:
         self.coalesced_flushes.inc()
         self.coalesced_requests.inc(n_requests)
 
+    def record_queue_wait(self, submitted: Sequence[float]) -> None:
+        """A flushed batch's queue wait: now minus each caller's
+        ``time.perf_counter()`` at submit, one observation per request."""
+        now = time.perf_counter()
+        for t in submitted:
+            self.queue_wait.observe(now - t)
+
     # ------------------------------------------------------------------
     @staticmethod
     def _values(cache: Dict[str, Counter]) -> Dict[str, int]:
@@ -190,6 +202,7 @@ class ServerMetrics:
             "batch_sizes": self.batch_sizes.snapshot(),
             "eval_latency_s": self.eval_latency.snapshot(),
             "request_latency_s": self.request_latency.snapshot(),
+            "queue_wait_s": self.queue_wait.snapshot(),
         }
 
     def to_json(self) -> dict:

@@ -1,15 +1,14 @@
 """The asyncio batch-evaluation server and its coalescing dispatcher.
 
 Serving model: many clients fire scalar or small-batch ``eval`` requests
-concurrently; the :class:`BatchingDispatcher` holds each request for at
-most ``batch_window`` seconds (or until ``max_batch`` inputs are
-pending) and fuses everything aimed at the same ``(fn, level, mode)``
-into one :class:`~repro.serve.evaluator.BatchEvaluator` call — one numpy
-kernel sweep instead of N scalar evaluations.  Each caller gets back
-exactly its slice of the fused result — a zero-copy numpy view, so
-fusion costs nothing beyond the bookkeeping — and fusion is invisible
-except in the ``stats`` histograms (and in the latency, which is the
-point).
+concurrently; the :class:`BatchingDispatcher` fuses those that arrive
+in one event-loop turn aimed at the same ``(fn, level, mode)`` into one
+:class:`~repro.serve.evaluator.BatchEvaluator` call at the end of that
+turn (or at ``max_batch`` inputs) — one numpy kernel sweep instead of N
+scalar evaluations, and no timer: under load the loop is busy
+evaluating while requests pile up, so batches grow on their own.  Each
+caller gets back exactly its slice of the fused result — a zero-copy
+numpy view — and fusion is invisible except in the ``stats`` histograms.
 
 Requests within one connection are answered out of order (responses
 carry the request ``id``), so a single pipelining client coalesces with
@@ -92,9 +91,8 @@ from .protocol import (
 )
 from .registry import KernelBuilding, ServingRegistry
 
-#: Default coalescing window: long enough to fuse a burst of concurrent
-#: scalar requests, short enough to be invisible next to network latency.
-DEFAULT_BATCH_WINDOW = 0.002
+#: Default cap on the inputs of one coalesced batch: a bucket reaching it
+#: is evaluated at once, without waiting for the end of the loop turn.
 DEFAULT_MAX_BATCH = 4096
 #: Default bound on concurrently admitted requests (backpressure).
 DEFAULT_MAX_PENDING = 256
@@ -104,7 +102,6 @@ DEFAULT_REQUEST_DEADLINE = 30.0
 DRAIN_TIMEOUT = 5.0
 
 __all__ = [
-    "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_PENDING",
     "DEFAULT_REQUEST_DEADLINE",
@@ -153,24 +150,28 @@ class _Bucket:
     futures: List[Tuple[int, int, "asyncio.Future[BatchResult]"]] = field(
         default_factory=list
     )
-    timer: Optional[asyncio.TimerHandle] = None
+    #: ``time.perf_counter()`` at each caller's submit (queue-wait hop).
+    submitted: List[float] = field(default_factory=list)
 
 
 class BatchingDispatcher:
-    """Fuses concurrent eval requests into single vectorized batches."""
+    """Fuses concurrent eval requests into single vectorized batches.
+
+    The first :meth:`submit` of a loop turn schedules one ``call_soon``
+    :meth:`flush_all`, which runs after every callback of that turn.
+    """
 
     def __init__(
         self,
         evaluator: BatchEvaluator,
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
     ):
         self.evaluator = evaluator
         self.metrics = evaluator.metrics
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self._buckets: Dict[Tuple[str, int, str], _Bucket] = {}
+        self._flush_scheduled = False
 
     async def submit(
         self, fn: str, inputs, level: int, mode: RoundingMode
@@ -191,21 +192,20 @@ class BatchingDispatcher:
         bucket.chunks.append(inputs)
         bucket.count += n
         bucket.futures.append((start, n, fut))
+        bucket.submitted.append(time.perf_counter())
         if bucket.count >= self.max_batch:
             self._flush(key)
-        elif bucket.timer is None:
-            bucket.timer = loop.call_later(
-                self.batch_window, self._flush, key
-            )
+        elif not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self.flush_all)
         return await fut
 
     def _flush(self, key: Tuple[str, int, str]) -> None:
         bucket = self._buckets.pop(key, None)
         if bucket is None:
             return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
         self.metrics.record_coalesce(len(bucket.futures))
+        self.metrics.record_queue_wait(bucket.submitted)
         if len(bucket.chunks) == 1:
             inputs = bucket.chunks[0]
         else:
@@ -269,7 +269,8 @@ class BatchingDispatcher:
             )
 
     def flush_all(self) -> None:
-        """Flush every pending bucket (shutdown path)."""
+        """Flush every pending bucket, in insertion order."""
+        self._flush_scheduled = False
         for key in list(self._buckets):
             self._flush(key)
 
@@ -340,7 +341,6 @@ class ServeServer:
         port: int = 0,
         *,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         max_pending: int = DEFAULT_MAX_PENDING,
         request_deadline: float = DEFAULT_REQUEST_DEADLINE,
         metrics: Optional[ServerMetrics] = None,
@@ -359,9 +359,7 @@ class ServeServer:
         # A kernel build runs gcc: keep it off the event loop.
         registry.build_in_background = True
         self.evaluator = BatchEvaluator(registry, self.metrics)
-        self.dispatcher = BatchingDispatcher(
-            self.evaluator, max_batch=max_batch, batch_window=batch_window
-        )
+        self.dispatcher = BatchingDispatcher(self.evaluator, max_batch=max_batch)
 
     # ------------------------------------------------------------------
     async def start(self) -> "ServeServer":
@@ -803,7 +801,6 @@ def start_server_thread(
     host: str = "127.0.0.1",
     port: int = 0,
     max_batch: int = DEFAULT_MAX_BATCH,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
     max_pending: int = DEFAULT_MAX_PENDING,
     request_deadline: float = DEFAULT_REQUEST_DEADLINE,
 ) -> ServerThread:
@@ -818,7 +815,6 @@ def start_server_thread(
         host=host,
         port=port,
         max_batch=max_batch,
-        batch_window=batch_window,
         max_pending=max_pending,
         request_deadline=request_deadline,
     ).start()

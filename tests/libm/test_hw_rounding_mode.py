@@ -3,8 +3,10 @@
 An application may call ``fesetround`` before it calls the library.  The
 serving tiers must still return the bits they return under
 ``FE_TONEAREST``: every mini function, level and IEEE mode through the
-vector and compiled tiers, every tiny one through the scalar tier.  The
-mode is set with ctypes in the test's own thread and always restored.
+vector and compiled tiers, every tiny one through the scalar tier, and
+the paper family's shipped ``ln`` and ``log2`` on every finite bfloat16
+input at both of its levels.  The mode is set with ctypes in the test's
+own thread and always restored.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.fp import IEEE_MODES, RoundingMode, all_finite
-from repro.funcs import MINI_CONFIG, TINY_CONFIG
+from repro.funcs import MINI_CONFIG, PAPER_CONFIG, TINY_CONFIG
 from repro.libm import compiled
 from repro.libm.vround import decode_bits_to_doubles
 from repro.mp.oracle import FUNCTION_NAMES, Oracle
@@ -61,14 +63,19 @@ def hardware_mode(name):
         LIBM.fesetround(before)
 
 
-def bits_by_case(evaluator, tier, config, fn):
-    """``{(level, mode): bits}`` over every finite input of every level,
-    all answered by ``tier``."""
+def finite_doubles(fmt):
+    """Every finite input of ``fmt``, as doubles."""
+    return decode_bits_to_doubles(
+        np.array([v.bits for v in all_finite(fmt)], dtype=np.int64), fmt
+    )
+
+
+def bits_by_case(evaluator, tier, config, fn, inputs=None):
+    """``{(level, mode): bits}`` over ``inputs`` at every level (default:
+    each level's own finite inputs), all answered by ``tier``."""
     out = {}
     for level, fmt in enumerate(config.formats):
-        xs = decode_bits_to_doubles(
-            np.array([v.bits for v in all_finite(fmt)], dtype=np.int64), fmt
-        )
+        xs = finite_doubles(fmt) if inputs is None else inputs
         for mode in IEEE_MODES:
             res = evaluator.evaluate(fn, xs, level=level, mode=mode)
             assert set(res.tiers) == {tier}
@@ -80,13 +87,13 @@ def pinned(config, tier):
     return BatchEvaluator(ServingRegistry(config.name), tiers=(tier,))
 
 
-def assert_mode_independent(config, tier):
+def assert_mode_independent(config, tier, fns=FUNCTION_NAMES, inputs=None):
     evaluator = pinned(config, tier)
-    for fn in FUNCTION_NAMES:
-        want = bits_by_case(evaluator, tier, config, fn)
+    for fn in fns:
+        want = bits_by_case(evaluator, tier, config, fn, inputs)
         for hw in DIRECTED:
             with hardware_mode(hw):
-                got = bits_by_case(evaluator, tier, config, fn)
+                got = bits_by_case(evaluator, tier, config, fn, inputs)
             for case, bits in want.items():
                 bad = np.flatnonzero(got[case] != bits)
                 assert bad.size == 0, (fn, hw, case, bad[:5])
@@ -101,6 +108,19 @@ def test_mini_tiers_ignore_the_hardware_mode(tier):
 
 def test_tiny_scalar_tier_ignores_the_hardware_mode():
     assert_mode_independent(TINY_CONFIG, "scalar")
+
+
+@pytest.mark.parametrize("tier", [
+    "vector", pytest.param("compiled", marks=needs_gcc),
+])
+def test_paper_bfloat16_inputs_ignore_the_hardware_mode(tier):
+    """The shipped paper ``ln`` and ``log2`` on all 65,280 finite
+    bfloat16 inputs, rounded to bfloat16 and to tensorfloat32."""
+    bfloat16 = PAPER_CONFIG.formats[0]
+    assert bfloat16.total_bits == 16
+    assert_mode_independent(
+        PAPER_CONFIG, tier, fns=("ln", "log2"), inputs=finite_doubles(bfloat16)
+    )
 
 
 @pytest.mark.parametrize("tier", [

@@ -413,7 +413,7 @@ def test_server_builds_off_its_event_loop(monkeypatch):
 
     monkeypatch.setattr(serving_registry, "load_compiled", held_load)
     reg = ServingRegistry("tiny", names=("log2",))
-    with ServerThread(reg, batch_window=0.0) as srv:
+    with ServerThread(reg) as srv:
         answers = []
 
         def first_request():

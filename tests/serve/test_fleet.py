@@ -41,7 +41,7 @@ N_WORKERS = 2
 
 @pytest.fixture(scope="module")
 def fleet():
-    with FleetThread("tiny", n_workers=N_WORKERS, batch_window=0.0) as srv:
+    with FleetThread("tiny", n_workers=N_WORKERS) as srv:
         yield srv
 
 
@@ -66,7 +66,7 @@ def test_binary_and_json_bit_identical_every_fn_and_format(fleet):
     # over binary.v1 and over line JSON answer with the single server's
     # bit patterns, values and tiers.
     registry = ServingRegistry("tiny")
-    with ServerThread(registry, batch_window=0.0) as single, \
+    with ServerThread(registry) as single, \
          ServeClient("127.0.0.1", single.port, protocol="binary") as cs, \
          ServeClient("127.0.0.1", fleet.port, protocol="binary") as cb, \
          ServeClient("127.0.0.1", fleet.port, protocol="json") as cj:
@@ -197,7 +197,7 @@ def test_unknown_function_fails_fast(fleet):
 
 
 def test_sigterm_drains_every_worker():
-    srv = FleetThread("tiny", n_workers=N_WORKERS, batch_window=0.0).start()
+    srv = FleetThread("tiny", n_workers=N_WORKERS).start()
     procs = [w.process for w in srv.server.workers]
     try:
         with ServeClient("127.0.0.1", srv.port) as c:
@@ -226,7 +226,7 @@ def test_reconnect_renegotiates_after_restart():
     # replays — the caller just sees the same answers.
     registry = ServingRegistry("tiny", names=("exp2",))
     port = _reserve_port()
-    first = ServerThread(registry, port=port, batch_window=0.0).start()
+    first = ServerThread(registry, port=port).start()
     client = None
     second = None
     try:
@@ -237,7 +237,7 @@ def test_reconnect_renegotiates_after_restart():
 
         first.stop()
         first = None
-        second = ServerThread(registry, port=port, batch_window=0.0).start()
+        second = ServerThread(registry, port=port).start()
 
         after = client.eval("exp2", np.array([1.0, 2.0]), fmt="t8")
         assert after["ok"]
@@ -257,7 +257,7 @@ def test_protocol_choices():
     # Both clients default to binary.v1; "auto" is not a choice; a json
     # client stays on line JSON and gets the same bits.
     registry = ServingRegistry("tiny", names=("exp2",))
-    with ServerThread(registry, batch_window=0.0) as srv:
+    with ServerThread(registry) as srv:
         for protocol in ("auto", "frames"):
             with pytest.raises(ValueError, match="protocol must be one of"):
                 ServeClient("127.0.0.1", srv.port, protocol=protocol)

@@ -76,7 +76,7 @@ def test_failover_and_respawn_are_bit_identical():
     # answer with the same bits, and no eval may fail.
     xs = np.linspace(-3.0, 3.0, 257)
     with FleetThread(
-        "tiny", n_workers=2, batch_window=0.0, config=_fast_config(),
+        "tiny", n_workers=2, config=_fast_config(),
     ) as srv:
         with ServeClient("127.0.0.1", srv.port) as c:
             before = c.eval(FN, xs, fmt="t10")
@@ -123,7 +123,7 @@ def test_unreplicated_fleet_respawns_to_all_ok():
     # reached on its own private port) answers bit-identically.
     xs = np.linspace(0.125, 4.0, 129)
     with FleetThread(
-        "tiny", n_workers=2, batch_window=0.0, config=_fast_config(),
+        "tiny", n_workers=2, config=_fast_config(),
     ) as srv:
         victim = srv.server.workers[1]
         with ServeClient("127.0.0.1", srv.port) as c:
@@ -149,7 +149,7 @@ def test_restart_budget_exhaustion_parks_worker_down():
     # its budget and park the slot at ``down``; the other workers keep
     # serving and the supervisor never crash-loops.
     with FleetThread(
-        "tiny", n_workers=2, batch_window=0.0,
+        "tiny", n_workers=2,
         config=_fast_config(restart_budget=2, start_timeout=10.0),
     ) as srv:
         victim = srv.server.workers[0]
@@ -182,7 +182,7 @@ def test_restart_budget_exhaustion_parks_worker_down():
 # ----------------------------------------------------------------------
 def test_budget_caps_single_server_deadline():
     registry = ServingRegistry("tiny", names=(FN,))
-    with ServerThread(registry, batch_window=0.0) as srv:
+    with ServerThread(registry) as srv:
         with ServeClient("127.0.0.1", srv.port) as c:
             # An ample budget changes nothing.
             ok = c.eval(FN, [1.0], fmt="t8", budget=30.0)
@@ -197,7 +197,7 @@ def test_budget_caps_single_server_deadline():
 
 def test_budget_rejects_non_numbers():
     registry = ServingRegistry("tiny", names=(FN,))
-    with ServerThread(registry, batch_window=0.0) as srv:
+    with ServerThread(registry) as srv:
         with ServeClient("127.0.0.1", srv.port) as c:
             resp = c.request(
                 {"op": "eval", "fn": FN, "inputs": [1.0], "fmt": "t8",

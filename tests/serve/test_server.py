@@ -1,15 +1,22 @@
 """TCP server round trips: bit-identity, coalescing, fallback, protocol."""
 
+import asyncio
 import json
 import math
 import socket
 
 import pytest
 
-from repro.fp import IEEE_MODES, all_finite
+from repro.fp import IEEE_MODES, RoundingMode, all_finite
 from repro.funcs import TINY_CONFIG
 from repro.libm.runtime import RlibmProg
-from repro.serve import ServeClient, ServerThread, ServingRegistry
+from repro.serve import (
+    BatchEvaluator,
+    BatchingDispatcher,
+    ServeClient,
+    ServerThread,
+    ServingRegistry,
+)
 from repro.serve.frames import (
     FRAME_JSON,
     PROTOCOL_NAME,
@@ -26,7 +33,7 @@ FNS = ("exp2", "log2", "sinpi")
 @pytest.fixture(scope="module")
 def server():
     registry = ServingRegistry("tiny", names=FNS)
-    with ServerThread(registry, batch_window=0.001) as srv:
+    with ServerThread(registry) as srv:
         yield srv
 
 
@@ -122,6 +129,53 @@ def test_coalesced_requests_counted_once(server):
     assert batches < requests      # and coalescing actually fused some
 
 
+def test_queue_wait_counts_every_request_once(server):
+    # One queue-wait observation per eval request, whether it was fused
+    # with others (the pipelined ones) or evaluated alone.
+    fmt = TINY_CONFIG.formats[0]
+    xs = [v.to_float() for v in list(all_finite(fmt))[:20]]
+    with ServeClient("127.0.0.1", server.port) as c:
+        before = c.stats()["queue_wait_s"]["count"]
+        c.eval_many([{"fn": "exp2", "inputs": [x], "fmt": "t8"} for x in xs])
+        c.eval("log2", xs, fmt="t8")
+        c.eval("sinpi", xs[:3], fmt="t8")
+        after = c.stats()["queue_wait_s"]
+        prometheus = c.request({"op": "metrics"})["prometheus"]
+    assert after["count"] - before == len(xs) + 2
+    assert "repro_serve_queue_wait_seconds_count" in prometheus
+
+
+def test_lone_request_is_answered_in_its_arrival_turn():
+    # Coalescing by arrival: a request with nothing else queued is
+    # evaluated at the end of the loop turn it arrived in, so it resolves
+    # a couple of turns later; a timer would let hundreds of turns pass.
+    registry = ServingRegistry("tiny", names=("exp2",))
+    dispatcher = BatchingDispatcher(BatchEvaluator(registry))
+    dispatcher.evaluator.evaluate("exp2", [1.5], level=0)  # load the kernel
+
+    async def run():
+        loop = asyncio.get_running_loop()
+        turns = 0
+        done = False
+
+        def tick():
+            nonlocal turns
+            turns += 1
+            if not done:
+                loop.call_soon(tick)
+
+        loop.call_soon(tick)
+        result = await dispatcher.submit("exp2", [1.5], 0, RoundingMode.RNE)
+        done = True
+        return turns, result
+
+    turns, result = asyncio.run(run())
+    assert turns <= 3
+    assert result.bits == dispatcher.evaluator.evaluate(
+        "exp2", [1.5], level=0
+    ).bits
+
+
 def test_coalesced_slices_match_batch(server, scalar_lib):
     # Fused responses must carry exactly each request's slice.
     fmt = TINY_CONFIG.formats[1]
@@ -144,6 +198,7 @@ def test_stats_and_info_ops(client):
     for key in (
         "errors", "coalesced_flushes", "coalesced_requests",
         "batch_sizes", "eval_latency_s", "request_latency_s",
+        "queue_wait_s",
     ):
         assert key in stats
     assert stats["batch_sizes"]["p50"] >= 1

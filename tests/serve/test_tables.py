@@ -259,7 +259,7 @@ class TestFleetWithTables:
         # one client session sees both.
         tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
         with FleetThread(
-            "tiny", tiny_dir, n_workers=2, batch_window=0.0
+            "tiny", tiny_dir, n_workers=2
         ) as fleet:
             with ServeClient("127.0.0.1", fleet.port) as c:
                 rt = c.eval("log2", [1.0, 2.0, 4.0], fmt="t8")
