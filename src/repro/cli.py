@@ -232,12 +232,13 @@ def cmd_serve(args) -> int:
     evaluator: N identical worker processes, each serving the full
     registry, accept on ``host:port`` through one ``SO_REUSEPORT``
     socket, under a supervisor that respawns dead or wedged workers.
+    Every supervision timeout is a :class:`~repro.serve.fleet.FleetConfig`
+    default; none is a flag.
     """
     import asyncio
     import socket
 
     from .serve import (
-        FleetConfig,
         FleetSupervisor,
         ServeServer,
         ServingRegistry,
@@ -252,13 +253,6 @@ def cmd_serve(args) -> int:
 
     async def run() -> None:
         if args.workers:
-            # Flags override REPRO_FLEET_* env, which overrides defaults.
-            fleet_config = FleetConfig.from_env(
-                start_timeout=args.worker_start_timeout,
-                stop_timeout=args.worker_stop_timeout,
-                probe_interval=args.probe_interval,
-                restart_budget=args.restart_budget,
-            )
             server = FleetSupervisor(
                 config,
                 args.dir,
@@ -269,7 +263,6 @@ def cmd_serve(args) -> int:
                 max_batch=args.max_batch,
                 max_pending=args.max_pending,
                 request_deadline=args.request_deadline,
-                config=fleet_config,
             )
             await server.start()
             print(
@@ -540,27 +533,6 @@ def main(argv=None) -> int:
              " SO_REUSEPORT socket under a supervisor that respawns dead"
              " or wedged workers (0 = single in-process server, the"
              " default)",
-    )
-    s.add_argument(
-        "--restart-budget", type=int, default=None, metavar="K",
-        help="consecutive failed respawns before the supervisor marks a"
-             " worker slot down instead of crash-looping (default"
-             " $REPRO_FLEET_RESTART_BUDGET or 5)",
-    )
-    s.add_argument(
-        "--probe-interval", type=float, default=None, metavar="SEC",
-        help="supervisor tick: how often workers are pid-checked and"
-             " pinged (default $REPRO_FLEET_PROBE_INTERVAL or 0.5)",
-    )
-    s.add_argument(
-        "--worker-start-timeout", type=float, default=None, metavar="SEC",
-        help="how long a spawning worker gets to report its port"
-             " (default $REPRO_FLEET_START_TIMEOUT or 60)",
-    )
-    s.add_argument(
-        "--worker-stop-timeout", type=float, default=None, metavar="SEC",
-        help="SIGTERM-to-SIGKILL escalation deadline when stopping"
-             " workers (default $REPRO_FLEET_STOP_TIMEOUT or 5)",
     )
     add_trace_flag(s)
     s.set_defaults(func=cmd_serve)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..fp.doubles import to_double_nearest
 
@@ -135,21 +135,11 @@ class ProgressivePolynomial:
         """One or two kernels, per the function's range reduction."""
         return len(self.shapes)
 
-    @property
-    def num_levels(self) -> int:
-        """Number of progressive levels (family formats)."""
-        return len(self.term_counts)
-
     def eval_level(self, x: float, level: int, poly: int = 0) -> float:
         """Double Horner evaluation of polynomial ``poly`` truncated to the
         term count of representation ``level``."""
         n = self.term_counts[level][poly]
         return eval_double_horner(self.shapes[poly], self.double_coefficients[poly], x, n)
-
-    def eval_exact_level(self, x: Fraction, level: int, poly: int = 0) -> Fraction:
-        """Exact rational evaluation at a level's term count."""
-        n = self.term_counts[level][poly]
-        return eval_exact(self.shapes[poly], self.coefficients[poly], x, n)
 
     def max_degree(self, level: Optional[int] = None) -> int:
         """Highest monomial degree evaluated at a level (default: top)."""
@@ -164,12 +154,3 @@ class ProgressivePolynomial:
     def storage_bytes(self) -> int:
         """Coefficient storage in bytes (doubles), the paper's Table 1 metric."""
         return 8 * sum(len(cs) for cs in self.double_coefficients)
-
-
-def coefficient_vector_layout(shapes: Sequence[PolyShape]) -> List[Tuple[int, int]]:
-    """Flattened (poly_index, term_index) layout of the LP unknown vector."""
-    layout = []
-    for p, shape in enumerate(shapes):
-        for i in range(shape.terms):
-            layout.append((p, i))
-    return layout

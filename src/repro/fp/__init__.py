@@ -23,7 +23,7 @@ from .format import (
     T8,
     T10,
 )
-from .encode import FPValue, Kind, float_to_fraction, float_to_fpvalue, ilog2
+from .encode import FPValue, Kind, float_to_fraction, ilog2
 from .rounding import RoundingMode, IEEE_MODES, exact_bits, round_real
 from .intervals import Interval, rounding_interval
 from .enumerate import all_finite, all_patterns, count_finite, sample_finite, stratified_sample
@@ -39,7 +39,6 @@ __all__ = [
     "rounding_interval",
     "exact_bits",
     "float_to_fraction",
-    "float_to_fpvalue",
     "ilog2",
     "all_finite",
     "all_patterns",

@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .format import FLOAT64, FPFormat
+from .format import FPFormat
 
 
 class Kind(enum.Enum):
@@ -244,8 +244,3 @@ def float_to_bits(x: float) -> int:
 def bits_to_float(bits: int) -> float:
     """Python float from a raw binary64 bit pattern."""
     return _BINARY64.unpack(_UINT64.pack(bits))[0]
-
-
-def float_to_fpvalue(x: float) -> FPValue:
-    """Wrap a Python float as an :class:`FPValue` in the binary64 format."""
-    return FPValue(FLOAT64, float_to_bits(x))

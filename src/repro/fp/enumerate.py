@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
-from .encode import FPValue, Kind
+from .encode import FPValue
 from .format import FPFormat
 
 
@@ -20,14 +20,12 @@ def all_patterns(fmt: FPFormat) -> Iterator[FPValue]:
         yield FPValue(fmt, bits)
 
 
-def all_finite(fmt: FPFormat, positive_only: bool = False) -> Iterator[FPValue]:
+def all_finite(fmt: FPFormat) -> Iterator[FPValue]:
     """Every finite bit pattern (both zeros included), ascending magnitude
     within each sign; positive patterns first."""
     max_mag = FPValue.max_finite(fmt).bits
     for bits in range(max_mag + 1):
         yield FPValue(fmt, bits)
-    if positive_only:
-        return
     sign = fmt.sign_mask
     for bits in range(max_mag + 1):
         yield FPValue(fmt, sign | bits)
@@ -42,13 +40,12 @@ def sample_finite(
     fmt: FPFormat,
     count: int,
     rng: Optional[random.Random] = None,
-    positive_only: bool = False,
 ) -> List[FPValue]:
     """Uniform random sample of finite bit patterns (without replacement
     when the space is small enough, with replacement otherwise)."""
     rng = rng or random.Random(0)
     max_mag = FPValue.max_finite(fmt).bits
-    space = max_mag + 1 if positive_only else 2 * (max_mag + 1)
+    space = 2 * (max_mag + 1)
 
     def from_index(i: int) -> FPValue:
         if i <= max_mag:
@@ -56,7 +53,7 @@ def sample_finite(
         return FPValue(fmt, fmt.sign_mask | (i - max_mag - 1))
 
     if count >= space:
-        return list(all_finite(fmt, positive_only))
+        return list(all_finite(fmt))
     if space <= 1 << 22:
         idx = rng.sample(range(space), count)
     else:
@@ -86,10 +83,3 @@ def stratified_sample(
             for mant in mants:
                 out.append(FPValue.from_parts(fmt, sign, efield, mant))
     return out
-
-
-def enumerate_kind(fmt: FPFormat, kind: Kind) -> Iterator[FPValue]:
-    """All patterns of one classification (e.g. every subnormal)."""
-    for v in all_patterns(fmt):
-        if v.kind is kind:
-            yield v

@@ -20,7 +20,6 @@ from .baselines import (
 from .runtime import RlibmProg, RlibmProgFunction, round_double_to
 from .vround import (
     decode_bits_to_doubles,
-    doubles_in_format,
     round_doubles_to_bits,
     supports_vector_rounding,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "load_generated",
     "save_generated",
     "decode_bits_to_doubles",
-    "doubles_in_format",
     "round_doubles_to_bits",
     "supports_vector_rounding",
     "CrlibmStyleLibrary",

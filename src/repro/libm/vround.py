@@ -210,11 +210,3 @@ def decode_bits_to_doubles(bits: np.ndarray, fmt: FPFormat) -> np.ndarray:
     out = np.ldexp(sig.astype(np.float64), qexp.astype(np.int64))
     out = np.where(special, np.where(mant == 0, np.inf, np.nan), out)
     return np.where(sign == 1, -out, out)
-
-
-def doubles_in_format(x: np.ndarray, fmt: FPFormat) -> np.ndarray:
-    """Element-wise: is the double exactly a value of ``fmt`` (including
-    signed zeros, infinities and NaN)?  Out-of-format doubles are where
-    the serving layer drops from the vector tier to the scalar runtime."""
-    x = np.asarray(x, dtype=np.float64)
-    return round_doubles_to_bits_checked(x, fmt, RoundingMode.RTZ)[1]

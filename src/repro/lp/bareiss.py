@@ -19,7 +19,6 @@ its d x d basis solves.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -46,23 +45,6 @@ def solve_lp_int(
     x = tab.solution()
     obj = sum((Fraction(ci) * xi for ci, xi in zip(c, x)), Fraction(0))
     return LPResult(LPStatus.OPTIMAL, x, obj, tab.shadow_prices())
-
-
-def scale_to_integers(
-    c: Sequence[Fraction],
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-) -> Tuple[List[int], List[List[int]], List[int]]:
-    """Clear denominators: rows (with their rhs) and the objective may each
-    be scaled by positive factors without changing the solution set."""
-    ci = _scale_row(list(c) + [])
-    Ai: List[List[int]] = []
-    bi: List[int] = []
-    for row, rhs in zip(A, b):
-        scaled = _scale_row(list(row) + [rhs])
-        Ai.append(scaled[:-1])
-        bi.append(scaled[-1])
-    return ci, Ai, bi
 
 
 def solve_square_int(
@@ -107,13 +89,6 @@ def solve_square_int(
     if D < 0:
         D, x = -D, [-v for v in x]
     return D, x
-
-
-def _scale_row(vals: Sequence[Fraction]) -> List[int]:
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return [int(v * denom) for v in vals]
 
 
 class _IntTableau:

@@ -162,12 +162,11 @@ _SHORTCUT_MARGIN = 8
 class Oracle:
     """Correctly rounded evaluation of the ten elementary functions."""
 
-    def __init__(self, max_prec: int = 1 << 15, cache_rounded: bool = True):
+    def __init__(self, max_prec: int = 1 << 15):
         self.max_prec = max_prec
         self._rounded_cache: Dict[
             Tuple[str, Fraction, FPFormat, RoundingMode], FPValue
         ] = {}
-        self._cache_rounded = cache_rounded
         self.stats = OracleStats()
 
     # ------------------------------------------------------------------
@@ -189,16 +188,14 @@ class Oracle:
         """round(f(x), fmt, mode), guaranteed correct."""
         key = (fn, x, fmt, mode)
         self.stats.calls += 1
-        if self._cache_rounded:
-            got = self._rounded_cache.get(key)
-            if got is not None:
-                self.stats.memo_hits += 1
-                return got
+        got = self._rounded_cache.get(key)
+        if got is not None:
+            self.stats.memo_hits += 1
+            return got
         t0 = time.perf_counter()
         result = self._compute(fn, x, fmt, mode)
         self.stats.seconds += time.perf_counter() - t0
-        if self._cache_rounded:
-            self._rounded_cache[key] = result
+        self._rounded_cache[key] = result
         return result
 
     def absorb(
@@ -210,8 +207,7 @@ class Oracle:
         """Seed the in-memory memo with results resolved elsewhere (pool
         workers ship theirs back so e.g. the post-LP runtime re-check does
         not redo the Ziv loops the workers already ran)."""
-        if self._cache_rounded:
-            self._rounded_cache.update(items)
+        self._rounded_cache.update(items)
 
     def _compute(self, fn: str, x: Fraction, fmt: FPFormat, mode: RoundingMode) -> FPValue:
         """One compute: the all-modes Ziv loop on ``mode`` alone."""
@@ -351,10 +347,6 @@ class Oracle:
                     return fi.mid_fraction
             prec *= 2
         raise OraclePrecisionError(f"{fn}({x}) needs more than {self.max_prec} bits")
-
-    def clear_cache(self) -> None:
-        """Drop memoized rounded results."""
-        self._rounded_cache.clear()
 
 
 #: Names of the functions the prototype supports, in the paper's Table 1 order.

@@ -71,10 +71,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1) -> None:
-        """Subtract ``amount``."""
-        self.inc(-amount)
-
 
 class Histogram:
     """Fixed-bucket histogram with exact count/sum and quantile estimates.

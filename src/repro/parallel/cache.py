@@ -300,10 +300,9 @@ class CachedOracle(Oracle):
         self,
         cache: Optional[OracleCache] = None,
         max_prec: int = 1 << 15,
-        cache_rounded: bool = True,
         record_new: bool = False,
     ):
-        super().__init__(max_prec=max_prec, cache_rounded=cache_rounded)
+        super().__init__(max_prec=max_prec)
         self.cache = cache
         self.record_new = record_new
         self._new: List[RawEntry] = []

@@ -57,7 +57,6 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..envcfg import env_str
 from ..fp.encode import FPValue
 from ..fp.enumerate import all_finite
 from ..mp.oracle import OracleStats
@@ -112,15 +111,19 @@ def start_method() -> str:
     else fork where available (cheap) falling back to spawn.  All worker
     entry points are module-level and spawn-safe either way.
 
-    An invalid override raises immediately with the valid choices —
-    previously it surfaced later as an opaque ``multiprocessing``
-    failure (or was silently ignored).
+    An invalid override raises immediately with the valid choices,
+    rather than later as an opaque ``multiprocessing`` failure.
     """
     methods = get_all_start_methods()
-    default = "fork" if "fork" in methods else "spawn"
-    return env_str(
-        "REPRO_MP_START", default, choices=methods, on_error="raise"
-    )
+    raw = os.environ.get("REPRO_MP_START")
+    if not raw:
+        return "fork" if "fork" in methods else "spawn"
+    if raw not in methods:
+        raise ValueError(
+            f"REPRO_MP_START={raw!r} is not a supported value;"
+            f" choose from {sorted(methods)}"
+        )
+    return raw
 
 
 def _chunks(bits: Sequence[int], size: int) -> List[List[int]]:

@@ -2,17 +2,15 @@
 
 The serving tier degrades missing-artifact functions to the mpmath Ziv
 oracle, which is orders of magnitude slower than the vector/scalar
-tiers.  Under load that fallback can drag the whole server down; the
-breaker watches its error rate and latency and, once the budget is
-blown, sheds oracle-tier requests with a fast structured error instead
-of queuing unbounded slow work.
+tiers.  When that fallback keeps failing, the breaker trips and sheds
+oracle-tier requests with a fast structured error instead of queuing
+more doomed slow work.
 
 States follow the classic three-state machine:
 
 ``closed``
-    Normal operation.  Failures (errors, or successes slower than
-    ``latency_budget``) increment a consecutive-failure counter; hitting
-    ``failure_threshold`` trips the breaker open.
+    Normal operation.  Failures increment a consecutive-failure counter;
+    hitting ``failure_threshold`` trips the breaker open.
 ``open``
     ``allow()`` is False — callers shed the work immediately.  After
     ``recovery_time`` seconds the next ``allow()`` admits one probe.
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
@@ -33,18 +31,16 @@ STATE_HALF_OPEN = "half_open"
 
 
 class CircuitBreaker:
-    """Consecutive-failure circuit breaker with a latency budget."""
+    """Consecutive-failure circuit breaker."""
 
     def __init__(
         self,
         failure_threshold: int = 5,
         recovery_time: float = 5.0,
-        latency_budget: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.failure_threshold = max(1, int(failure_threshold))
         self.recovery_time = float(recovery_time)
-        self.latency_budget = latency_budget
         self._clock = clock
         self._lock = threading.Lock()
         self._state = STATE_CLOSED
@@ -82,19 +78,16 @@ class CircuitBreaker:
             self.shed += 1
             return False
 
-    def record_success(self, seconds: float = 0.0) -> None:
-        """A protected call succeeded (slow successes count as failures)."""
-        if self.latency_budget is not None and seconds > self.latency_budget:
-            self.record_failure(seconds)
-            return
+    def record_success(self) -> None:
+        """A protected call succeeded."""
         with self._lock:
             self.successes += 1
             self._consecutive_failures = 0
             self._state = STATE_CLOSED
             self._probing = False
 
-    def record_failure(self, seconds: float = 0.0) -> None:
-        """A protected call failed (or blew the latency budget)."""
+    def record_failure(self) -> None:
+        """A protected call failed."""
         with self._lock:
             self.failures += 1
             self._consecutive_failures += 1
@@ -117,7 +110,6 @@ class CircuitBreaker:
                 "consecutive_failures": self._consecutive_failures,
                 "failure_threshold": self.failure_threshold,
                 "recovery_time_s": self.recovery_time,
-                "latency_budget_s": self.latency_budget,
                 "successes": self.successes,
                 "failures": self.failures,
                 "shed": self.shed,

@@ -18,9 +18,9 @@ family horizontally: N identical worker processes, each a
 :class:`ServeServer` over the full registry, accept on one
 ``SO_REUSEPORT`` port, so the kernel spreads connections across them.
 A supervisor (:class:`FleetSupervisor`) respawns dead or wedged workers
-under a restart budget (:class:`FleetConfig` holds every timeout,
-``REPRO_FLEET_*`` overridable), and any worker answers ``health``,
-``stats`` and ``metrics`` for the whole fleet.
+under a restart budget (:class:`FleetConfig` holds every timeout), and
+any worker answers ``health``, ``stats`` and ``metrics`` for the whole
+fleet.
 
 See the README's "Serving" section for the wire protocol and topology.
 """
@@ -56,8 +56,6 @@ _EXPORTS = {
     "resolve_family": "registry",
     "resolve_level_for": "registry",
     "resolve_mode": "evaluator",
-    "start_fleet_thread": "fleet",
-    "start_server_thread": "server",
     "tune_gc_for_serving": "server",
 }
 
@@ -87,8 +85,6 @@ __all__ = [
     "resolve_family",
     "resolve_level_for",
     "resolve_mode",
-    "start_fleet_thread",
-    "start_server_thread",
     "tune_gc_for_serving",
 ]
 

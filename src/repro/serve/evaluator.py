@@ -343,7 +343,7 @@ class BatchEvaluator:
         self.tiers = resolve_tiers(tiers)
         #: Guards the oracle tier only; ``None`` disables shedding.
         self.breaker = breaker if breaker is not None else CircuitBreaker(
-            failure_threshold=5, recovery_time=5.0, latency_budget=None
+            failure_threshold=5, recovery_time=5.0
         )
 
     # ------------------------------------------------------------------
@@ -438,16 +438,3 @@ class BatchEvaluator:
             fn, n, tier_counts, result.wall_seconds, n_requests=n_requests
         )
         return result
-
-    def evaluate_one(
-        self,
-        fn: str,
-        x: float,
-        *,
-        fmt: Optional[Union[str, int, FPFormat]] = None,
-        level: Optional[int] = None,
-        mode: Union[str, RoundingMode] = RoundingMode.RNE,
-    ) -> FPValue:
-        """Single-input convenience wrapper: the rounded :class:`FPValue`."""
-        res = self.evaluate(fn, [x], fmt=fmt, level=level, mode=mode)
-        return FPValue(res.fmt, res.bits[0])

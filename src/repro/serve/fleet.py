@@ -27,23 +27,21 @@ restart attempts, gave-up) in shared memory that every worker reads.
 ``"scope": "local"`` and merge the answers; ``info`` is answered
 locally, since every worker loads the same registry, plus the slot rows.
 
-Every timeout lives in :class:`FleetConfig` and is overridable per
-field via ``REPRO_FLEET_<FIELD>`` environment variables and ``repro
-serve`` flags.  Workers are started with the repo-standard
-multiprocessing start method (``REPRO_MP_START``), inherit the
-``REPRO_TRACE`` span context at spawn, report their private port back
-through a pipe, and drain gracefully on SIGTERM.
+Every timeout and threshold has its one default in :class:`FleetConfig`.
+Workers are started with the repo-standard multiprocessing start method
+(``REPRO_MP_START``), inherit the ``REPRO_TRACE`` span context at spawn,
+report their private port back through a pipe, and drain gracefully on
+SIGTERM.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 import signal
 import socket
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from multiprocessing import get_context
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
@@ -69,34 +67,25 @@ __all__ = [
     "FleetThread",
     "FleetWorker",
     "SlotTable",
-    "start_fleet_thread",
 ]
 
-#: How long the supervisor waits for a worker to report its port.
-WORKER_START_TIMEOUT = 60.0
-#: SIGTERM → SIGKILL escalation deadline when stopping workers.
-WORKER_STOP_TIMEOUT = 5.0
 #: Consecutive failed probes after which a live worker counts as wedged.
 WEDGED_AFTER_PROBES = 3
-
-#: Environment prefix for :class:`FleetConfig` overrides.
-ENV_PREFIX = "REPRO_FLEET_"
 
 
 @dataclass
 class FleetConfig:
-    """Every fleet timeout/threshold, env-overridable per field.
+    """Every fleet timeout/threshold, with its one default.
 
-    Each field reads its default from ``REPRO_FLEET_<FIELD>`` (upper
-    case), so chaos drills can compress the wall-clock constants —
-    restart backoff, the SIGTERM join deadline — without patching code;
-    ``repro serve`` flags override on top.
+    :class:`FleetSupervisor` runs on ``FleetConfig()``; tests pass a
+    compressed instance to shorten the wall-clock constants (probe
+    tick, restart backoff, the SIGTERM join deadline).
     """
 
     #: How long a spawning worker gets to report its port.
-    start_timeout: float = WORKER_START_TIMEOUT
+    start_timeout: float = 60.0
     #: SIGTERM → SIGKILL escalation deadline when stopping workers.
-    stop_timeout: float = WORKER_STOP_TIMEOUT
+    stop_timeout: float = 5.0
     #: Supervisor tick: how often workers are pid-checked and pinged.
     probe_interval: float = 0.5
     #: Per-probe ``ping`` deadline (also bounds a worker's fan-out to
@@ -109,28 +98,6 @@ class FleetConfig:
     restart_backoff: float = 0.25
     #: Backoff ceiling (seconds).
     restart_backoff_max: float = 5.0
-
-    @classmethod
-    def from_env(cls, **overrides) -> "FleetConfig":
-        """Defaults ← ``REPRO_FLEET_*`` environment ← non-None overrides.
-
-        Parsing goes through :mod:`repro.envcfg` with ``on_error="raise"``:
-        a typo'd fleet knob stops server boot instead of silently running
-        with the default.
-        """
-        from ..envcfg import env_float, env_int
-
-        kwargs = {}
-        for f in dataclass_fields(cls):
-            name = ENV_PREFIX + f.name.upper()
-            if os.environ.get(name) in (None, ""):
-                continue
-            read = env_int if isinstance(f.default, int) else env_float
-            kwargs[f.name] = read(name, f.default, on_error="raise")
-        for key, value in overrides.items():
-            if value is not None:
-                kwargs[key] = value
-        return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +407,7 @@ class FleetSupervisor:
         self.directory = directory
         self.host = host
         self.requested_port = port
-        self.config = config or FleetConfig.from_env()
+        self.config = config or FleetConfig()
         if names is None:
             from ..mp.oracle import FUNCTION_NAMES
 
@@ -676,7 +643,7 @@ def _recv_report(conn, timeout: float) -> dict:
     return {"ok": False, "error": f"no port reported within {timeout}s"}
 
 
-def _terminate_and_join(procs, stop_timeout: float = WORKER_STOP_TIMEOUT) -> None:
+def _terminate_and_join(procs, stop_timeout: float) -> None:
     """SIGTERM every worker, join bounded, SIGKILL stragglers."""
     for proc in procs:
         if proc.is_alive():
@@ -706,16 +673,3 @@ class FleetThread(ServerThread):
 
     def _make_server(self) -> FleetSupervisor:
         return FleetSupervisor(self.family, self.directory, **self.fleet_kwargs)
-
-
-def start_fleet_thread(
-    family: FamilyLike,
-    directory: Optional[Path] = None,
-    *,
-    n_workers: int = 2,
-    **fleet_kwargs,
-) -> FleetThread:
-    """Start a supervisor + ``n_workers`` fleet on a daemon thread."""
-    return FleetThread(
-        family, directory, n_workers=n_workers, **fleet_kwargs
-    ).start()

@@ -82,7 +82,6 @@ _META_LEN = struct.Struct("<H")
 #: Tier names in wire order; a result's ``uint8`` tier code indexes this.
 #: Derived from the fixed tier table (:mod:`repro.serve.tiers`).
 TIER_NAMES = default_tier_registry().wire_names()
-TIER_CODES = default_tier_registry().wire_codes()
 
 #: Per-element result layout: int64 bits + float64 value + uint8 tier.
 _BYTES_PER_RESULT = 8 + 8 + 1

@@ -61,7 +61,6 @@ import gc
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -109,7 +108,6 @@ __all__ = [
     "BatchingDispatcher",
     "ServeServer",
     "ServerThread",
-    "start_server_thread",
     "tune_gc_for_serving",
 ]
 
@@ -791,30 +789,3 @@ class ServerThread:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def start_server_thread(
-    family,
-    directory: Optional[Path] = None,
-    *,
-    names=None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_batch: int = DEFAULT_MAX_BATCH,
-    max_pending: int = DEFAULT_MAX_PENDING,
-    request_deadline: float = DEFAULT_REQUEST_DEADLINE,
-) -> ServerThread:
-    """Build a registry and serve it from a daemon thread (convenience)."""
-    from ..mp.oracle import FUNCTION_NAMES
-
-    registry = ServingRegistry(
-        family, directory, names=names or FUNCTION_NAMES
-    )
-    return ServerThread(
-        registry,
-        host=host,
-        port=port,
-        max_batch=max_batch,
-        max_pending=max_pending,
-        request_deadline=request_deadline,
-    ).start()

@@ -31,7 +31,6 @@ built-in codes and dispatch order.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -291,7 +290,6 @@ def _oracle_eval(ctx: EvalContext, sel):
     bits = np.empty(xs.size, dtype=np.int64)
     raw = np.empty(xs.size, dtype=np.float64)
     pipe = ctx.registry.pipeline(ctx.fn)
-    t0 = time.perf_counter()
     try:
         maybe_sleep("oracle.slow")
         maybe_raise("oracle.error")
@@ -311,10 +309,10 @@ def _oracle_eval(ctx: EvalContext, sel):
             raw[i] = v.to_float()
     except Exception:
         if ctx.breaker is not None:
-            ctx.breaker.record_failure(time.perf_counter() - t0)
+            ctx.breaker.record_failure()
         raise
     if ctx.breaker is not None:
-        ctx.breaker.record_success(time.perf_counter() - t0)
+        ctx.breaker.record_success()
     # The oracle's raw *is* the decoded rounded value, so it doubles as
     # the values column.
     return bits, raw, raw

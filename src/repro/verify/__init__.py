@@ -1,6 +1,6 @@
 """Exhaustive verification of generated and baseline libraries."""
 
-from .exhaustive import Failure, VerificationReport, verify_exhaustive, verify_matrix
+from .exhaustive import Failure, VerificationReport, verify_exhaustive
 from .theorem import (
     DerivedFormatReport,
     derived_formats,
@@ -15,6 +15,5 @@ __all__ = [
     "derived_formats",
     "verify_derived_format",
     "verify_exhaustive",
-    "verify_matrix",
     "verify_theorem",
 ]

@@ -194,26 +194,3 @@ def _is_nan(bits: np.ndarray, fmt: FPFormat) -> np.ndarray:
     return ((bits & fmt.exponent_mask) == fmt.exponent_mask) & (
         (bits & fmt.mantissa_mask) != 0
     )
-
-
-def verify_matrix(
-    libraries,
-    fn: str,
-    family,
-    oracle: Oracle,
-    modes: Sequence[RoundingMode] = IEEE_MODES,
-    inputs_per_level: Optional[Sequence] = None,
-    jobs: int = 1,
-) -> Dict[Tuple[str, str], VerificationReport]:
-    """Every (library, family format) combination for one function."""
-    out = {}
-    for level, fmt in enumerate(family.formats):
-        inputs = (
-            list(inputs_per_level[level]) if inputs_per_level is not None else None
-        )
-        for lib in libraries:
-            rep = verify_exhaustive(
-                lib, fn, fmt, level, oracle, modes, inputs, jobs=jobs
-            )
-            out[(lib.label, fmt.display_name)] = rep
-    return out

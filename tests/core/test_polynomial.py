@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.polynomial import (
     PolyShape,
     ProgressivePolynomial,
-    coefficient_vector_layout,
     eval_double_horner,
     eval_exact,
 )
@@ -91,7 +90,7 @@ class TestProgressivePolynomial:
     def test_basic_properties(self):
         p = self.make()
         assert p.num_polynomials == 1
-        assert p.num_levels == 3
+        assert len(p.term_counts) == 3
         assert p.max_degree() == 3
         assert p.max_degree(0) == 1
         assert p.storage_bytes() == 32
@@ -106,7 +105,8 @@ class TestProgressivePolynomial:
 
     def test_exact_level(self):
         p = self.make()
-        assert p.eval_exact_level(F(1, 2), 0) == F(5, 4)
+        n = p.term_counts[0][0]
+        assert eval_exact(p.shapes[0], p.coefficients[0], F(1, 2), n) == F(5, 4)
 
     def test_double_coeffs_are_nearest(self):
         p = ProgressivePolynomial(
@@ -138,8 +138,3 @@ class TestProgressivePolynomial:
                 coefficients=((F(1), F(2)),),
                 term_counts=((1, 1),),
             )
-
-
-def test_coefficient_vector_layout():
-    layout = coefficient_vector_layout([PolyShape.dense(3), PolyShape.odd(2)])
-    assert layout == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]

@@ -16,9 +16,9 @@ from repro.fp import (
     T8,
     exact_bits,
     float_to_fraction,
-    float_to_fpvalue,
     ilog2,
 )
+from repro.fp.encode import float_to_bits
 
 
 def _float32_of(bits: int) -> float:
@@ -83,7 +83,7 @@ class TestValues:
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_float64_roundtrip(self, x):
-        v = float_to_fpvalue(x)
+        v = FPValue(FLOAT64, float_to_bits(x))
         assert v.fmt == FLOAT64
         assert v.value == Fraction(x)
         assert v.to_float() == x or (x == 0 and v.to_float() == 0)

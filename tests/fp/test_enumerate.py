@@ -13,7 +13,6 @@ from repro.fp import (
     sample_finite,
     stratified_sample,
 )
-from repro.fp.enumerate import enumerate_kind
 
 
 class TestAllFinite:
@@ -21,11 +20,6 @@ class TestAllFinite:
         vals = list(all_finite(T8))
         assert len(vals) == count_finite(T8)
         assert all(v.is_finite for v in vals)
-
-    def test_positive_only(self):
-        vals = list(all_finite(T8, positive_only=True))
-        assert len(vals) == count_finite(T8) // 2
-        assert all(v.sign == 0 for v in vals)
 
     def test_includes_both_zeros(self):
         bits = {v.bits for v in all_finite(T8)}
@@ -58,10 +52,6 @@ class TestSampleFinite:
         b = [v.bits for v in sample_finite(T10, 50, random.Random(3))]
         assert a == b
 
-    def test_positive_only(self):
-        vals = sample_finite(T10, 64, random.Random(1), positive_only=True)
-        assert all(v.sign == 0 for v in vals)
-
     def test_large_space_sampling(self):
         vals = sample_finite(FLOAT32, 200, random.Random(2))
         assert len(vals) == 200
@@ -89,14 +79,3 @@ class TestStratifiedSample:
     def test_float32_scale(self):
         vals = stratified_sample(FLOAT32, per_binade=4, rng=random.Random(0))
         assert len(vals) == 2 * 255 * 4
-
-
-class TestEnumerateKind:
-    def test_subnormals(self):
-        subs = list(enumerate_kind(T8, Kind.SUBNORMAL))
-        assert len(subs) == 2 * ((1 << T8.mantissa_bits) - 1)
-        assert all(v.kind is Kind.SUBNORMAL for v in subs)
-
-    def test_infinities(self):
-        infs = list(enumerate_kind(T8, Kind.INFINITY))
-        assert len(infs) == 2

@@ -70,11 +70,14 @@ def finite_doubles(fmt):
     )
 
 
-def bits_by_case(evaluator, tier, config, fn, inputs=None):
-    """``{(level, mode): bits}`` over ``inputs`` at every level (default:
-    each level's own finite inputs), all answered by ``tier``."""
+def bits_by_case(evaluator, tier, config, fn, inputs=None, levels=None):
+    """``{(level, mode): bits}`` over ``inputs`` (default: each level's own
+    finite inputs) at ``levels`` (default: every level), all answered by
+    ``tier``."""
     out = {}
     for level, fmt in enumerate(config.formats):
+        if levels is not None and level not in levels:
+            continue
         xs = finite_doubles(fmt) if inputs is None else inputs
         for mode in IEEE_MODES:
             res = evaluator.evaluate(fn, xs, level=level, mode=mode)
@@ -87,13 +90,15 @@ def pinned(config, tier):
     return BatchEvaluator(ServingRegistry(config.name), tiers=(tier,))
 
 
-def assert_mode_independent(config, tier, fns=FUNCTION_NAMES, inputs=None):
+def assert_mode_independent(
+    config, tier, fns=FUNCTION_NAMES, inputs=None, levels=None
+):
     evaluator = pinned(config, tier)
     for fn in fns:
-        want = bits_by_case(evaluator, tier, config, fn, inputs)
+        want = bits_by_case(evaluator, tier, config, fn, inputs, levels)
         for hw in DIRECTED:
             with hardware_mode(hw):
-                got = bits_by_case(evaluator, tier, config, fn, inputs)
+                got = bits_by_case(evaluator, tier, config, fn, inputs, levels)
             for case, bits in want.items():
                 bad = np.flatnonzero(got[case] != bits)
                 assert bad.size == 0, (fn, hw, case, bad[:5])

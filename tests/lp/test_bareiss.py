@@ -6,27 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lp import LPStatus
-from repro.lp.bareiss import scale_to_integers, solve_lp_int, solve_square_int
+from repro.lp.bareiss import solve_lp_int, solve_square_int
 
 from .reference import solve_lp, solve_square
 
 F = Fraction
-
-
-class TestScaleToIntegers:
-    def test_clears_denominators(self):
-        c, A, b = scale_to_integers(
-            [F(1, 2), F(1, 3)],
-            [[F(1, 4), F(1)], [F(2), F(1, 6)]],
-            [F(1, 2), F(3)],
-        )
-        assert c == [3, 2]
-        assert A == [[1, 4], [12, 1]]
-        assert b == [2, 18]
-
-    def test_integer_passthrough(self):
-        c, A, b = scale_to_integers([F(2)], [[F(3)]], [F(4)])
-        assert (c, A, b) == ([2], [[3]], [4])
 
 
 class TestSolveLpInt:

@@ -110,15 +110,6 @@ class TestPrecisionEscalation:
             oracle.tight_value("exp", Fraction(1), 200)
 
 
-class TestRoundedCache:
-    def test_cache_disabled(self):
-        oracle = Oracle(cache_rounded=False)
-        a = oracle.correctly_rounded("exp", Fraction(1), FLOAT16, RoundingMode.RNE)
-        b = oracle.correctly_rounded("exp", Fraction(1), FLOAT16, RoundingMode.RNE)
-        assert a.bits == b.bits
-        assert a is not b
-
-
 RANGE_FNS = ("exp", "exp2", "exp10", "sinh", "cosh")
 
 

@@ -34,7 +34,7 @@ class TestInstruments:
     def test_gauge_moves_both_ways(self):
         g = Gauge()
         g.set(5)
-        g.dec(2)
+        g.inc(-2)
         g.inc(0.5)
         assert g.value == 3.5
 

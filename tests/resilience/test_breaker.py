@@ -78,22 +78,6 @@ class TestStateMachine:
         assert b.allow()  # recovery clock restarted from the reopen
 
 
-class TestLatencyBudget:
-    def test_slow_success_counts_as_failure(self):
-        b = make(FakeClock(), latency_budget=0.5)
-        for _ in range(3):
-            b.record_success(seconds=0.9)
-        assert b.state == "open"
-        assert b.failures == 3
-
-    def test_fast_success_is_fine(self):
-        b = make(FakeClock(), latency_budget=0.5)
-        for _ in range(10):
-            b.record_success(seconds=0.1)
-        assert b.state == "closed"
-        assert b.successes == 10
-
-
 class TestSnapshot:
     def test_reports_counters_and_state(self):
         clock = FakeClock()

@@ -137,7 +137,7 @@ def test_metrics_accumulate(registry):
 
 
 def test_evaluate_one(evaluator):
-    v = evaluator.evaluate_one("exp2", 3.0, fmt="t8")
+    (v,) = evaluator.evaluate("exp2", [3.0], fmt="t8").fpvalues()
     assert v.to_float() == 8.0
 
 

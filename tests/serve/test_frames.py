@@ -22,7 +22,6 @@ from repro.serve.frames import (
     HEADER,
     MAGIC,
     MAX_FRAME,
-    TIER_CODES,
     TIER_NAMES,
     VERSION,
     FrameError,
@@ -36,6 +35,7 @@ from repro.serve.frames import (
     encode_json_frame,
     read_frame_sync,
 )
+from repro.serve.tiers import default_tier_registry
 
 #: Doubles whose bit patterns must survive the wire untouched.
 SPECIAL_BITS = [
@@ -129,7 +129,7 @@ class TestEvalResultRoundtrip:
         # instead of failing the whole response.
         from repro.serve.client import _result_to_response
 
-        codes = [TIER_CODES["vector"], TIER_CODES["compiled"],
+        codes = [TIER_NAMES.index("vector"), TIER_NAMES.index("compiled"),
                  len(TIER_NAMES), 255]
         frame = encode_eval_result(
             {"id": 7, "ok": True}, [1, 2, 3, 4], [1.0, 2.0, 3.0, 4.0], codes
@@ -157,7 +157,7 @@ class TestEvalResultRoundtrip:
         # mixed-version fleet.  New tiers must extend, never reorder.
         assert TIER_NAMES[:3] == ("vector", "scalar", "oracle")
         assert TIER_NAMES == ("vector", "scalar", "oracle", "table", "compiled")
-        assert TIER_CODES == {
+        assert default_tier_registry().wire_codes() == {
             "vector": 0, "scalar": 1, "oracle": 2, "table": 3, "compiled": 4,
         }
 

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.fp import IEEE_MODES, RoundingMode, T8, T10
-from repro.funcs import TINY_CONFIG
 from repro.libm.baselines import GeneratedLibrary, Library
-from repro.verify import verify_exhaustive, verify_matrix
+from repro.verify import verify_exhaustive
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +57,3 @@ class TestVerifyExhaustive:
             modes=[RoundingMode.RNE],
         )
         assert report.total_checks == 16
-
-    def test_matrix(self, prog_lib, oracle):
-        out = verify_matrix(
-            [prog_lib], "exp2", TINY_CONFIG, oracle, modes=[RoundingMode.RNE]
-        )
-        assert len(out) == TINY_CONFIG.levels
-        assert all(rep.all_correct for rep in out.values())
