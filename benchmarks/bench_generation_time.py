@@ -12,7 +12,9 @@ Three measurements:
     ``benchmarks/results/generation_times.txt`` — so every PR leaves a
     machine-readable perf data point.  ``--json`` runs every function
     :data:`JSON_RUNS` times, each run on a fresh oracle cache (so every
-    run is cold), and records the median wall time:
+    run is cold), and records the median wall time.  The script exits 1
+    when a function's phases leave more than :data:`MAX_OTHER_SHARE` of
+    its wall unaccounted for (the ``other`` phase):
 
         PYTHONPATH=src python benchmarks/bench_generation_time.py \\
             --json --family mini --jobs 4 --oracle-cache /tmp/oracle.sqlite
@@ -194,6 +196,11 @@ def run_generation_bench(family="mini", functions=None, jobs=1,
     }
 
 
+#: The most of a function's wall its ``other`` phase may hold before
+#: :func:`main` fails: the named phases must account for the rest.
+MAX_OTHER_SHARE = 0.05
+
+
 def _format_rows(payload):
     lines = [
         f"{'fn':<7} {'wall(s)':>8} {'oracle%':>8} {'baseline':>9} {'speedup':>8}"
@@ -250,7 +257,17 @@ def main(argv=None):
     if args.json:
         Path(args.out).write_text(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {args.out}")
-    return 0
+    missed = 0
+    for fn, r in payload["functions"].items():
+        share = r["phase_seconds"].get("other", 0.0) / r["wall_seconds"]
+        if share > MAX_OTHER_SHARE:
+            missed += 1
+            print(
+                f"{fn}: {100.0 * share:.1f}% of the wall is in no phase "
+                f"(limit {100.0 * MAX_OTHER_SHARE:.0f}%)",
+                file=sys.stderr,
+            )
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .core.search import DEFAULT_PARAMS
+from .fp.enumerate import check_enumerable
 from .fp.format import FPFormat
 from .fp.rounding import IEEE_MODES, RoundingMode
 from .funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
@@ -283,7 +284,8 @@ def verify(
     Checks every input of every family format (or just ``levels``) under
     ``modes``; returns the per-level
     :class:`~repro.verify.exhaustive.VerificationReport` list.  Raises
-    ``ValueError`` for a level the family does not have.
+    ``ValueError``, before verifying any level, for a level the family
+    does not have or a format too large to enumerate.
     """
     from .libm.baselines import GeneratedLibrary
     from .verify import verify_exhaustive
@@ -296,6 +298,8 @@ def verify(
             f"levels {bad} out of range for family {config.name!r} "
             f"(has levels 0..{config.levels - 1})"
         )
+    for level in wanted:
+        check_enumerable(config.formats[level])
     oracle = oracle or Oracle()
     gen = load_generated(fn, config.name, directory)
     pipe = make_pipeline(fn, config, oracle)

@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import signal
 import sys
+from typing import Mapping, Optional
 
 from . import api
 from .core.search import DEFAULT_PARAMS
@@ -60,10 +61,33 @@ def _cli_oracle_session(path):
         session.__exit__(None, None, None)
 
 
+def format_phase_report(
+    phases: Mapping[str, float],
+    total: Optional[float] = None,
+    indent: str = "  ",
+) -> str:
+    """Human-readable breakdown, one line per phase with its share.
+
+    Shares are relative to ``total`` when given (the run's wall-clock),
+    otherwise to the sum of the phases.  ``GenerationStats.phase_seconds``
+    splits the wall, so with an in-process sweep its shares sum to 100%.
+    """
+    if not phases:
+        return f"{indent}(no phase timings recorded)"
+    denom = total if total else sum(phases.values())
+    lines = []
+    for name, sec in sorted(phases.items(), key=lambda kv: -kv[1]):
+        share = f" ({100.0 * sec / denom:5.1f}%)" if denom > 0 else ""
+        lines.append(f"{indent}{name:<14} {sec:9.3f}s{share}")
+    if total is not None:
+        lines.append(f"{indent}{'wall':<14} {total:9.3f}s")
+    return "\n".join(lines)
+
+
 def cmd_generate(args) -> int:
     """`generate`: produce and save progressive-polynomial artifacts."""
     from .core import GenerationError
-    from .parallel import format_phase_report, resolve_jobs
+    from .parallel import resolve_jobs
 
     config = _family_of(args.family)
     with _cli_oracle_session(args.oracle_cache) as oracle:

@@ -26,7 +26,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from ..fp.enumerate import EXHAUSTIVE_LIMIT, all_finite, count_finite
+from ..fp.enumerate import all_finite, check_enumerable, count_finite
 from ..fp.rounding import RoundingMode
 from ..obs import span as obs_span
 from .clarkson import ClarksonResult, solve_constraints
@@ -41,14 +41,31 @@ from .polynomial import ProgressivePolynomial
 class GenerationStats:
     """Bookkeeping for one generation run (Table-1/bench reporting).
 
-    ``phase_seconds`` is the wall-clock breakdown by phase (keys:
-    ``constraints``, ``oracle``, ``lp``, ``screen``, ``runtime-check``);
-    the ``oracle`` phase runs inside the others, so it is a share of the
-    wall rather than a disjoint slice."""
+    ``phase_seconds`` splits ``wall_seconds`` into exclusive parts, timed
+    by :func:`generate_function` around its three stages:
+
+    * ``constraints``: the input sweep, less its Ziv seconds;
+    * ``search``: the piece units, less their ``lp`` and ``screen``;
+    * ``lp`` and ``screen``: the margin-LP solves and violation screens
+      of the units searched (``lp_seconds`` and ``screen_seconds``; a
+      unit replayed from the journal adds none);
+    * ``runtime-check``: assembly and the double-runtime re-check, less
+      its Ziv seconds;
+    * ``oracle``: the Ziv seconds of the sweep and the re-check;
+    * ``other``: what the wall leaves (journal set-up, bookkeeping).
+
+    When the sweep runs in this process the keys sum to ``wall_seconds``.
+    A sweep sharded across worker processes is charged to ``constraints``
+    whole, since this process waits on the workers meanwhile, and the
+    workers' Ziv seconds, spent on other cores, still count in
+    ``oracle``: the keys then sum to ``wall_seconds`` plus those seconds.
+    No key is negative."""
 
     wall_seconds: float = 0.0
     clarkson_iterations: int = 0
     lp_solves: int = 0
+    lp_seconds: float = 0.0
+    screen_seconds: float = 0.0
     constraints: int = 0
     configs_tried: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
@@ -175,12 +192,29 @@ def round_sizes(max_subdomains: int) -> List[int]:
     return sizes
 
 
+def _sweep_workers(
+    pipeline: "FunctionPipeline",
+    inputs_per_level: Optional[Sequence[Sequence]],
+    jobs: int,
+) -> int:
+    """How many worker processes the constraint sweep runs on (1: it runs
+    in this process)."""
+    if jobs <= 1:
+        return 1
+    from ..parallel.pool import workers_for
+
+    return workers_for(sum(
+        len(inputs_per_level[level]) if inputs_per_level is not None
+        else count_finite(fmt)
+        for level, fmt in enumerate(pipeline.family.formats)
+    ), jobs)
+
+
 def collect_constraints(
     pipeline: "FunctionPipeline",
     inputs_per_level: Optional[Sequence[Sequence]] = None,
     progress=None,
     jobs: int = 1,
-    timings: Optional["PhaseTimings"] = None,
 ) -> Tuple[List[ReducedConstraint], Dict[Tuple[int, float], float]]:
     """Oracle + range reduction for every input of every family level.
 
@@ -196,34 +230,19 @@ def collect_constraints(
     ``ValueError``, raised before any sweep.
     """
     from ..funcs.base import chunk_outcomes, merge_constraints
-    from ..obs import PhaseTimings
 
-    timings = timings if timings is not None else PhaseTimings()
     jobs = max(1, int(jobs or 1))
     fam = pipeline.family
     if inputs_per_level is None:
         for fmt in fam.formats:
-            if fmt.num_bit_patterns > EXHAUSTIVE_LIMIT:
-                raise ValueError(
-                    f"{fmt.display_name} has {fmt.num_bit_patterns} bit "
-                    f"patterns, more than the {EXHAUSTIVE_LIMIT} this search "
-                    "enumerates; pass sampled inputs per level instead"
-                )
-    workers = 1
-    if jobs > 1:
-        from ..parallel.pool import shard_outcomes, workers_for
-
-        workers = workers_for(sum(
-            len(inputs_per_level[level]) if inputs_per_level is not None
-            else count_finite(fmt)
-            for level, fmt in enumerate(fam.formats)
-        ), jobs)
-    t0 = time.perf_counter()
-    oracle_sec0 = pipeline.oracle.stats.seconds
+            check_enumerable(fmt)
+    workers = _sweep_workers(pipeline, inputs_per_level, jobs)
     with obs_span(
         "search.constraints", fn=pipeline.name, jobs=jobs, workers=workers
     ) as sp:
         if workers > 1:
+            from ..parallel.pool import shard_outcomes
+
             # The workers' oracle counters are merged into the parent's.
             outcomes = shard_outcomes(
                 pipeline, inputs_per_level, jobs=workers, progress=progress
@@ -242,10 +261,7 @@ def collect_constraints(
                         f"{pipeline.name}: level {level} "
                         f"({fmt.display_name}) reduced"
                     )
-        oracle_seconds = pipeline.oracle.stats.seconds - oracle_sec0
-        sp.set(outcomes=len(outcomes), oracle_seconds=oracle_seconds)
-    timings.add("constraints", time.perf_counter() - t0)
-    timings.add("oracle", oracle_seconds)
+        sp.set(outcomes=len(outcomes))
     return merge_constraints(outcomes, pipeline.special_output)
 
 
@@ -259,7 +275,6 @@ def generate_function(
     seed: int = DEFAULT_PARAMS["seed"],
     progress=None,
     jobs: int = 1,
-    timings: Optional["PhaseTimings"] = None,
     journal_path: Optional[str] = None,
     resume: bool = False,
 ) -> GeneratedFunction:
@@ -279,9 +294,9 @@ def generate_function(
     same search supplies its units instead of recomputing them, so a
     killed run continues from where it died and produces an artifact
     byte-identical to an uninterrupted one.  The journal is deleted on
-    success.
+    success.  ``stats.phase_seconds`` splits the run's wall time by stage
+    (see :class:`GenerationStats`).
     """
-    from ..obs import PhaseTimings
     from ..resilience import checkpoint
     from ..resilience.faults import maybe_raise
 
@@ -291,15 +306,17 @@ def generate_function(
         max_specials=max_specials, max_iterations=max_iterations, seed=seed,
     )
     t0 = time.perf_counter()
-    timings = timings if timings is not None else PhaseTimings()
+    ziv0 = pipeline.oracle.stats.seconds
     jobs = max(1, int(jobs or 1))
     with obs_span(
         "search.generate", fn=pipeline.name, family=pipeline.family.name,
         jobs=jobs,
     ) as sp:
         constraints, forced_specials = collect_constraints(
-            pipeline, inputs_per_level, progress, jobs=jobs, timings=timings
+            pipeline, inputs_per_level, progress, jobs=jobs
         )
+        sweep_wall = time.perf_counter() - t0
+        sweep_ziv = pipeline.oracle.stats.seconds - ziv0
         power_cache: dict = {}
         journal, replayed = None, {}
         if journal_path is not None:
@@ -313,22 +330,27 @@ def generate_function(
             if replayed and progress:
                 progress(f"{pipeline.name}: resuming with {len(replayed)} unit(s) done")
         counters = dict.fromkeys(COUNTERS, 0)  # summed over every round
+        lp = screen = search_wall = check_wall = check_ziv = 0.0
         try:
             for nsplits in sizes:
                 if nsplits > 1 and progress:
                     progress(
                         f"{pipeline.name}: splitting into {nsplits} sub-domains"
                     )
+                t_units = time.perf_counter()
                 results = []
                 for pi in range(nsplits):
                     uid = piece_unit_id(pipeline.name, nsplits, pi)
                     result = replayed.get(uid)
                     if result is None:
-                        result = asdict(search_piece_unit(
+                        unit = search_piece_unit(
                             pipeline, constraints, nsplits, pi,
                             params=params, power_cache=power_cache,
-                            timings=timings,
-                        ))
+                        )
+                        lp += unit.seconds["lp"]
+                        screen += unit.seconds["screen"]
+                        result = asdict(unit)
+                        del result["seconds"]  # wall clock: not journaled
                         if journal is not None:
                             checkpoint.save_checkpoint(journal, {
                                 "type": "done", "unit": uid, "result": result,
@@ -337,14 +359,20 @@ def generate_function(
                     results.append(PieceUnitResult(**result))
                     for key in COUNTERS:
                         counters[key] += int(result["stats"][key])
+                t_check = time.perf_counter()
+                ziv_check = pipeline.oracle.stats.seconds
+                search_wall += t_check - t_units
                 try:
                     gen = assemble_function(
                         pipeline, constraints, forced_specials, results,
-                        counters, max_specials, timings=timings,
+                        counters, max_specials,
                     )
                     break
                 except GenerationError as e:
                     failure = e
+                finally:
+                    check_wall += time.perf_counter() - t_check
+                    check_ziv += pipeline.oracle.stats.seconds - ziv_check
             else:
                 raise GenerationError(
                     f"could not generate {pipeline.name} within {max_terms} "
@@ -356,8 +384,22 @@ def generate_function(
             if journal is not None:
                 journal.close()
         gen.stats.jobs = jobs
+        gen.stats.lp_seconds, gen.stats.screen_seconds = lp, screen
         gen.stats.wall_seconds = time.perf_counter() - t0
-        gen.stats.phase_seconds = timings.as_dict()
+        # A sharded sweep's Ziv seconds ran in its workers, not here.
+        offsite = sweep_ziv if _sweep_workers(
+            pipeline, inputs_per_level, jobs
+        ) > 1 else 0.0
+        phases = {
+            "constraints": sweep_wall - sweep_ziv + offsite,
+            "search": search_wall - lp - screen,
+            "lp": lp,
+            "screen": screen,
+            "runtime-check": check_wall - check_ziv,
+            "oracle": sweep_ziv + check_ziv,
+        }
+        phases["other"] = gen.stats.wall_seconds + offsite - sum(phases.values())
+        gen.stats.phase_seconds = {k: max(0.0, v) for k, v in phases.items()}
         sp.set(
             pieces=gen.num_pieces,
             specials=len(gen.specials),
@@ -400,7 +442,6 @@ def _try_config(
     rng: np.random.Generator,
     stats: GenerationStats,
     power_cache: Optional[dict] = None,
-    timings=None,
 ) -> ClarksonResult:
     term_counts = _term_vector(pipeline, counts_per_level)
     shapes = pipeline.shapes(term_counts[-1])
@@ -423,9 +464,8 @@ def _try_config(
     stats.configs_tried += 1
     stats.clarkson_iterations += res.stats.iterations
     stats.lp_solves += res.stats.lp_solves
-    if timings is not None:
-        timings.add("lp", res.stats.lp_seconds)
-        timings.add("screen", res.stats.screen_seconds)
+    stats.lp_seconds += res.stats.lp_seconds
+    stats.screen_seconds += res.stats.screen_seconds
     return res
 
 
@@ -438,7 +478,6 @@ def _search_piece(
     stats: GenerationStats,
     max_specials: int,
     power_cache: Optional[dict] = None,
-    timings=None,
 ) -> Optional[Tuple[ProgressivePolynomial, List[ReducedConstraint]]]:
     power_cache = power_cache if power_cache is not None else {}
     levels = pipeline.family.levels
@@ -449,7 +488,7 @@ def _search_piece(
     for k1 in range(min_k, max_terms + 1):
         res = _try_config(
             pipeline, constraints, [k1] * levels, max_iterations, rng, stats,
-            power_cache, timings,
+            power_cache,
         )
         if res.coefficients is not None and len(res.violations) <= max_specials:
             first = (k1, res)
@@ -465,19 +504,19 @@ def _search_piece(
     k1_min, res0 = first
     counts, res = _shrink_lower_levels(
         pipeline, constraints, [k1_min] * levels, res0, max_iterations, rng,
-        stats, min_k, power_cache, timings,
+        stats, min_k, power_cache,
     )
     if counts[0] == counts[-1] and k1_min + 1 <= max_terms:
         res_alt = _try_config(
             pipeline, constraints, [k1_min + 1] * levels, max_iterations, rng,
-            stats, power_cache, timings,
+            stats, power_cache,
         )
         if res_alt.coefficients is not None and len(res_alt.violations) <= len(
             res.violations
         ):
             counts_alt, res_alt = _shrink_lower_levels(
                 pipeline, constraints, [k1_min + 1] * levels, res_alt,
-                max_iterations, rng, stats, min_k, power_cache, timings,
+                max_iterations, rng, stats, min_k, power_cache,
             )
             # Adopt the longer polynomial only if it buys real
             # progressiveness for the smaller formats.
@@ -514,7 +553,6 @@ def _shrink_lower_levels(
     stats: GenerationStats,
     min_k: int,
     power_cache: Optional[dict] = None,
-    timings=None,
 ) -> Tuple[List[int], ClarksonResult]:
     """Greedily reduce lower-level term counts, keeping k_0 <= ... <= k1."""
     levels = len(counts)
@@ -527,7 +565,7 @@ def _shrink_lower_levels(
                 break
             tres = _try_config(
                 pipeline, constraints, trial, max_iterations, rng, stats,
-                power_cache, timings,
+                power_cache,
             )
             if tres.coefficients is None or len(tres.violations) > len(res.violations):
                 break
@@ -641,7 +679,9 @@ class PieceUnitResult:
     it; ``piece`` is the artifact piece dict (or None when the
     sub-domain is unsatisfiable at the term budget) and ``stats`` holds
     the unit's deterministic counter deltas, which
-    :func:`generate_function` sums over every round.
+    :func:`generate_function` sums over every round.  ``seconds`` holds
+    the unit's ``lp`` and ``screen`` wall seconds; wall clock, so the
+    journal leaves them out.
     """
 
     nsplits: int
@@ -649,6 +689,7 @@ class PieceUnitResult:
     piece: Optional[dict]
     failure_count: int
     stats: Dict[str, int]
+    seconds: Dict[str, float] = field(default_factory=dict)
 
 
 def search_piece_unit(
@@ -659,7 +700,6 @@ def search_piece_unit(
     params: Dict[str, int],
     *,
     power_cache: Optional[dict] = None,
-    timings=None,
 ) -> PieceUnitResult:
     """Search one sub-domain piece as a self-contained work unit.
 
@@ -685,7 +725,7 @@ def search_piece_unit(
             params["max_iterations"],
             piece_rng(params["seed"], nsplits, piece_index), stats,
             params["max_specials"],
-            power_cache, timings,
+            power_cache,
         )
         psp.set(satisfiable=result is not None)
     piece_dict = None
@@ -702,6 +742,7 @@ def search_piece_unit(
         piece=piece_dict,
         failure_count=failure_count,
         stats={key: getattr(stats, key) for key in COUNTERS},
+        seconds={"lp": stats.lp_seconds, "screen": stats.screen_seconds},
     )
 
 
@@ -712,7 +753,6 @@ def assemble_function(
     unit_results: Sequence[PieceUnitResult],
     counters: Dict[str, int],
     max_specials: int,
-    timings=None,
 ) -> GeneratedFunction:
     """Assemble one round's piece units into a finished artifact.
 
@@ -722,7 +762,6 @@ def assemble_function(
     Raises :class:`GenerationError` when any piece was unsatisfiable,
     the Clarkson failure counts blow the round's special-case budget, or
     the runtime re-verification finds too many interval escapes.
-    ``timings`` is charged the ``runtime-check`` phase and its oracle seconds.
     """
     units = sorted(unit_results, key=lambda u: u.piece_index)
     nsplits = units[0].nsplits if units else 1
@@ -749,19 +788,11 @@ def assemble_function(
         dict(forced_specials),
         GenerationStats(constraints=len(constraints), **counters),
     )
-    from ..obs import PhaseTimings
-
     # Clarkson-violated constraints are not special-cased here: the
     # runtime re-verification checks every merged input and stores exactly
     # the ones that actually fail, enforcing the paper's cap of
     # ``max_specials`` per sub-domain overall.
-    timings = timings if timings is not None else PhaseTimings()
-    oracle_sec0 = pipeline.oracle.stats.seconds
-    try:
-        with timings.phase("runtime-check"):
-            _absorb_runtime_failures(pipeline, gen, constraints, budget)
-    finally:
-        timings.add("oracle", pipeline.oracle.stats.seconds - oracle_sec0)
+    _absorb_runtime_failures(pipeline, gen, constraints, budget)
     return gen
 
 

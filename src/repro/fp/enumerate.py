@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterator, List, Optional
 
@@ -20,15 +21,28 @@ def all_patterns(fmt: FPFormat) -> Iterator[FPValue]:
         yield FPValue(fmt, bits)
 
 
+def check_enumerable(fmt: FPFormat) -> None:
+    """Raise ``ValueError`` when ``fmt`` has more than
+    :data:`EXHAUSTIVE_LIMIT` bit patterns, too many to enumerate."""
+    if fmt.num_bit_patterns > EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"{fmt.display_name} has {fmt.num_bit_patterns} bit patterns, "
+            f"more than the {EXHAUSTIVE_LIMIT} enumerated one by one; "
+            "pass sampled inputs instead"
+        )
+
+
 def all_finite(fmt: FPFormat) -> Iterator[FPValue]:
     """Every finite bit pattern (both zeros included), ascending magnitude
-    within each sign; positive patterns first."""
-    max_mag = FPValue.max_finite(fmt).bits
-    for bits in range(max_mag + 1):
-        yield FPValue(fmt, bits)
+    within each sign; positive patterns first.  A format too large to
+    enumerate (:func:`check_enumerable`) raises at the call."""
+    check_enumerable(fmt)
+    mags = range(FPValue.max_finite(fmt).bits + 1)
     sign = fmt.sign_mask
-    for bits in range(max_mag + 1):
-        yield FPValue(fmt, sign | bits)
+    return itertools.chain(
+        (FPValue(fmt, bits) for bits in mags),
+        (FPValue(fmt, sign | bits) for bits in mags),
+    )
 
 
 def count_finite(fmt: FPFormat) -> int:

@@ -25,7 +25,6 @@ verification afterwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -38,7 +37,7 @@ from ..fp.intervals import Bounds, rounding_bounds
 from ..fp.rounding import RoundingMode
 from ..mp.oracle import Oracle
 from ..core.constraints import ReducedConstraint
-from ..core.polynomial import PolyShape, ProgressivePolynomial
+from ..core.polynomial import PolyShape
 
 
 @dataclass(frozen=True)
@@ -189,35 +188,6 @@ class FunctionPipeline:
             tags=((level, xd),),
         )
         return GenOutcome(constraint=constraint)
-
-    # -- runtime ---------------------------------------------------------------
-    def evaluate(
-        self,
-        xd: float,
-        poly: ProgressivePolynomial,
-        level: int,
-        specials: Optional[Dict[Tuple[int, float], float]] = None,
-    ) -> float:
-        """Full double-precision evaluation, exactly as a C runtime would."""
-        s = self.special_value(xd)
-        if s is not None:
-            return s
-        if specials:
-            hit = specials.get((level, xd))
-            if hit is not None:
-                return hit
-        red = self.reduce(xd)
-        acc = 0.0
-        for p in range(poly.num_polynomials):
-            if red.mults[p] != 0.0:
-                acc += red.mults[p] * poly.eval_level(red.r, level, p)
-        if red.offset:
-            acc = acc + red.offset
-        if red.outer != 1.0:
-            acc = acc * red.outer
-        if red.scale_pow:
-            acc = math.ldexp(acc, red.scale_pow)
-        return acc
 
 
 def _pull_back(

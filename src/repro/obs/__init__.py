@@ -9,8 +9,7 @@ Three pillars, one substrate:
 * **Metrics** — a :class:`MetricsRegistry` of counters, gauges and
   histograms, exported as JSON or Prometheus text
   (:func:`get_registry`; ``repro obs`` CLI and the server ``metrics``
-  op).  Replaces the bespoke ``serve/metrics.py`` internals and the
-  old ``parallel/timing.py``.
+  op).  Replaces the bespoke ``serve/metrics.py`` internals.
 * **Profiling** — per-span cProfile opt-in via ``REPRO_PROFILE``
   (:func:`write_profile`, :func:`profile_stats_text`).
 
@@ -29,7 +28,6 @@ from .metrics import (
     prometheus_from_json,
     reset_registry,
 )
-from .phases import PhaseTimings, format_phase_report
 from .prof import (
     profile_stats_text,
     profile_target,
@@ -56,11 +54,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimings",
     "Tracer",
     "configure_tracing",
     "exponential_buckets",
-    "format_phase_report",
     "get_registry",
     "get_tracer",
     "merge_metrics_json",

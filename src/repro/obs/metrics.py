@@ -14,11 +14,9 @@ deliberately Prometheus-shaped while staying dependency-free:
   Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`),
   served by the ``metrics`` server op and the ``repro obs`` CLI.
 
-This module absorbs the two bespoke metric systems that predate it:
-``repro.serve.metrics`` (whose :class:`ServerMetrics` is now a facade
-over a registry) and the old ``repro.parallel.timing`` (whose
-:class:`~repro.obs.phases.PhaseTimings` now lives in :mod:`repro.obs` and
-also feeds the process-global registry).  The process-global registry is
+This module absorbs ``repro.serve.metrics``, the bespoke metric system
+that predates it (its :class:`ServerMetrics` is now a facade over a
+registry).  The process-global registry is
 reached via :func:`get_registry`; subsystem instrumentation (oracle
 cache, pool recovery, Clarkson solver) records there.
 """

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..fp.encode import FPValue
-from ..fp.enumerate import count_finite
+from ..fp.enumerate import check_enumerable, count_finite
 from ..fp.format import FPFormat
 from ..fp.rounding import IEEE_MODES, RoundingMode
 from ..mp.oracle import Oracle
@@ -91,7 +91,11 @@ def verify_exhaustive(
     sweep uses); a smaller sweep runs in-process.  The merged report
     (counters, per-mode counts, recorded failures) is identical to the
     serial one for any worker count; ``workers`` says how many ran.
+    Without ``inputs``, a format too large to enumerate
+    (:func:`~repro.fp.enumerate.check_enumerable`) is a ``ValueError``.
     """
+    if inputs is None:
+        check_enumerable(fmt)
     if jobs and jobs > 1:
         from ..parallel.pool import shard_verify, workers_for
 

@@ -2,6 +2,10 @@
 
 import random
 
+import pytest
+
+from repro import api
+from repro.core import collect_constraints
 from repro.fp import (
     FLOAT32,
     Kind,
@@ -13,6 +17,10 @@ from repro.fp import (
     sample_finite,
     stratified_sample,
 )
+from repro.fp.enumerate import EXHAUSTIVE_LIMIT
+from repro.funcs import PAPER_CONFIG, make_pipeline
+from repro.mp import Oracle
+from repro.verify import verify_exhaustive
 
 
 class TestAllFinite:
@@ -27,6 +35,41 @@ class TestAllFinite:
 
     def test_no_specials(self):
         assert all(not v.is_nan and not v.is_infinity for v in all_finite(T10))
+
+
+class TestEnumerationLimit:
+    """float32 has 2^32 patterns: every entry point that would enumerate
+    them raises the same error at once, before building any input."""
+
+    MESSAGE = (
+        f"float32 has {1 << 32} bit patterns, more than the "
+        f"{EXHAUSTIVE_LIMIT} enumerated one by one; pass sampled inputs instead"
+    )
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda tmp: all_finite(FLOAT32), id="all_finite"),
+        pytest.param(
+            # The library is never asked: the check comes first.
+            lambda tmp: verify_exhaustive(None, "log2", FLOAT32, 2, Oracle()),
+            id="verify_exhaustive",
+        ),
+        pytest.param(
+            # Level 0 (bfloat16) is not verified, nor the missing
+            # artifact loaded, before level 2 is rejected.
+            lambda tmp: api.verify("log2", "paper", levels=[0, 2], directory=tmp),
+            id="api.verify",
+        ),
+        pytest.param(
+            lambda tmp: collect_constraints(
+                make_pipeline("log2", PAPER_CONFIG, Oracle())
+            ),
+            id="collect_constraints",
+        ),
+    ])
+    def test_float32_rejected_at_once(self, entry, tmp_path):
+        with pytest.raises(ValueError) as err:
+            entry(tmp_path)
+        assert str(err.value) == self.MESSAGE
 
 
 class TestAllPatterns:

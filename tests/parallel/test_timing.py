@@ -1,44 +1,40 @@
-"""Phase-timing accumulator and report formatting."""
+"""Generation's phase split and the CLI's report of it."""
 
-import time
+import math
 
-from repro.obs import PhaseTimings, format_phase_report
+import pytest
+
+from repro.cli import format_phase_report
+from repro.core import generate_function
+from repro.funcs import TINY_CONFIG, make_pipeline
+from repro.mp import Oracle
+
+#: The keys of ``GenerationStats.phase_seconds``, which split the wall.
+SPLIT_KEYS = (
+    "constraints", "search", "lp", "screen", "runtime-check", "oracle", "other",
+)
 
 
 class TestPhaseTimings:
-    def test_phase_accumulates(self):
-        t = PhaseTimings()
-        with t.phase("lp"):
-            time.sleep(0.002)
-        with t.phase("lp"):
-            time.sleep(0.002)
-        assert t.get("lp") >= 0.004
-        assert t.get("oracle") == 0.0
-
-    def test_add_and_merge(self):
-        a = PhaseTimings()
-        a.add("oracle", 1.5)
-        b = PhaseTimings()
-        b.add("oracle", 0.5)
-        b.add("screen", 2.0)
-        a.merge(b)
-        assert a.as_dict() == {"oracle": 2.0, "screen": 2.0}
-
-    def test_nested_phases_both_charged(self):
-        t = PhaseTimings()
-        with t.phase("constraints"):
-            with t.phase("oracle"):
-                time.sleep(0.002)
-        assert t.get("constraints") >= t.get("oracle") >= 0.002
+    @pytest.mark.parametrize("fn", ["log2", "exp"])
+    def test_phases_split_the_wall(self, fn):
+        # A tiny sweep runs in this process, so the split is exact.
+        gen = generate_function(make_pipeline(fn, TINY_CONFIG, Oracle()))
+        phases = gen.stats.phase_seconds
+        assert sorted(phases) == sorted(SPLIT_KEYS)
+        assert all(sec >= 0.0 for sec in phases.values()), phases
+        assert math.fsum(phases.values()) == pytest.approx(
+            gen.stats.wall_seconds, rel=1e-9, abs=1e-12
+        )
+        assert phases["lp"] == gen.stats.lp_seconds > 0.0
+        assert phases["screen"] == gen.stats.screen_seconds
 
     def test_report_shape(self):
-        t = PhaseTimings()
-        t.add("lp", 3.0)
-        t.add("oracle", 1.0)
-        text = format_phase_report(t.as_dict(), total=4.0)
+        text = format_phase_report({"lp": 3.0, "oracle": 1.0}, total=4.0)
         lines = text.splitlines()
         assert lines[0].split()[0] == "lp"  # sorted by share, descending
         assert "75.0%" in lines[0]
+        assert "25.0%" in lines[1]
         assert lines[-1].split()[0] == "wall"
 
     def test_report_without_total(self):
