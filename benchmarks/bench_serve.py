@@ -2,18 +2,19 @@
 
 The batch-evaluation server's reason to exist is that one vectorized
 kernel sweep beats N scalar round trips; this benchmark measures by how
-much, through the real TCP path (negotiated wire protocol — binary.v1
-frames by default, ``--protocol json`` for the line-delimited fallback —
-coalescing dispatcher, numpy kernel, vectorized rounding).  The payload
-records the measurement config (protocol, worker count) so the compare
-tool never diffs apples against oranges.
+much, through the real TCP path (binary.v1 frames, the one wire
+protocol; coalescing dispatcher; numpy kernel; vectorized rounding).
+The payload records the measurement config (protocol, worker count) so
+the compare tool never diffs apples against oranges.
 
 Two modes:
 
   * ``--json``: sweep batch sizes through a live server and write
-    ``BENCH_serve.json`` — per-batch-size throughput (inputs/s) and
-    request latency (p50/p99 ms), plus the batched-vs-single speedup —
-    so every PR leaves a machine-readable serving perf data point:
+    ``BENCH_serve.json`` — per-batch-size throughput (inputs/s),
+    request latency (p50/p99 ms) and the server's mean queue wait
+    (``queue_wait_mean_ms``: dispatcher submit to evaluation, report
+    only), plus the batched-vs-single speedup — so every PR leaves a
+    machine-readable serving perf data point:
 
         PYTHONPATH=src python benchmarks/bench_serve.py --json
 
@@ -45,12 +46,7 @@ if __package__ in (None, ""):  # script mode: fix up sys.path ourselves
 from repro.fp import IEEE_MODES, all_finite
 from repro.funcs import TINY_CONFIG
 from repro.mp import FUNCTION_NAMES
-from repro.serve import (
-    PROTOCOL_NAME,
-    ServeClient,
-    ServerThread,
-    ServingRegistry,
-)
+from repro.serve import ServeClient, ServerThread, ServingRegistry
 
 BATCH_SIZES = (1, 8, 64, 256, 1024)
 
@@ -61,12 +57,25 @@ def _member_inputs(fmt, n):
     return list(itertools.islice(itertools.cycle(vals), n))
 
 
-def _bench_batch_size_once(client, fn, fmt, batch, *, min_requests=30,
-                           max_requests=400, time_budget=2.0):
-    """Throughput + latency for one batch size; returns a result row."""
+def _queue_wait(metrics):
+    """The server's queue-wait ``(count, sum seconds)`` so far."""
+    snap = metrics.snapshot()["queue_wait_s"]
+    return snap["count"], snap["sum"]
+
+
+def _bench_batch_size_once(client, metrics, fn, fmt, batch, *,
+                           min_requests=30, max_requests=400,
+                           time_budget=2.0):
+    """Throughput + latency for one batch size; returns a result row.
+
+    ``metrics`` is the server's :class:`ServerMetrics`: the row's mean
+    queue wait is the delta of its ``queue_wait_s`` count and sum over
+    the timed requests.
+    """
     inputs = _member_inputs(fmt, batch)
     # Warm-up (JIT-free, but fills the oracle memos and branch caches).
     client.eval(fn, inputs, fmt=fmt.display_name)
+    waits0 = _queue_wait(metrics)
     latencies = []
     total_inputs = 0
     t_start = time.perf_counter()
@@ -79,6 +88,7 @@ def _bench_batch_size_once(client, fn, fmt, batch, *, min_requests=30,
         if i + 1 >= min_requests and time.perf_counter() - t_start > time_budget:
             break
     wall = time.perf_counter() - t_start
+    waits1 = _queue_wait(metrics)
     latencies.sort()
 
     def q(p):
@@ -91,10 +101,13 @@ def _bench_batch_size_once(client, fn, fmt, batch, *, min_requests=30,
         "requests_per_sec": len(latencies) / wall,
         "p50_ms": q(0.50) * 1e3,
         "p99_ms": q(0.99) * 1e3,
+        "queue_wait_mean_ms": (
+            1e3 * (waits1[1] - waits0[1]) / max(1, waits1[0] - waits0[0])
+        ),
     }
 
 
-def _bench_batch_size(client, fn, fmt, batch, *, repeats=3, **kw):
+def _bench_batch_size(client, metrics, fn, fmt, batch, *, repeats=3, **kw):
     """Best-of-N passes for one batch size.
 
     Throughput noise on a loaded machine is one-sided (the scheduler
@@ -103,23 +116,21 @@ def _bench_batch_size(client, fn, fmt, batch, *, repeats=3, **kw):
     flapping on shared runners.
     """
     rows = [
-        _bench_batch_size_once(client, fn, fmt, batch, **kw)
+        _bench_batch_size_once(client, metrics, fn, fmt, batch, **kw)
         for _ in range(max(1, repeats))
     ]
     return max(rows, key=lambda row: row["inputs_per_sec"])
 
 
-def run_bench(fn="exp2", out_path=None, batch_sizes=BATCH_SIZES,
-              protocol="binary"):
+def run_bench(fn="exp2", out_path=None, batch_sizes=BATCH_SIZES):
     """The --json sweep; returns the result dict."""
     fmt = TINY_CONFIG.formats[-1]
     registry = ServingRegistry("tiny", names=(fn,))
     with ServerThread(registry) as srv:
-        with ServeClient("127.0.0.1", srv.port, protocol=protocol) as client:
-            # What actually got negotiated, not what was asked for.
-            wire = "binary" if client.protocol == PROTOCOL_NAME else "json"
+        with ServeClient("127.0.0.1", srv.port) as client:
             series = [
-                _bench_batch_size(client, fn, fmt, b) for b in batch_sizes
+                _bench_batch_size(client, srv.metrics, fn, fmt, b)
+                for b in batch_sizes
             ]
         stats = srv.metrics.snapshot()
     by_batch = {row["batch"]: row for row in series}
@@ -135,7 +146,7 @@ def run_bench(fn="exp2", out_path=None, batch_sizes=BATCH_SIZES,
         # Measurement configuration: payloads measured under different
         # configs are not comparable, and bench_compare.py skips (rather
         # than gates) when any of these keys disagree across payloads.
-        "config": {"protocol": wire, "workers": 0},
+        "config": {"protocol": "binary", "workers": 0},
         "series": series,
         "speedup_batched_vs_single": speedup,
         "results_by_tier": stats["results_by_tier"],
@@ -207,11 +218,6 @@ def main(argv=None):
     ap.add_argument("--smoke", action="store_true", help="CI smoke gate")
     ap.add_argument("--function", default="exp2")
     ap.add_argument(
-        "--protocol", choices=("binary", "json"), default="binary",
-        help="wire protocol for the sweep client (recorded in the payload;"
-             " default binary)",
-    )
-    ap.add_argument(
         "--out", default=str(_HERE.parent / "BENCH_serve.json"),
         metavar="PATH", help="where --json writes its result",
     )
@@ -222,7 +228,7 @@ def main(argv=None):
     # gate first, then the throughput sweep; a smoke failure wins.
     rc = run_smoke() if args.smoke else 0
     if args.json:
-        run_bench(args.function, args.out, protocol=args.protocol)
+        run_bench(args.function, args.out)
     return rc
 
 

@@ -21,11 +21,11 @@ Two modes, composable exactly like ``bench_serve.py``:
 
         PYTHONPATH=src python benchmarks/bench_serve_fleet.py --json
 
-  * ``--smoke``: CI gate.  Starts a fleet of two workers, negotiates
-    the binary protocol, evaluates every function in every tiny format
-    over the fleet, requires health to report every worker ok, then
-    stops the fleet and requires every worker process to have drained
-    gracefully (exit code 0, not SIGKILL).
+  * ``--smoke``: CI gate.  Starts a fleet of two workers, evaluates
+    every function in every tiny format over the fleet, requires health
+    to report every worker ok, then stops the fleet and requires every
+    worker process to have drained gracefully (exit code 0, not
+    SIGKILL).
 """
 
 import argparse
@@ -90,9 +90,7 @@ def _quantiles(latencies):
 async def _open_pool(port, n=INFLIGHT):
     clients = []
     for _ in range(n):
-        client = AsyncServeClient("127.0.0.1", port, protocol="binary")
-        clients.append(await client.connect())
-        assert client.protocol == PROTOCOL_NAME, client.protocol
+        clients.append(await AsyncServeClient("127.0.0.1", port).connect())
     return clients
 
 
@@ -288,12 +286,9 @@ def run_bench(out_path=None, worker_counts=WORKER_COUNTS,
 
 async def _smoke_async(port, failures):
     client = await AsyncServeClient(
-        "127.0.0.1", port, protocol="binary", array_results=False
+        "127.0.0.1", port, array_results=False
     ).connect()
     try:
-        if client.protocol != PROTOCOL_NAME:
-            failures.append(f"negotiated {client.protocol!r}, "
-                            f"wanted {PROTOCOL_NAME}")
         health = await client.health()
         workers = health.get("workers", [])
         if health.get("status") != "ok" or len(workers) != 2:
@@ -348,7 +343,7 @@ def run_smoke():
         return 1
     n_evals = len(TINY_CONFIG.formats) * len(FUNCTION_NAMES)
     print(
-        f"fleet smoke OK: 2 workers, {PROTOCOL_NAME} negotiated, "
+        f"fleet smoke OK: 2 workers over {PROTOCOL_NAME}, "
         f"{n_evals} fleet evals, all workers live, graceful drain"
     )
     return 0

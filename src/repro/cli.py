@@ -321,7 +321,7 @@ def cmd_serve(args) -> int:
             await server.start()
             print(
                 f"serving family {config.name!r} on {args.host}:{server.port} "
-                f"(batch window 0ms: coalescing by arrival, max batch "
+                f"(batch window 0ms, coalescing by arrival, max batch "
                 f"{args.max_batch})",
                 flush=True,
             )

@@ -11,9 +11,11 @@ exposes per-tier counters and batch-size / latency histograms.  Small
 formats can be served from dense precomputed ``.tbl`` tables
 (:mod:`repro.libm.tables`) — one mmap'd ``np.take`` per batch.
 
-Connections start in newline-delimited JSON; the clients negotiate the
-zero-copy ``binary.v1`` frame protocol (:mod:`repro.serve.frames`) for
-bulk data unless built with ``protocol="json"``.  :class:`FleetThread` / ``repro serve --workers N`` scale one
+Every connection speaks the zero-copy ``binary.v1`` frame protocol
+(:mod:`repro.serve.frames`) from its first byte, with no handshake: an
+``eval`` ships raw doubles and gets packed result arrays back, and
+control ops travel as JSON objects inside frames.
+:class:`FleetThread` / ``repro serve --workers N`` scale one
 family horizontally: N identical worker processes, each a
 :class:`ServeServer` over the full registry, accept on one
 ``SO_REUSEPORT`` port, so the kernel spreads connections across them.

@@ -1,25 +1,20 @@
 """Clients for the serving protocol: synchronous and asyncio.
 
-Both clients speak the ``binary.v1`` framed protocol by default
-(``protocol="binary"``): right after connecting the client offers
-``binary.v1`` with the ``negotiate`` op and the connection flips to
-frames.  A server that answers anything else is a
-:class:`~repro.serve.protocol.ProtocolError`.  ``protocol="json"`` skips
-negotiation and stays on newline JSON (the fleet's private-port probes
-use it).  Negotiation runs again on *every* reconnect: the process
-listening on a host:port can change across a connection drop (a
-restarted server, a fleet worker respawned), and the new one starts
-every connection in line JSON.
+Both clients speak ``binary.v1`` frames (:mod:`repro.serve.frames`) from
+the first byte they write, with no handshake.  An ``eval`` ships its
+inputs as a ``FRAME_EVAL`` of raw doubles and gets back a
+``FRAME_RESULT``; every other op is a ``FRAME_JSON`` object.  A listener
+that answers with anything but frames fails the first request: a
+:class:`~repro.serve.frames.FrameError` from :class:`ServeClient`, a
+``ConnectionError`` naming it from :class:`AsyncServeClient`.
 
 :class:`ServeClient` — the synchronous client.  Transient transport
 failures (connection reset, server-side drop, broken pipe) are retried
 transparently: the client reconnects with exponential backoff — at most
-``reconnect_attempts`` times per request — renegotiates the protocol,
-and re-sends every request it has not yet seen a response for.
-Requests are idempotent (pure evaluation), so replaying them is always
-safe; replayed evals are re-encoded in whatever protocol the *new*
-connection negotiated.  Once the attempt budget is exhausted the
-underlying ``ConnectionError`` propagates.
+``reconnect_attempts`` times per request — and re-sends every request it
+has not yet seen a response for.  Requests are idempotent (pure
+evaluation), so replaying them is always safe.  Once the attempt budget
+is exhausted the underlying error propagates.
 
 :class:`AsyncServeClient` — the asyncio client the fleet uses for its
 private-port probes and fan-out (and the fleet benchmark uses for
@@ -34,10 +29,9 @@ server's answer and is returned as-is.
 from __future__ import annotations
 
 import asyncio
-import json
 import socket
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,37 +47,9 @@ from .frames import (
     read_frame_async,
     read_frame_sync,
 )
-from .protocol import ProtocolError, parse_float_token
+from .protocol import ProtocolError
 
 __all__ = ["AsyncServeClient", "ServeClient"]
-
-_PROTOCOL_CHOICES = ("binary", "json")
-#: The negotiation round trip's request line.  Its reserved id never
-#: collides with the integer ids the request machinery assigns.
-_NEGOTIATE_LINE = (
-    json.dumps({
-        "op": "negotiate", "id": "__negotiate__", "protocols": [PROTOCOL_NAME],
-    }) + "\n"
-).encode()
-
-
-def _check_protocol(protocol: str) -> None:
-    if protocol not in _PROTOCOL_CHOICES:
-        raise ValueError(
-            f"protocol must be one of {_PROTOCOL_CHOICES}, not {protocol!r}"
-        )
-
-
-def _check_negotiated(line: bytes) -> None:
-    """The server's answer to :data:`_NEGOTIATE_LINE` must be ``binary.v1``."""
-    if not line:
-        raise ConnectionError("server closed during negotiation")
-    resp = json.loads(line)
-    if not (resp.get("ok") and resp.get("protocol") == PROTOCOL_NAME):
-        raise ProtocolError(
-            f"server does not speak {PROTOCOL_NAME}: "
-            f"{resp.get('error') or resp.get('protocol') or resp!r}"
-        )
 
 
 def _eval_request(fn, inputs, fmt, level, mode, budget) -> dict:
@@ -100,13 +66,27 @@ def _eval_request(fn, inputs, fmt, level, mode, budget) -> dict:
     return req
 
 
+def _parse_float_token(v: Any) -> float:
+    """A double from a number or a string spelling: ``float.hex``
+    syntax for bit-exact inputs, or the ``nan``/``inf`` tokens."""
+    if isinstance(v, bool):
+        raise ProtocolError(f"not a number: {v!r}")
+    if isinstance(v, (int, float)):
+        return float(v)
+    if isinstance(v, str):
+        try:
+            return float.fromhex(v) if v.lower().startswith(("0x", "-0x")) else float(v)
+        except ValueError:
+            raise ProtocolError(f"unparseable input {v!r}") from None
+    raise ProtocolError(f"not a number: {v!r}")
+
+
 def _coerce_inputs(inputs) -> np.ndarray:
-    """Inputs as a float64 array for the binary frame path.
+    """Inputs as the float64 array a ``FRAME_EVAL`` carries.
 
     Accepts ndarrays (shipped as-is), numeric sequences, and sequences
-    mixing in the JSON protocol's string spellings (``"nan"``,
-    ``float.hex``) — those are parsed client-side, since the wire
-    carries raw binary64 either way.
+    mixing in string spellings (``"nan"``, ``float.hex``) — those are
+    parsed here, since the wire carries raw binary64.
     """
     if isinstance(inputs, np.ndarray):
         return inputs
@@ -114,27 +94,31 @@ def _coerce_inputs(inputs) -> np.ndarray:
         return np.asarray(inputs, dtype=np.float64)
     except (TypeError, ValueError):
         return np.asarray(
-            [parse_float_token(v) for v in inputs], dtype=np.float64
+            [_parse_float_token(v) for v in inputs], dtype=np.float64
         )
 
 
-def _encode_request(obj: dict, framed: bool) -> bytes:
-    """One request in the connection's current wire mode."""
-    if framed:
-        if obj.get("op") == "eval" and "inputs" in obj:
-            meta = {k: v for k, v in obj.items() if k not in ("op", "inputs")}
-            return encode_eval_request(meta, _coerce_inputs(obj["inputs"]))
-        return encode_json_frame(obj)
-    send = obj
-    inputs = obj.get("inputs")
-    if isinstance(inputs, np.ndarray):
-        # Replay of a binary-mode request on a JSON connection.
-        send = dict(obj, inputs=inputs.tolist())
-    return (json.dumps(send) + "\n").encode()
+def _encode_request(obj: dict) -> bytes:
+    """One request frame: an eval with inputs as ``FRAME_EVAL``, any
+    other request as ``FRAME_JSON`` (an eval without inputs reaches the
+    server that way and is answered with its error)."""
+    if obj.get("op") == "eval" and "inputs" in obj:
+        meta = {k: v for k, v in obj.items() if k not in ("op", "inputs")}
+        return encode_eval_request(meta, _coerce_inputs(obj["inputs"]))
+    return encode_json_frame(obj)
+
+
+def _decode_response(frame: Tuple[int, bytes], array_results: bool) -> dict:
+    """One response frame as a response dict."""
+    ftype, payload = frame
+    if ftype == FRAME_RESULT:
+        return _result_to_response(payload, array_results)
+    return decode_json_frame(payload)
 
 
 def _result_to_response(payload: bytes, array_results: bool) -> dict:
-    """A ``FRAME_RESULT`` payload as the JSON-protocol response shape."""
+    """A ``FRAME_RESULT`` payload as a response dict: arrays, or lists
+    with tier names (``array_results=False``)."""
     meta, bits, values, tiers = decode_eval_result(payload)
     resp = dict(meta)
     resp.pop("n", None)
@@ -165,25 +149,20 @@ class ServeClient:
         port: int,
         timeout: float = 30.0,
         *,
-        protocol: str = "binary",
         array_results: bool = False,
         reconnect_attempts: int = 3,
         reconnect_backoff: float = 0.05,
     ):
-        _check_protocol(protocol)
         self._host = host
         self._port = port
         self._timeout = timeout
-        self._want = protocol
         self.array_results = array_results
         self.reconnect_attempts = max(0, int(reconnect_attempts))
         self.reconnect_backoff = reconnect_backoff
         #: Lifetime count of successful reconnects (observable in tests).
         self.reconnects = 0
-        #: The protocol this *connection* negotiated: ``"binary.v1"`` or
-        #: ``"json"``.  Re-set on every reconnect.
-        self.protocol: Optional[str] = None
-        self._framed = False
+        #: The wire protocol: always ``"binary.v1"``.
+        self.protocol = PROTOCOL_NAME
         self._next_id = 0
         self._responses: Dict[Any, dict] = {}
         #: Requests sent but not yet answered, by id (replayed on
@@ -198,24 +177,12 @@ class ServeClient:
         self._sock = socket.create_connection(
             (self._host, self._port), timeout=self._timeout
         )
-        # One small JSON line per request: Nagle only adds latency here.
+        # One small frame per request: Nagle only adds latency here.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._sock.makefile("rwb")
-        self._framed = False
-        self.protocol = "json"
-        if self._want == "binary":
-            try:
-                self._file.write(_NEGOTIATE_LINE)
-                self._file.flush()
-                _check_negotiated(self._file.readline())
-            except BaseException:
-                self.close()
-                raise
-            self._framed = True
-            self.protocol = PROTOCOL_NAME
 
     def _reconnect(self) -> None:
-        """Bounded reconnect-with-backoff, renegotiate, replay unanswered."""
+        """Bounded reconnect-with-backoff, then replay unanswered."""
         try:
             self.close()
         except OSError:
@@ -235,13 +202,11 @@ class ServeClient:
                 f"{self.reconnect_attempts} attempts"
             ) from last
         self.reconnects += 1
-        # _connect renegotiated, so replays are encoded for the new
-        # connection's wire mode.
         for obj in list(self._unanswered.values()):
             self._write(obj)
 
     def _write(self, obj: dict) -> None:
-        self._file.write(_encode_request(obj, self._framed))
+        self._file.write(_encode_request(obj))
         self._file.flush()
 
     def _send(self, obj: dict) -> Any:
@@ -257,18 +222,10 @@ class ServeClient:
         return obj["id"]
 
     def _read_response(self) -> dict:
-        if self._framed:
-            frame = read_frame_sync(self._file)
-            if frame is None:
-                raise ConnectionError("server closed the connection")
-            ftype, payload = frame
-            if ftype == FRAME_RESULT:
-                return _result_to_response(payload, self.array_results)
-            return decode_json_frame(payload)
-        line = self._file.readline()
-        if not line:
+        frame = read_frame_sync(self._file)
+        if frame is None:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        return _decode_response(frame, self.array_results)
 
     def _recv(self, want_id: Any) -> dict:
         drops = 0
@@ -310,10 +267,10 @@ class ServeClient:
     ) -> dict:
         """Evaluate a batch; returns the decoded response dict.
 
-        ``inputs`` may be a float64 ndarray — on a binary connection it
-        ships as raw bytes with no conversion at all.  ``budget`` caps
-        the server-side deadline (seconds): the server answers
-        ``deadline_exceeded`` rather than work past it.
+        ``inputs`` may be a float64 ndarray — it ships as raw bytes with
+        no conversion at all.  ``budget`` caps the server-side deadline
+        (seconds): the server answers ``deadline_exceeded`` rather than
+        work past it.
         """
         return self.request(
             _eval_request(fn, inputs, fmt, level, mode, budget)
@@ -371,6 +328,10 @@ class AsyncServeClient:
     reader resolves responses by id.  A transport failure fails *every*
     pending request with :class:`ConnectionError` — reconnection is the
     caller's decision.
+
+    ``protocol`` accepts only ``"binary"``: it is kept so that callers
+    which still pass ``protocol="binary"`` (the perfbench serve workload)
+    keep working.
     """
 
     def __init__(
@@ -381,13 +342,13 @@ class AsyncServeClient:
         protocol: str = "binary",
         array_results: bool = True,
     ):
-        _check_protocol(protocol)
+        if protocol != "binary":
+            raise ValueError(f"protocol must be 'binary', not {protocol!r}")
         self._host = host
         self._port = port
-        self._want = protocol
         self.array_results = array_results
-        self.protocol: Optional[str] = None
-        self._framed = False
+        #: The wire protocol: always ``"binary.v1"``.
+        self.protocol = PROTOCOL_NAME
         self._next_id = 0
         self._pending: Dict[Any, "asyncio.Future[dict]"] = {}
         self._reader: Optional[asyncio.StreamReader] = None
@@ -404,25 +365,13 @@ class AsyncServeClient:
         )
 
     async def connect(self) -> "AsyncServeClient":
-        """Open the connection, negotiate, start the reader loop."""
+        """Open the connection and start the reader loop."""
         self._reader, self._writer = await asyncio.open_connection(
             self._host, self._port
         )
         sock = self._writer.get_extra_info("socket")
         if sock is not None:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._framed = False
-        self.protocol = "json"
-        if self._want == "binary":
-            try:
-                self._writer.write(_NEGOTIATE_LINE)
-                await self._writer.drain()
-                _check_negotiated(await self._reader.readline())
-            except BaseException:
-                await self.aclose()
-                raise
-            self._framed = True
-            self.protocol = PROTOCOL_NAME
         self._closed = False
         self._reader_task = asyncio.ensure_future(self._read_loop())
         return self
@@ -431,31 +380,16 @@ class AsyncServeClient:
         error: Optional[BaseException] = None
         try:
             while True:
-                if self._framed:
-                    frame = await read_frame_async(self._reader)
-                    if frame is None:
-                        break
-                    ftype, payload = frame
-                    if ftype == FRAME_RESULT:
-                        resp = _result_to_response(
-                            payload, self.array_results
-                        )
-                    else:
-                        resp = decode_json_frame(payload)
-                else:
-                    line = await self._reader.readline()
-                    if not line:
-                        break
-                    resp = json.loads(line)
+                frame = await read_frame_async(self._reader)
+                if frame is None:
+                    break
+                resp = _decode_response(frame, self.array_results)
                 fut = self._pending.pop(resp.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(resp)
         except asyncio.CancelledError:
             error = ConnectionError("client closed")
-        except (
-            FrameError, json.JSONDecodeError,
-            ConnectionResetError, BrokenPipeError, OSError,
-        ) as e:
+        except (FrameError, ConnectionResetError, BrokenPipeError, OSError) as e:
             error = e
         # Connection is gone (EOF, error, or close): nothing pending can
         # ever be answered — fail it all fast so callers can re-route.
@@ -478,7 +412,7 @@ class AsyncServeClient:
             asyncio.get_running_loop().create_future()
         )
         self._pending[obj["id"]] = fut
-        data = _encode_request(obj, self._framed)
+        data = _encode_request(obj)
         try:
             async with self._write_lock:
                 self._writer.write(data)

@@ -58,6 +58,7 @@ proof and their latency is bounded.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -88,10 +89,9 @@ __all__ = [
 ]
 
 #: Wire-code → name table of the built-in tiers (codes are frozen; see
-#: :mod:`repro.serve.tiers`).  Module-internal: results built from name
-#: lists or code arrays convert through this.
+#: :mod:`repro.serve.tiers`): what :attr:`BatchResult.tiers` reads.
 _WIRE_NAMES = default_tier_registry().wire_names()
-_WIRE_CODES = default_tier_registry().wire_codes()
+
 
 def resolve_mode(mode: Union[str, RoundingMode]) -> RoundingMode:
     """A :class:`RoundingMode` from its enum or wire spelling (``"rne"``)."""
@@ -106,185 +106,59 @@ def resolve_mode(mode: Union[str, RoundingMode]) -> RoundingMode:
         ) from None
 
 
-class _LazyArray:
-    """One result column held as a numpy array, a list, or both.
-
-    The evaluator produces numpy arrays (the hot path never builds a
-    Python list); JSON serialization and the historical list-typed
-    accessors convert on first use and cache.  Either representation can
-    seed the other, so a :class:`BatchResult` built from lists (tests,
-    small call sites) still exposes arrays for the binary protocol.
-    """
-
-    __slots__ = ("_array", "_list", "dtype")
-
-    def __init__(self, value, dtype):
-        self.dtype = dtype
-        self._array = self._list = None
-        self.assign(value)
-
-    def assign(self, value) -> None:
-        self._array = self._list = None
-        if value is None:
-            self._list = []
-        elif isinstance(value, np.ndarray):
-            self._array = value
-        else:
-            self._list = list(value)
-
-    def as_array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.asarray(self._list, dtype=self.dtype)
-        return self._array
-
-    def as_list(self) -> list:
-        if self._list is None:
-            self._list = self._array.tolist()
-        return self._list
-
-    def __len__(self) -> int:
-        return len(self._list if self._array is None else self._array)
-
-
+@dataclass(slots=True, eq=False)
 class BatchResult:
-    """Correctly rounded results for one batch.
+    """Correctly rounded results for one batch, as four numpy columns.
 
-    The per-element columns (``bits``, ``values``, ``raw``, ``tiers``)
-    read as plain Python lists, exactly as they always have; the
-    ``*_array`` / ``tier_codes`` accessors expose the same data as numpy
-    arrays without a conversion, which is what the binary frame protocol
-    and the coalescing dispatcher's zero-copy slicing use.
+    ``bits_array`` (int64 bit patterns in ``fmt``), ``values_array`` (the
+    rounded results decoded back to doubles, NaN patterns → NaN),
+    ``raw_array`` (the progressive runtime's double before rounding; for
+    the oracle and table tiers the decoded rounded value itself) and
+    ``tier_codes`` (uint8 wire codes, see
+    :meth:`repro.serve.tiers.TierRegistry.wire_names`).  These are what
+    the binary frame protocol ships and what the coalescing dispatcher
+    slices without a copy; ``bits``, ``values``, ``raw`` and ``tiers``
+    are list views built on each read.
     """
 
-    def __init__(
-        self,
-        fn: str,
-        family: str,
-        fmt: FPFormat,
-        level: int,
-        mode: RoundingMode,
-        bits=None,
-        values=None,
-        raw=None,
-        tiers=None,
-        wall_seconds: float = 0.0,
-    ):
-        self.fn = fn
-        self.family = family
-        self.fmt = fmt
-        self.level = level
-        self.mode = mode
-        self._bits = _LazyArray(bits, np.int64)
-        self._values = _LazyArray(values, np.float64)
-        self._raw = _LazyArray(raw, np.float64)
-        self._tiers = _TierColumn(tiers)
-        self.wall_seconds = wall_seconds
+    fn: str
+    family: str
+    fmt: FPFormat
+    level: int
+    mode: RoundingMode
+    bits_array: np.ndarray
+    values_array: np.ndarray
+    raw_array: np.ndarray
+    tier_codes: np.ndarray
+    wall_seconds: float = 0.0
 
-    # -- list views (the historical field types) -----------------------
     @property
     def bits(self) -> List[int]:
         """Result bit patterns in ``fmt``, one per input."""
-        return self._bits.as_list()
-
-    @bits.setter
-    def bits(self, value) -> None:
-        self._bits.assign(value)
+        return self.bits_array.tolist()
 
     @property
     def values(self) -> List[float]:
-        """The rounded results decoded back to doubles (NaN patterns → NaN)."""
-        return self._values.as_list()
-
-    @values.setter
-    def values(self, value) -> None:
-        self._values.assign(value)
+        """The rounded results decoded back to doubles."""
+        return self.values_array.tolist()
 
     @property
     def raw(self) -> List[float]:
-        """Raw double outputs of the progressive runtime (pre-rounding);
-        for the oracle and table tiers this is the decoded rounded value
-        itself."""
-        return self._raw.as_list()
-
-    @raw.setter
-    def raw(self, value) -> None:
-        self._raw.assign(value)
+        """Raw double outputs of the runtime (pre-rounding)."""
+        return self.raw_array.tolist()
 
     @property
     def tiers(self) -> List[str]:
         """Which tier produced each element: table/compiled/vector/scalar/
         oracle."""
-        return self._tiers.as_names()
-
-    @tiers.setter
-    def tiers(self, value) -> None:
-        self._tiers.assign(value)
-
-    # -- array views (zero-copy hot path) ------------------------------
-    @property
-    def bits_array(self) -> np.ndarray:
-        """``bits`` as an int64 array (no conversion on the hot path)."""
-        return self._bits.as_array()
-
-    @property
-    def values_array(self) -> np.ndarray:
-        """``values`` as a float64 array."""
-        return self._values.as_array()
-
-    @property
-    def raw_array(self) -> np.ndarray:
-        """``raw`` as a float64 array."""
-        return self._raw.as_array()
-
-    @property
-    def tier_codes(self) -> np.ndarray:
-        """``tiers`` as uint8 wire codes (see
-        :meth:`repro.serve.tiers.TierRegistry.wire_names`)."""
-        return self._tiers.as_codes()
+        return [_WIRE_NAMES[c] for c in self.tier_codes.tolist()]
 
     def __len__(self) -> int:
-        return len(self._bits)
+        return len(self.bits_array)
 
     def fpvalues(self) -> List[FPValue]:
         """The results as decoded :class:`FPValue` objects."""
         return [FPValue(self.fmt, b) for b in self.bits]
-
-
-class _TierColumn:
-    """The tier column: uint8 wire codes and/or the historical string list."""
-
-    __slots__ = ("_codes", "_names")
-
-    def __init__(self, value):
-        self.assign(value)
-
-    def assign(self, value) -> None:
-        self._codes = self._names = None
-        if value is None:
-            self._names = []
-        elif isinstance(value, np.ndarray):
-            self._codes = value
-        else:
-            value = list(value)
-            if value and not isinstance(value[0], str):
-                self._codes = np.asarray(value, dtype=np.uint8)
-            else:
-                self._names = value
-
-    def as_codes(self) -> np.ndarray:
-        if self._codes is None:
-            self._codes = np.asarray(
-                [_WIRE_CODES[t] for t in self._names], dtype=np.uint8
-            )
-        return self._codes
-
-    def as_names(self) -> List[str]:
-        if self._names is None:
-            self._names = [_WIRE_NAMES[c] for c in self._codes.tolist()]
-        return self._names
-
-    def __len__(self) -> int:
-        return len(self._names if self._codes is None else self._codes)
 
 
 def _decode(bits: np.ndarray, fmt: FPFormat) -> np.ndarray:
@@ -373,7 +247,6 @@ class BatchEvaluator:
             raise KeyError(f"unknown function {fn!r}")
         xs = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))
         n = xs.size
-        result = BatchResult(fn, reg.family.name, fmt, level, mode)
         ctx = EvalContext(
             reg, fn, fmt, level, mode, xs, breaker=self.breaker,
             tiers=self.tiers,
@@ -429,11 +302,10 @@ class BatchEvaluator:
                 raw = values.copy()
         else:
             bits, raw, values = _assemble(answers, n, fmt)
-        result.bits = bits
-        result.raw = raw
-        result.values = values
-        result.tiers = codes
-        result.wall_seconds = time.perf_counter() - t0
+        result = BatchResult(
+            fn, reg.family.name, fmt, level, mode, bits, values, raw, codes,
+            time.perf_counter() - t0,
+        )
         self.metrics.record_batch(
             fn, n, tier_counts, result.wall_seconds, n_requests=n_requests
         )

@@ -169,7 +169,7 @@ def _add_counters(total: dict, worker: dict) -> None:
 async def _request_private(port: int, obj: dict, timeout: float) -> dict:
     """One request to a worker's private port on a fresh connection."""
     async with asyncio.timeout(timeout):
-        async with AsyncServeClient("127.0.0.1", port, protocol="json") as client:
+        async with AsyncServeClient("127.0.0.1", port) as client:
             return await client.request(obj)
 
 

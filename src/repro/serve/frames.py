@@ -1,11 +1,11 @@
 """The zero-copy binary frame protocol (``binary.v1``).
 
-The newline-JSON protocol re-parses every float on both sides of the
-wire; at batch 1024 that parsing dominates the request wall clock.  This
-module defines the length-prefixed binary framing that replaces it on
-the bulk-data path while *keeping* JSON for control ops — one connection
-carries both, so ``stats``/``health``/``metrics`` probes interleave with
-binary eval traffic.
+Every serve connection speaks these length-prefixed frames from its
+first byte, in both directions.  An eval's inputs and results cross the
+wire as packed little-endian arrays that the receiver reads with
+``np.frombuffer`` — no float is printed or parsed — while control ops
+travel as JSON objects inside frames on the same connection, so
+``stats``/``health``/``metrics`` probes interleave with eval traffic.
 
 Wire format
 -----------
@@ -21,8 +21,8 @@ Every frame starts with a fixed 8-byte header::
 Frame types:
 
 ``FRAME_JSON`` (0x01)
-    Payload is one UTF-8 JSON object — any request or response of the
-    line protocol, verbatim.  Control ops and error responses use this.
+    Payload is one UTF-8 JSON object: a control request or its
+    response, or an error response (see :mod:`repro.serve.protocol`).
 
 ``FRAME_EVAL`` (0x02)
     A bulk eval request: ``u16`` little-endian meta length, the meta
@@ -41,19 +41,16 @@ Frame types:
 
 Truncated, oversized, or unrecognisable frames raise
 :class:`FrameError` (a :class:`~repro.serve.protocol.ProtocolError`),
-so servers answer them with a structured error instead of dying.
-
-Sessions start in the newline-JSON protocol and upgrade via the
-``negotiate`` op (see :mod:`repro.serve.server`): a client that offers
-``binary.v1`` gets it, and a client that never negotiates stays on
-line JSON.
+so a server answers them with a structured error instead of dying.  A
+bad header or a mid-frame EOF leaves no frame boundary to resume at, so
+the server closes that connection after its error frame.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, BinaryIO, Optional, Tuple
+from typing import BinaryIO, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +61,7 @@ from .tiers import default_tier_registry
 MAGIC = b"RP"
 #: The one protocol version this build speaks.
 VERSION = 1
-#: The negotiation token for this framing (the ``negotiate`` op).
+#: The name of this framing (what a client's ``protocol`` reports).
 PROTOCOL_NAME = "binary.v1"
 
 FRAME_JSON = 0x01

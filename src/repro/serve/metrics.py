@@ -24,7 +24,7 @@ requests it carried, so coalesced members were visible only through
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
@@ -38,9 +38,10 @@ __all__ = [
 
 #: Batch sizes: powers of two up to the default coalescing cap.
 BATCH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-#: Latency buckets in seconds (0.05 ms .. ~1 s).
+#: Latency buckets in seconds (5 µs .. 1 s): the low ones resolve an
+#: unloaded server's queue wait, which is a few microseconds.
 LATENCY_BOUNDS = (
-    5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
+    5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
     1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0,
 )
 
@@ -106,16 +107,14 @@ class ServerMetrics:
         self,
         fn: str,
         n_inputs: int,
-        tiers: Union[Dict[str, int], Sequence[str]],
+        tiers: Dict[str, int],
         seconds: float,
         n_requests: int = 1,
     ) -> None:
         """One evaluator batch: inputs swept, per-result tiers, eval wall.
 
-        ``tiers`` is either a ``{tier_name: count}`` dict (what the
-        evaluator passes — one counter bump per tier instead of one per
-        element) or the legacy per-element name sequence.  Tier names
-        are opaque labels: whatever the evaluator's
+        ``tiers`` is a ``{tier_name: count}`` dict (one counter bump per
+        tier instead of one per element).  Tier names are opaque labels: whatever the evaluator's
         :class:`~repro.serve.tiers.TierRegistry` dispatches (table /
         vector / scalar / oracle today) is counted — nothing here
         assumes a fixed tier set, so new tiers show up in
@@ -127,11 +126,6 @@ class ServerMetrics:
         ``requests_by_fn`` while the batch itself lands in
         ``batches_by_fn``.
         """
-        if not isinstance(tiers, dict):
-            counts: Dict[str, int] = {}
-            for tier in tiers:
-                counts[tier] = counts.get(tier, 0) + 1
-            tiers = counts
         self._labelled(
             self._requests_by_fn, "repro_serve_requests_total",
             "Client requests per function.", fn=fn,

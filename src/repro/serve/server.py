@@ -22,19 +22,15 @@ a fleet's shared port and to answer the control ops for the fleet.
 CI smoke checks and notebook use; ``python -m repro serve`` runs it in
 the foreground.
 
-Protocol negotiation
---------------------
+Wire protocol
+-------------
 
-A connection begins in the newline-JSON protocol.  The client may send
-``{"op": "negotiate", "protocols": ["binary.v1"]}``; when ``binary.v1``
-is offered the server answers ``{"ok": true, "protocol": "binary.v1"}``
-and flips the connection into framed mode — everything after that
-response, in both directions, is length-prefixed frames
-(:mod:`repro.serve.frames`).  Any other offer is answered ``{"ok": true,
-"protocol": "json"}`` and the connection stays line-JSON.
-``negotiate`` is handled inline in the read loop, not as a concurrent
-task: the mode flip must happen before the next read, and the reply must
-be the last line-JSON bytes on the upgraded connection.
+Every connection speaks ``binary.v1`` frames (:mod:`repro.serve.frames`)
+from its first byte, with no handshake: control ops and errors
+travel as ``FRAME_JSON`` objects, an ``eval`` as a ``FRAME_EVAL``
+answered by a ``FRAME_RESULT``.  A bad frame header or a mid-frame EOF
+leaves no boundary to resume at, so it is answered with one error frame
+and the connection is closed.
 
 Resilience semantics (see DESIGN.md):
 
@@ -61,7 +57,7 @@ import gc
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,9 +68,9 @@ from ..resilience.faults import maybe_fire
 from .evaluator import BatchEvaluator, BatchResult, OracleUnavailable, resolve_mode
 from .frames import (
     FRAME_EVAL,
-    PROTOCOL_NAME,
     FrameError,
     decode_eval_request,
+    decode_json_frame,
     encode_eval_result,
     encode_json_frame,
     read_frame_async,
@@ -82,9 +78,7 @@ from .frames import (
 from .metrics import ServerMetrics
 from .protocol import (
     ProtocolError,
-    encode_response,
     error_response,
-    eval_response,
     parse_eval_request,
     parse_request,
 )
@@ -137,10 +131,8 @@ def tune_gc_for_serving() -> None:
 class _Bucket:
     """Pending requests for one (fn, level, mode) coalescing key.
 
-    Inputs accumulate as a list of *chunks* — each caller's list or
-    ndarray, appended as-is — rather than one growing flat list: the
-    binary protocol delivers ndarrays and copying them element-wise into
-    a Python list would throw away the zero-copy decode.
+    Inputs accumulate as a list of *chunks* — each caller's ndarray,
+    appended as-is — and are concatenated once at the flush.
     """
 
     chunks: List = field(default_factory=list)
@@ -176,8 +168,8 @@ class BatchingDispatcher:
     ) -> BatchResult:
         """Enqueue one request; resolves with just this request's slice.
 
-        ``inputs`` is a list of floats or a float64 ndarray (the binary
-        path); either is held by reference until the flush.
+        ``inputs`` (a float64 ndarray, a sequence of floats in process)
+        is held by reference until the flush.
         """
         key = (fn, level, mode.value)
         bucket = self._buckets.get(key)
@@ -258,11 +250,11 @@ class BatchingDispatcher:
                     result.fmt,
                     result.level,
                     result.mode,
-                    bits=result.bits_array[sl],
-                    values=result.values_array[sl],
-                    raw=result.raw_array[sl],
-                    tiers=result.tier_codes[sl],
-                    wall_seconds=result.wall_seconds,
+                    result.bits_array[sl],
+                    result.values_array[sl],
+                    result.raw_array[sl],
+                    result.tier_codes[sl],
+                    result.wall_seconds,
                 )
             )
 
@@ -274,52 +266,37 @@ class BatchingDispatcher:
 
 
 class _Connection:
-    """One accepted connection: its writer, write lock, and wire mode."""
+    """One accepted connection: its writer and write lock."""
 
-    __slots__ = ("framed", "lock", "writer")
+    __slots__ = ("lock", "writer")
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.lock = asyncio.Lock()
-        #: False → newline-JSON; True → binary.v1 frames (post-negotiate).
-        self.framed = False
 
-    async def send(self, response: dict, *, binary: bool = False) -> None:
-        """Encode and write one response in the connection's wire mode.
+    async def send(self, response: dict) -> None:
+        """Encode and write one response frame.
 
         A response carrying ``"_result"`` (a
-        :class:`~repro.serve.evaluator.BatchResult`) is expanded at the
-        last moment: to a packed ``FRAME_RESULT`` when the request
-        arrived as a binary eval frame (``binary=True``), or to the
-        JSON field layout otherwise — so the hot path never builds
-        Python lists it does not send.
+        :class:`~repro.serve.evaluator.BatchResult`) becomes a packed
+        ``FRAME_RESULT`` of its arrays; anything else a ``FRAME_JSON``.
         """
         result = response.pop("_result", None)
-        if self.framed:
-            if binary and result is not None and response.get("ok"):
-                meta = {
-                    "id": response.get("id"),
-                    "ok": True,
-                    "fn": result.fn,
-                    "family": result.family,
-                    "fmt": result.fmt.display_name,
-                    "level": result.level,
-                    "mode": result.mode.value,
-                }
-                data = encode_eval_result(
-                    meta,
-                    result.bits_array,
-                    result.values_array,
-                    result.tier_codes,
-                )
-            else:
-                if result is not None:
-                    response = eval_response(response.get("id"), result)
-                data = encode_json_frame(response)
+        if result is None:
+            data = encode_json_frame(response)
         else:
-            if result is not None:
-                response = eval_response(response.get("id"), result)
-            data = encode_response(response)
+            meta = {
+                "id": response.get("id"),
+                "ok": True,
+                "fn": result.fn,
+                "family": result.family,
+                "fmt": result.fmt.display_name,
+                "level": result.level,
+                "mode": result.mode.value,
+            }
+            data = encode_eval_result(
+                meta, result.bits_array, result.values_array, result.tier_codes
+            )
         async with self.lock:
             self.writer.write(data)
             await self.writer.drain()
@@ -328,8 +305,8 @@ class _Connection:
 class ServeServer:
     """Batch-evaluation server for one artifact registry.
 
-    Speaks newline-JSON and (post-negotiation) ``binary.v1`` frames on
-    the same port; see the module docstring.
+    Speaks ``binary.v1`` frames on every connection; see the module
+    docstring.
     """
 
     def __init__(
@@ -409,14 +386,19 @@ class ServeServer:
         pending: set = set()
         try:
             while True:
-                if conn.framed:
-                    raw = await self._read_framed(reader, conn)
-                else:
-                    raw = await self._read_line(reader, conn)
-                if raw is None:
+                try:
+                    frame = await read_frame_async(reader)
+                except FrameError as e:
+                    # No frame boundary is left to resume at: answer
+                    # once and close the connection.
+                    self.metrics.record_error()
+                    try:
+                        await conn.send(error_response(None, str(e)))
+                    except OSError:
+                        pass
                     break
-                if raw is _CONSUMED:
-                    continue
+                if frame is None:
+                    break
                 if maybe_fire("socket.drop"):
                     # Injected transport failure: drop the connection
                     # abruptly, mid-request, without a response — the
@@ -424,12 +406,9 @@ class ServeServer:
                     # this.
                     writer.transport.abort()
                     break
-                payload, binary = raw
                 # Handle each request as its own task so a pipelining
                 # client's requests can coalesce with each other.
-                task = asyncio.ensure_future(
-                    self._handle_request(payload, conn, binary=binary)
-                )
+                task = asyncio.ensure_future(self._handle_request(frame, conn))
                 pending.add(task)
                 task.add_done_callback(pending.discard)
                 self._tasks.add(task)
@@ -449,94 +428,8 @@ class ServeServer:
             except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
-    async def _read_line(
-        self, reader: asyncio.StreamReader, conn: _Connection
-    ):
-        """One request off a line-JSON connection.
-
-        Returns ``None`` at EOF, :data:`_CONSUMED` when the line was
-        answered inline (blank lines, ``negotiate``), else
-        ``(payload, binary)`` for the task path.
-        """
-        line = await reader.readline()
-        if not line:
-            return None
-        if not line.strip():
-            return _CONSUMED
-        return await self._negotiate_inline(line, conn)
-
-    async def _read_framed(
-        self, reader: asyncio.StreamReader, conn: _Connection
-    ):
-        """One request off a framed connection (same contract as above).
-
-        A framed stream cannot be resynchronized after a bad header or a
-        mid-frame EOF, so a :class:`FrameError` is answered with a
-        structured error and the connection is closed.
-        """
-        try:
-            frame = await read_frame_async(reader)
-        except FrameError as e:
-            self.metrics.record_error()
-            try:
-                await conn.send(error_response(None, str(e)))
-            except (ConnectionError, BrokenPipeError, OSError):
-                pass
-            return None
-        if frame is None:
-            return None
-        ftype, payload = frame
-        if ftype == FRAME_EVAL:
-            try:
-                meta, inputs = decode_eval_request(payload)
-            except FrameError as e:
-                self.metrics.record_error()
-                await conn.send(error_response(None, str(e)))
-                return _CONSUMED
-            return dict(meta, op="eval", inputs=inputs), True
-        # FRAME_JSON: the payload parses exactly like a request line.
-        return await self._negotiate_inline(payload, conn)
-
-    async def _negotiate_inline(self, payload: bytes, conn: _Connection):
-        """Answer a ``negotiate`` request inline (:data:`_CONSUMED`);
-        anything else goes to the task path as ``(payload, False)``."""
-        if b"negotiate" not in payload:
-            return payload, False
-        try:
-            obj = parse_request(payload)
-        except ProtocolError:
-            return payload, False
-        if obj["op"] != "negotiate":
-            return obj, False
-        await self._handle_negotiate(obj, conn)
-        return _CONSUMED
-
-    async def _handle_negotiate(self, obj: dict, conn: _Connection) -> None:
-        """Answer ``negotiate`` and flip the wire mode when agreed (on an
-        already framed connection the answer confirms it idempotently)."""
-        offered = obj.get("protocols")
-        if offered is not None and not isinstance(offered, list):
-            self.metrics.record_error()
-            await conn.send(error_response(
-                obj.get("id"), "'protocols' must be a list of names"
-            ))
-            return
-        if PROTOCOL_NAME in (offered or []):
-            await conn.send(
-                {"id": obj.get("id"), "ok": True, "protocol": PROTOCOL_NAME}
-            )
-            conn.framed = True
-        else:
-            await conn.send(
-                {"id": obj.get("id"), "ok": True, "protocol": "json"}
-            )
-
     async def _handle_request(
-        self,
-        raw: Union[bytes, dict],
-        conn: _Connection,
-        *,
-        binary: bool = False,
+        self, frame: Tuple[int, bytes], conn: _Connection
     ) -> None:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
@@ -546,7 +439,12 @@ class ServeServer:
         trace_ctx: dict = {}
         deadline = self.request_deadline
         try:
-            obj = raw if isinstance(raw, dict) else parse_request(raw)
+            ftype, payload = frame
+            if ftype == FRAME_EVAL:
+                meta, inputs = decode_eval_request(payload)
+                obj = dict(meta, op="eval", inputs=inputs)
+            else:
+                obj = parse_request(decode_json_frame(payload))
             req_id = obj.get("id")
             op_name = obj["op"]
             tctx = obj.get("trace")
@@ -637,7 +535,7 @@ class ServeServer:
             parent_id=trace_ctx.get("parent"),
             op=op_name, ok=bool(response.get("ok")),
         )
-        await conn.send(response, binary=binary)
+        await conn.send(response)
 
     # ------------------------------------------------------------------
     async def _dispatch(self, obj: dict) -> dict:
@@ -665,8 +563,7 @@ class ServeServer:
         result = await self.dispatcher.submit(
             fields["fn"], fields["inputs"], level, mode
         )
-        # The connection expands ``_result`` in its own wire mode (packed
-        # frame or JSON lists), so no conversion happens here.
+        # The connection packs ``_result``'s arrays into the result frame.
         return {"id": obj.get("id"), "ok": True, "_result": result}
 
     async def _op_stats(self, obj: dict) -> dict:
@@ -702,10 +599,6 @@ class ServeServer:
             "draining": self._draining,
             "breaker": breaker,
         }
-
-
-#: Sentinel: the read helper consumed (answered) the request inline.
-_CONSUMED = object()
 
 
 class ServerThread:

@@ -196,6 +196,14 @@ class TestPrometheusText:
         metrics = ServerMetrics()
         metrics.batch_sizes.observe(5)
         metrics.errors.inc()
+        # An unloaded server's queue wait (about 8 us) lands in its own
+        # bucket below 50 us, so p50 reads 10 us rather than 50 us.
+        metrics.queue_wait.observe(8e-6)
+        wait = metrics.snapshot()["queue_wait_s"]
+        assert [b for b in wait["buckets"] if b["count"]] == [
+            {"le": 1e-5, "count": 1}
+        ]
+        assert wait["p50"] == 1e-5
         reg = metrics.registry
         assert reg.to_prometheus() == prometheus_from_json(reg.to_json())
 

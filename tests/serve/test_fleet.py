@@ -1,16 +1,16 @@
 """Fleet integration: shared-port topology, bit-identity, fleet view,
-drain, reconnect and protocol choices.
+drain, reconnect and the wire protocol.
 
 The acceptance bar for the fleet (N identical workers on one
 ``SO_REUSEPORT`` port):
 
 * every function, format and rounding mode answers bit-identically to a
-  single server over the same artifacts, over binary.v1 and line JSON;
+  single server over the same artifacts;
 * the kernel spreads connections over the workers, and any worker
   answers ``health``/``stats``/``metrics``/``info`` for the whole fleet;
 * SIGTERM drains every worker to exit code 0;
-* a client whose server restarts reconnects, renegotiates binary.v1
-  and replays, invisibly to the caller.
+* a client whose server restarts reconnects and replays, invisibly to
+  the caller.
 """
 
 import asyncio
@@ -33,8 +33,7 @@ from repro.serve import (
     ServerThread,
     ServingRegistry,
 )
-from repro.serve.frames import PROTOCOL_NAME
-from repro.serve.protocol import ProtocolError
+from repro.serve.frames import PROTOCOL_NAME, FrameError
 
 N_WORKERS = 2
 
@@ -61,17 +60,13 @@ def test_fleet_serves_every_function(fleet):
         assert 0 <= info["worker"] < N_WORKERS
 
 
-def test_binary_and_json_bit_identical_every_fn_and_format(fleet):
+def test_fleet_bit_identical_every_fn_and_format(fleet):
     # For every (fn, format, mode), the same inputs through the fleet
-    # over binary.v1 and over line JSON answer with the single server's
-    # bit patterns, values and tiers.
+    # answer with the single server's bit patterns, values and tiers.
     registry = ServingRegistry("tiny")
     with ServerThread(registry) as single, \
-         ServeClient("127.0.0.1", single.port, protocol="binary") as cs, \
-         ServeClient("127.0.0.1", fleet.port, protocol="binary") as cb, \
-         ServeClient("127.0.0.1", fleet.port, protocol="json") as cj:
-        assert cb.protocol == PROTOCOL_NAME
-        assert cj.protocol == "json"
+         ServeClient("127.0.0.1", single.port) as cs, \
+         ServeClient("127.0.0.1", fleet.port) as cf:
         for fmt in TINY_CONFIG.formats:
             xs = [v.to_float() for v in all_finite(fmt)]
             xs += [float("inf"), float("-inf"), float("nan")]
@@ -79,16 +74,13 @@ def test_binary_and_json_bit_identical_every_fn_and_format(fleet):
                 for mode in RoundingMode:
                     kw = dict(fmt=fmt.display_name, mode=mode.value)
                     rs = cs.eval(fn, np.array(xs), **kw)
-                    rb = cb.eval(fn, np.array(xs), **kw)
-                    rj = cj.eval(fn, xs, **kw)
+                    rf = cf.eval(fn, xs, **kw)
                     where = (fn, fmt.display_name, mode.value)
-                    assert rs["ok"] and rb["ok"] and rj["ok"], where
-                    assert rb["bits"] == rs["bits"] == rj["bits"], where
-                    assert rb["tiers"] == rs["tiers"] == rj["tiers"], where
+                    assert rs["ok"] and rf["ok"], where
+                    assert rf["bits"] == rs["bits"], where
+                    assert rf["tiers"] == rs["tiers"], where
                     assert (
-                        _value_bits(rb["values"])
-                        == _value_bits(rs["values"])
-                        == _value_bits(rj["values"])
+                        _value_bits(rf["values"]) == _value_bits(rs["values"])
                     ), where
 
 
@@ -210,7 +202,7 @@ def test_sigterm_drains_every_worker():
 
 
 # ----------------------------------------------------------------------
-# Reconnect, renegotiation and the protocol choices
+# Reconnect and the wire protocol
 # ----------------------------------------------------------------------
 def _reserve_port() -> int:
     """An ephemeral port number that is free right now."""
@@ -220,10 +212,10 @@ def _reserve_port() -> int:
         return s.getsockname()[1]
 
 
-def test_reconnect_renegotiates_after_restart():
-    # A binary.v1 session whose server is replaced by a fresh one on the
-    # same port: the client reconnects, renegotiates binary.v1 and
-    # replays — the caller just sees the same answers.
+def test_reconnect_replays_after_restart():
+    # A client whose server is replaced by a fresh one on the same
+    # port reconnects and replays — the caller just sees the same
+    # answers.
     registry = ServingRegistry("tiny", names=("exp2",))
     port = _reserve_port()
     first = ServerThread(registry, port=port).start()
@@ -231,7 +223,6 @@ def test_reconnect_renegotiates_after_restart():
     second = None
     try:
         client = ServeClient("127.0.0.1", port, reconnect_backoff=0.2)
-        assert client.protocol == PROTOCOL_NAME
         before = client.eval("exp2", np.array([1.0, 2.0]), fmt="t8")
         assert before["ok"]
 
@@ -254,67 +245,70 @@ def test_reconnect_renegotiates_after_restart():
 
 
 def test_protocol_choices():
-    # Both clients default to binary.v1; "auto" is not a choice; a json
-    # client stays on line JSON and gets the same bits.
+    # binary.v1 is the only protocol: ServeClient takes no protocol
+    # argument, and AsyncServeClient accepts only "binary".
     registry = ServingRegistry("tiny", names=("exp2",))
     with ServerThread(registry) as srv:
-        for protocol in ("auto", "frames"):
-            with pytest.raises(ValueError, match="protocol must be one of"):
-                ServeClient("127.0.0.1", srv.port, protocol=protocol)
-            with pytest.raises(ValueError, match="protocol must be one of"):
+        for protocol in ("json", "auto", "frames"):
+            with pytest.raises(ValueError, match="protocol must be 'binary'"):
                 AsyncServeClient("127.0.0.1", srv.port, protocol=protocol)
+        with pytest.raises(TypeError):
+            ServeClient("127.0.0.1", srv.port, protocol="binary")
 
-        async def async_protocol() -> str:
-            async with AsyncServeClient("127.0.0.1", srv.port) as c:
-                assert await c.ping()
-                return c.protocol
+        async def async_eval() -> dict:
+            client = AsyncServeClient(
+                "127.0.0.1", srv.port, protocol="binary", array_results=False
+            )
+            async with client as c:
+                assert c.protocol == PROTOCOL_NAME
+                return await c.eval("exp2", [3.0, 0.5], fmt="t8")
 
-        assert asyncio.run(async_protocol()) == PROTOCOL_NAME
-        with ServeClient("127.0.0.1", srv.port) as cb, \
-             ServeClient("127.0.0.1", srv.port, protocol="json") as cj:
-            assert cb.protocol == PROTOCOL_NAME
-            assert cj.protocol == "json"
-            rb = cb.eval("exp2", [3.0, 0.5], fmt="t8")
-            rj = cj.eval("exp2", [3.0, 0.5], fmt="t8")
-            assert rb["ok"] and rj["ok"]
-            assert rj["values"][0] == 8.0
-            assert rb["bits"] == rj["bits"]
-            assert rb["tiers"] == rj["tiers"]
+        ra = asyncio.run(async_eval())
+        with ServeClient("127.0.0.1", srv.port) as c:
+            assert c.protocol == PROTOCOL_NAME
+            rs = c.eval("exp2", [3.0, 0.5], fmt="t8")
+        assert ra["ok"] and rs["ok"]
+        assert rs["values"][0] == 8.0
+        assert ra["bits"] == rs["bits"]
+        assert ra["tiers"] == rs["tiers"]
 
 
 def test_binary_client_refuses_a_server_without_binary_frames():
-    # A listener that answers ``negotiate`` with anything but binary.v1
-    # (here: an ``unknown op`` error) is refused, not silently
-    # downgraded, and the refused client closes its socket itself
-    # instead of leaving it to the garbage collector.
-    answer = (b'{"id": "__negotiate__", "ok": false, '
-              b'"error": "unknown op \'negotiate\'"}\n')
+    # A listener that answers in newline JSON, not frames, fails the
+    # first request: ServeClient raises FrameError (after its bounded
+    # reconnects), AsyncServeClient fails the request's future, and
+    # neither leaves its socket to the garbage collector.
+    answer = b'{"id": 1, "ok": false, "error": "bad JSON"}\n'
 
-    def serve_refusals(listener, n):
+    def serve_line_json(listener, n):
+        # ServeClient connects once and reconnects 3 times; the async
+        # client connects once.
         for _ in range(n):
             conn, _ = listener.accept()
-            with conn, conn.makefile("rwb") as f:
-                f.readline()
-                f.write(answer)
-                f.flush()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(answer)
 
-    async def connect_async(port):
-        await AsyncServeClient("127.0.0.1", port).connect()
+    async def ping_async(port):
+        async with AsyncServeClient("127.0.0.1", port) as c:
+            await c.ping()
 
     with socket.socket() as listener:
         listener.bind(("127.0.0.1", 0))
-        listener.listen(2)
+        listener.listen(8)
         port = listener.getsockname()[1]
+        listener.settimeout(10.0)
         t = threading.Thread(
-            target=serve_refusals, args=(listener, 2), daemon=True
+            target=serve_line_json, args=(listener, 5), daemon=True
         )
         t.start()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
-            with pytest.raises(ProtocolError, match="does not speak binary.v1"):
-                ServeClient("127.0.0.1", port, timeout=5.0)
-            with pytest.raises(ProtocolError, match="does not speak binary.v1"):
-                asyncio.run(connect_async(port))
+            with ServeClient("127.0.0.1", port, timeout=5.0) as c:
+                with pytest.raises(FrameError, match="bad frame magic"):
+                    c.ping()
+            with pytest.raises(ConnectionError, match="bad frame magic"):
+                asyncio.run(ping_async(port))
             gc.collect()
         t.join(5.0)
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]

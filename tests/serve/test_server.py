@@ -1,9 +1,9 @@
 """TCP server round trips: bit-identity, coalescing, fallback, protocol."""
 
 import asyncio
-import json
 import math
 import socket
+import threading
 
 import pytest
 
@@ -19,7 +19,8 @@ from repro.serve import (
 )
 from repro.serve.frames import (
     FRAME_JSON,
-    PROTOCOL_NAME,
+    HEADER,
+    decode_header,
     decode_json_frame,
     encode_json_frame,
     read_frame_sync,
@@ -236,48 +237,71 @@ def test_protocol_errors(server, client):
 
 
 def test_raw_garbage_line(server):
+    # Bytes that are not a frame header get one FRAME_JSON error, and
+    # the connection is closed: a stream with a bad header has no frame
+    # boundary to resume at.
+    before = server.metrics.snapshot()["errors"]
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as s:
         f = s.makefile("rwb")
         f.write(b"this is not json\n")
         f.flush()
-        resp = json.loads(f.readline())
-        assert resp["ok"] is False
+        ftype, payload = read_frame_sync(f)
+        assert ftype == FRAME_JSON
+        resp = decode_json_frame(payload)
+        assert resp["ok"] is False and "magic" in resp["error"]
+        assert read_frame_sync(f) is None  # closed by the server
+    assert server.metrics.snapshot()["errors"] - before == 1
 
 
-def test_negotiate_answers(server):
-    # The server side of negotiation, spoken raw: an offer without
-    # binary.v1 keeps line JSON, a malformed offer is an error, and an
-    # offer with it flips the connection to frames, where a second
-    # negotiate is confirmed in a JSON frame.
+def test_client_writes_frames_from_the_first_byte():
+    # A raw listener records the first bytes a ServeClient writes: a
+    # binary.v1 frame header, with no handshake before it.
+    got = {}
+
+    def answer_once(listener):
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as f:
+            got["header"] = f.read(HEADER.size)
+            _, length = decode_header(got["header"])
+            request = decode_json_frame(f.read(length))
+            f.write(encode_json_frame(
+                {"id": request["id"], "ok": True, "pong": True}
+            ))
+            f.flush()
+
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        t = threading.Thread(target=answer_once, args=(listener,), daemon=True)
+        t.start()
+        with ServeClient("127.0.0.1", listener.getsockname()[1]) as c:
+            assert c.ping()
+        t.join(5.0)
+    magic, version, ftype, _ = HEADER.unpack(got["header"])
+    assert (magic, version, ftype) == (b"RP", 1, FRAME_JSON)
+
+
+def test_eval_in_a_json_frame_is_an_error(server):
+    # An eval travels only as FRAME_EVAL: sent as a JSON object it gets a
+    # structured error, and the connection still answers ping.
+    before = server.metrics.snapshot()["errors"]
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as s:
         f = s.makefile("rwb")
-
-        def line(obj):
-            f.write((json.dumps(obj) + "\n").encode())
-            f.flush()
-            return json.loads(f.readline())
-
-        resp = line({"op": "negotiate", "id": 1, "protocols": ["json"]})
-        assert resp == {"id": 1, "ok": True, "protocol": "json"}
-        resp = line({"op": "negotiate", "id": 2, "protocols": "binary.v1"})
-        assert resp["ok"] is False and "list" in resp["error"]
-        assert line({"op": "ping", "id": 3})["pong"] is True
-        resp = line({"op": "negotiate", "id": 4, "protocols": [PROTOCOL_NAME]})
-        assert resp == {"id": 4, "ok": True, "protocol": PROTOCOL_NAME}
-
         f.write(encode_json_frame(
-            {"op": "negotiate", "id": 5, "protocols": [PROTOCOL_NAME]}
+            {"op": "eval", "id": 1, "fn": "exp2", "inputs": [1.0], "fmt": "t8"}
         ))
-        f.write(encode_json_frame({"op": "ping", "id": 6}))
         f.flush()
-        answers = {}
-        for _ in range(2):
-            ftype, payload = read_frame_sync(f)
-            assert ftype == FRAME_JSON
-            resp = decode_json_frame(payload)
-            answers[resp["id"]] = resp
-        assert answers[5]["protocol"] == PROTOCOL_NAME
-        assert answers[6]["pong"] is True
+        ftype, payload = read_frame_sync(f)
+        assert ftype == FRAME_JSON
+        resp = decode_json_frame(payload)
+        assert resp["id"] == 1 and resp["ok"] is False
+        assert "FRAME_EVAL" in resp["error"]
+        f.write(encode_json_frame({"op": "ping", "id": 2}))
+        f.flush()
+        ftype, payload = read_frame_sync(f)
+        assert ftype == FRAME_JSON
+        assert decode_json_frame(payload) == {"id": 2, "ok": True, "pong": True}
+    assert server.metrics.snapshot()["errors"] - before == 1
 
 
 def test_missing_artifact_server_reports_oracle_tier(tmp_path):
