@@ -49,6 +49,8 @@ from repro.mp import FUNCTION_NAMES
 from repro.serve import ServeClient, ServerThread, ServingRegistry
 
 BATCH_SIZES = (1, 8, 64, 256, 1024)
+#: Shortest timed stretch per batch-size pass, in seconds.
+MIN_ROW_SECONDS = 1.0
 
 
 def _member_inputs(fmt, n):
@@ -63,14 +65,16 @@ def _queue_wait(metrics):
     return snap["count"], snap["sum"]
 
 
-def _bench_batch_size_once(client, metrics, fn, fmt, batch, *,
-                           min_requests=30, max_requests=400,
-                           time_budget=2.0):
+def _bench_batch_size_once(client, metrics, fn, fmt, batch):
     """Throughput + latency for one batch size; returns a result row.
 
-    ``metrics`` is the server's :class:`ServerMetrics`: the row's mean
-    queue wait is the delta of its ``queue_wait_s`` count and sum over
-    the timed requests.
+    Requests are timed until at least :data:`MIN_ROW_SECONDS` have
+    passed, so every row (batch 1 included, at about 0.5 ms a round
+    trip) averages over the same stretch of wall time rather than a
+    fixed request count that a fast row finishes in a fraction of a
+    second.  ``metrics`` is the server's :class:`ServerMetrics`: the
+    row's mean queue wait is the delta of its ``queue_wait_s`` count and
+    sum over the timed requests.
     """
     inputs = _member_inputs(fmt, batch)
     # Warm-up (JIT-free, but fills the oracle memos and branch caches).
@@ -78,16 +82,15 @@ def _bench_batch_size_once(client, metrics, fn, fmt, batch, *,
     waits0 = _queue_wait(metrics)
     latencies = []
     total_inputs = 0
-    t_start = time.perf_counter()
-    for i in range(max_requests):
+    t_start = t1 = time.perf_counter()
+    while t1 - t_start < MIN_ROW_SECONDS:
         t0 = time.perf_counter()
         resp = client.eval(fn, inputs, fmt=fmt.display_name)
-        latencies.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        latencies.append(t1 - t0)
         assert resp["ok"], resp
         total_inputs += batch
-        if i + 1 >= min_requests and time.perf_counter() - t_start > time_budget:
-            break
-    wall = time.perf_counter() - t_start
+    wall = t1 - t_start
     waits1 = _queue_wait(metrics)
     latencies.sort()
 
@@ -107,19 +110,23 @@ def _bench_batch_size_once(client, metrics, fn, fmt, batch, *,
     }
 
 
-def _bench_batch_size(client, metrics, fn, fmt, batch, *, repeats=3, **kw):
-    """Best-of-N passes for one batch size.
+def _bench_batch_sizes(client, metrics, fn, fmt, batch_sizes, *, repeats=3):
+    """Best-of-N passes for each batch size.
 
     Throughput noise on a loaded machine is one-sided (the scheduler
     only ever steals time), so the fastest pass is the most faithful
     estimate — and the one that keeps the CI regression gate from
-    flapping on shared runners.
+    flapping on shared runners.  The passes sweep every batch size in
+    turn, so a few slow seconds of the host cost each row one pass
+    rather than all of one row's passes.
     """
-    rows = [
-        _bench_batch_size_once(client, metrics, fn, fmt, batch, **kw)
+    passes = [
+        [_bench_batch_size_once(client, metrics, fn, fmt, b) for b in batch_sizes]
         for _ in range(max(1, repeats))
     ]
-    return max(rows, key=lambda row: row["inputs_per_sec"])
+    return [
+        max(rows, key=lambda row: row["inputs_per_sec"]) for rows in zip(*passes)
+    ]
 
 
 def run_bench(fn="exp2", out_path=None, batch_sizes=BATCH_SIZES):
@@ -128,10 +135,9 @@ def run_bench(fn="exp2", out_path=None, batch_sizes=BATCH_SIZES):
     registry = ServingRegistry("tiny", names=(fn,))
     with ServerThread(registry) as srv:
         with ServeClient("127.0.0.1", srv.port) as client:
-            series = [
-                _bench_batch_size(client, srv.metrics, fn, fmt, b)
-                for b in batch_sizes
-            ]
+            series = _bench_batch_sizes(
+                client, srv.metrics, fn, fmt, batch_sizes
+            )
         stats = srv.metrics.snapshot()
     by_batch = {row["batch"]: row for row in series}
     speedup = (

@@ -74,10 +74,14 @@ def main(argv=None) -> int:
     config = FAMILIES[args.family]
     oracle = Oracle()
     if args.baseline == "wide":
+        from repro.fp import all_finite
         from repro.libm.baselines import wide_family_for, wide_inputs_for
 
         wide = wide_family_for(config)
-        inputs = wide_inputs_for(config, wide)
+        per_level = inputs_for(config, args.seed) or [
+            list(all_finite(fmt)) for fmt in config.formats
+        ]
+        inputs = wide_inputs_for(per_level, wide)
         gen_config = wide
     else:
         inputs = inputs_for(config, args.seed)

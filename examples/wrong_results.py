@@ -36,7 +36,10 @@ def build_libraries(oracle):
     wide_family = wide_family_for(TINY_CONFIG)
     wpipe = make_pipeline(FN, wide_family, oracle)
     wgen = generate_function(
-        wpipe, inputs_per_level=wide_inputs_for(TINY_CONFIG, wide_family)
+        wpipe,
+        inputs_per_level=wide_inputs_for(
+            [list(all_finite(f)) for f in TINY_CONFIG.formats], wide_family
+        ),
     )
     crlibm = CrlibmStyleLibrary(
         GeneratedLibrary({FN: wpipe}, {FN: wgen}, label="wide"),

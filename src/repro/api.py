@@ -39,15 +39,13 @@ from .core.search import DEFAULT_PARAMS
 from .fp.enumerate import check_enumerable
 from .fp.format import FPFormat
 from .fp.rounding import IEEE_MODES, RoundingMode
-from .funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
+from .funcs import FAMILY_CONFIGS, FamilyLike, make_pipeline, resolve_family
 from .obs import span as obs_span
-from .libm.artifacts import ARTIFACT_DIR, load_generated, save_generated
+from .libm.artifacts import ARTIFACT_DIR, artifact_path, load_generated, save_generated
 from .libm.runtime import RlibmProg
 from .mp.oracle import FUNCTION_NAMES, Oracle
 from .serve.evaluator import BatchEvaluator, BatchResult
-from .serve.registry import ServingRegistry, resolve_family
-
-FamilyLike = Union[str, FamilyConfig]
+from .serve.registry import ServingRegistry
 
 __all__ = [
     "FAMILY_CONFIGS",
@@ -201,7 +199,7 @@ def generate_family(
             search_identity(fn, config, {**DEFAULT_PARAMS, **params})
         )
         hit = incremental_hit(
-            directory, manifest, fn, hashes[fn], f"{config.name}_{fn}.json"
+            manifest, fn, hashes[fn], artifact_path(fn, config.name, directory)
         )
         if hit is None:
             todo.append(fn)
@@ -245,7 +243,9 @@ def _search(
 
     journal = None
     if journal_dir is not None:
-        journal = str(Path(journal_dir) / f"{config.name}_{fn}.journal")
+        journal = str(
+            artifact_path(fn, config.name, journal_dir).with_suffix(".journal")
+        )
     return generate_function(
         make_pipeline(fn, config, oracle), **params,
         progress=progress, jobs=jobs, journal_path=journal, resume=resume,
@@ -382,9 +382,8 @@ def build_table(
     """
     from .libm.tables import build_table as _build
 
-    config = resolve_family(family)
     return _build(
-        fn, config, fmt=fmt, level=level, mode=mode,
+        fn, family, fmt=fmt, level=level, mode=mode,
         directory=directory, out_dir=out_dir, progress=progress,
     )
 

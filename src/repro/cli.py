@@ -156,8 +156,7 @@ def cmd_eval(args) -> int:
         from .libm.artifacts import load_generated
 
         load_generated(args.function, config.name, args.dir)
-    level = args.level if args.level is not None else config.levels - 1
-    fmt = config.formats[level]
+    level, fmt = config.resolve_level(level=args.level)
     for token in args.inputs:
         x = float(token)
         res = evaluator.evaluate(args.function, [x], level=level)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .encode import FPValue, ilog2_ratio
 from .format import FPFormat
@@ -39,6 +39,20 @@ IEEE_MODES = (
     RoundingMode.RTP,
     RoundingMode.RTN,
 )
+
+
+def parse_mode(mode: Union[str, RoundingMode]) -> RoundingMode:
+    """A :class:`RoundingMode` from its enum or its name (``"rne"``, any
+    case): the one parser of a user-given rounding mode."""
+    if isinstance(mode, RoundingMode):
+        return mode
+    try:
+        return RoundingMode(str(mode).lower())
+    except ValueError:
+        raise ValueError(
+            f"unknown rounding mode {mode!r}; choose from "
+            f"{[m.value for m in RoundingMode]}"
+        ) from None
 
 
 def exact_ratio(x) -> Tuple[int, int]:

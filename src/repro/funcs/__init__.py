@@ -2,9 +2,12 @@
 
 The registry maps the paper's ten function names to their pipeline
 classes; construct one with a :class:`FamilyConfig` and an oracle.
+:func:`resolve_family` is the one lookup of a family spelled by name,
+and :meth:`FamilyConfig.resolve_level` the one resolver of a request's
+format or level within it.
 """
 
-from typing import Dict, Optional, Type
+from typing import Dict, Optional, Type, Union
 
 from ..fp.format import MINI_FAMILY, PAPER_FAMILY, TINY_FAMILY
 from ..mp.oracle import Oracle
@@ -48,6 +51,20 @@ FAMILY_CONFIGS: Dict[str, FamilyConfig] = {
     "mini": MINI_CONFIG,
     "paper": PAPER_CONFIG,
 }
+
+FamilyLike = Union[str, FamilyConfig]
+
+
+def resolve_family(family: FamilyLike) -> FamilyConfig:
+    """A :class:`FamilyConfig` from a config object or a registered name."""
+    if isinstance(family, FamilyConfig):
+        return family
+    try:
+        return FAMILY_CONFIGS[family]
+    except KeyError:
+        raise ValueError(
+            f"unknown family {family!r}; choose from {sorted(FAMILY_CONFIGS)}"
+        ) from None
 
 
 def make_pipeline(

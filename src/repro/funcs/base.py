@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
@@ -67,6 +67,44 @@ class FamilyConfig:
     def levels(self) -> int:
         """Number of formats (= progressive levels)."""
         return len(self.formats)
+
+    def resolve_level(
+        self,
+        fmt: Optional[Union[str, int, FPFormat]] = None,
+        level: Optional[int] = None,
+    ) -> Tuple[int, FPFormat]:
+        """``(level, format)`` from any request spelling.
+
+        Accepts a format name (``"p16"``/``"bfloat16"``, any case), a
+        level index, an :class:`FPFormat`, or nothing (the widest
+        format).  ``fmt`` given as an int is treated as a level.
+        """
+        if fmt is not None and level is not None:
+            raise ValueError("pass either fmt or level, not both")
+        if fmt is None and level is None:
+            level = self.levels - 1
+        if isinstance(fmt, int):
+            level, fmt = fmt, None
+        if level is not None:
+            if not 0 <= level < self.levels:
+                raise ValueError(
+                    f"level {level} out of range for {self.levels}-level"
+                    f" family {self.name!r}"
+                )
+            return level, self.formats[level]
+        if isinstance(fmt, str):
+            want = fmt.lower()
+            for lvl, f in enumerate(self.formats):
+                if f.display_name.lower() == want:
+                    return lvl, f
+            raise ValueError(
+                f"unknown format {fmt!r}; family {self.name!r} has"
+                f" {sorted(f.display_name.lower() for f in self.formats)}"
+            )
+        for lvl, f in enumerate(self.formats):
+            if f == fmt:
+                return lvl, f
+        raise ValueError(f"{fmt} is not a member of the {self.name!r} family")
 
     def ro_target(self, level: int) -> FPFormat:
         """The round-to-odd oracle format for one level: two extra bits."""

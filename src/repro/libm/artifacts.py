@@ -12,7 +12,7 @@ import json
 import os
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..core.polynomial import PolyShape, ProgressivePolynomial
 from ..core.search import GeneratedFunction, GenerationStats, Piece
@@ -93,13 +93,22 @@ def _parse_fraction(s: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def artifact_path(
+    fn: str, family: str, directory: Optional[Union[str, Path]] = None
+) -> Path:
+    """Where a function's artifact lives: ``<family>_<fn>.json`` in
+    ``directory`` (default: the packaged artifacts).  The one spelling of
+    an artifact's name; its journal and ``.tbl`` sidecars swap the
+    suffix."""
+    return Path(directory or ARTIFACT_DIR) / f"{family}_{fn}.json"
+
+
 def save_generated(gen: GeneratedFunction, directory: Optional[Path] = None) -> Path:
     """Durably write <family>_<name>.json under the artifact directory."""
     from ..resilience.checkpoint import atomic_write_bytes
 
-    directory = Path(directory or ARTIFACT_DIR)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{gen.family_name}_{gen.name}.json"
+    path = artifact_path(gen.name, gen.family_name, directory)
+    path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(
         path, json.dumps(generated_to_dict(gen), indent=1).encode()
     )
@@ -110,8 +119,7 @@ def load_generated(
     name: str, family: str, directory: Optional[Path] = None
 ) -> GeneratedFunction:
     """Load one saved artifact; raises FileNotFoundError if absent."""
-    path = Path(directory or ARTIFACT_DIR) / f"{family}_{name}.json"
-    with open(path) as f:
+    with open(artifact_path(name, family, directory)) as f:
         return generated_from_dict(json.load(f))
 
 

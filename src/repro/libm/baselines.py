@@ -286,28 +286,21 @@ def wide_family_for(family: FamilyConfig, extra_bits: int = 8) -> FamilyConfig:
     )
 
 
-def wide_inputs_for(family: FamilyConfig, wide_family: FamilyConfig):
-    """The family's own inputs expressed in the wide format W.
+def wide_inputs_for(inputs_per_level, wide_family: FamilyConfig):
+    """The caller's per-level family inputs expressed in the wide format W.
 
     The crlibm-like baseline only needs to be correct for the values it
     will be asked about — family-format values, all exactly representable
-    in W.  Returns a one-level ``inputs_per_level`` list for
+    in W.  Maps every level's values into W in order, dropping repeats
+    (both zeros map to +0), so a sampled level (float32) stays a sample.
+    Returns a one-level ``inputs_per_level`` list for
     :func:`repro.core.generate_function`.
     """
     from ..fp.rounding import exact_bits
-    from ..fp.enumerate import all_finite
 
     wide_fmt = wide_family.largest
-    seen = set()
-    out = []
-    for fmt in family.formats:
-        for v in all_finite(fmt):
-            bits = exact_bits(v.value, wide_fmt)
-            if bits is None:
-                continue
-            if v.value < 0:
-                bits |= wide_fmt.sign_mask
-            if bits not in seen:
-                seen.add(bits)
-                out.append(FPValue(wide_fmt, bits))
-    return [out]
+    bits = dict.fromkeys(
+        exact_bits(v.value, wide_fmt) for level in inputs_per_level for v in level
+    )
+    bits.pop(None, None)
+    return [[FPValue(wide_fmt, b) for b in bits]]

@@ -49,18 +49,12 @@ class RlibmProgFunction:
 
     def rounded(self, v: FPValue, mode: RoundingMode = RoundingMode.RNE) -> FPValue:
         """Correctly rounded result in the input's own format."""
-        level = self._level_of(v.fmt)
+        level, _ = self.family.resolve_level(v.fmt)
         if v.is_nan:
             return FPValue.nan(v.fmt)
         xd = v.to_float()
         y = self(xd, level)
         return round_double_to(y, v.fmt, mode)
-
-    def _level_of(self, fmt: FPFormat) -> int:
-        for i, f in enumerate(self.family.formats):
-            if f == fmt:
-                return i
-        raise ValueError(f"{fmt} is not part of the {self.family.name} family")
 
 
 def round_double_to(y: float, fmt: FPFormat, mode: RoundingMode) -> FPValue:

@@ -23,8 +23,10 @@ A ``.tbl`` file is one function at one ``(format, rounding-mode)``:
 The meta object carries ``fn``, ``family``, ``format`` (display name),
 ``total_bits``, ``exponent_bits``, ``level``, ``mode``, ``dtype``
 (``"<u2"`` or ``"<u4"``), ``count`` (always ``2**total_bits``),
-``artifact_sha256`` (fingerprint of the generating JSON artifact — a
-table whose artifact was regenerated is *stale* and must not serve) and
+``artifact_sha256`` (:func:`~repro.resilience.manifest.artifact_digest`
+of the generating JSON artifact; artifacts are byte-reproducible, so
+this pins the table to the exact polynomial it memoizes, and a table
+whose artifact was regenerated is *stale* and must not serve) and
 ``body_crc32`` (integrity check, verified on open).  The 64-byte body
 alignment keeps the mmap'd array cache-line aligned.
 
@@ -36,14 +38,14 @@ every entry.  Writes are atomic (tmp file + ``os.replace``)
 so a killed build never leaves a half-written table where the serving
 discovery would find it.
 
-Corrupt tables are quarantined with the same idiom as the oracle cache
-(:mod:`repro.parallel.cache`): renamed to ``<name>.corrupt-<stamp>`` and
-the caller degrades to the polynomial tiers.
+Corrupt tables are quarantined by
+:func:`~repro.resilience.checkpoint.quarantine_file`, as damaged oracle
+caches and compiled kernels are: renamed to ``<name>.corrupt-<stamp>``,
+and the caller degrades to the polynomial tiers.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -54,9 +56,10 @@ from typing import Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from ..fp.format import FPFormat
-from ..fp.rounding import RoundingMode
-from ..resilience.checkpoint import fsync_dir, quarantine_file
-from .artifacts import ARTIFACT_DIR, load_generated
+from ..fp.rounding import RoundingMode, parse_mode
+from ..resilience.checkpoint import fsync_dir
+from ..resilience.manifest import artifact_digest
+from .artifacts import ARTIFACT_DIR, artifact_path, load_generated
 from .vectorized import VectorizedFunction
 from .vround import (
     decode_bits_to_doubles,
@@ -102,25 +105,10 @@ def table_path(
     directory: Optional[Union[str, Path]] = None,
 ) -> Path:
     """Where a table lives: ``<family>_<fn>.<format>.<mode>.tbl`` next to
-    the JSON artifacts (same directory convention as
-    :func:`~repro.libm.artifacts.load_generated`)."""
-    directory = Path(directory or ARTIFACT_DIR)
-    return directory / (
-        f"{family}_{fn}.{fmt.display_name.lower()}.{mode.value}.tbl"
+    the JSON artifact (:func:`~repro.libm.artifacts.artifact_path`)."""
+    return artifact_path(fn, family, directory).with_suffix(
+        f".{fmt.display_name.lower()}.{mode.value}.tbl"
     )
-
-
-def artifact_fingerprint(
-    fn: str, family: str, directory: Optional[Union[str, Path]] = None
-) -> str:
-    """SHA-256 of the generating artifact's JSON bytes.
-
-    Artifacts are byte-reproducible (same inputs → same file), so this
-    pins a table to the exact polynomial it memoizes; a regenerated
-    artifact changes the fingerprint and existing tables go stale.
-    """
-    path = Path(directory or ARTIFACT_DIR) / f"{family}_{fn}.json"
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -263,12 +251,6 @@ def open_table(
     return table
 
 
-def quarantine_table(path: Union[str, Path], reason: str) -> Path:
-    """Move a damaged table aside (``<name>.corrupt-<stamp>``) so serving
-    discovery stops tripping over it; mirrors the oracle-cache idiom."""
-    return quarantine_file(path, reason, "table")
-
-
 def _record_mapped(table: LoadedTable) -> None:
     """Surface the mapped bytes as a ``repro_table_bytes_mapped`` gauge."""
     from ..obs import get_registry
@@ -286,37 +268,6 @@ def _record_mapped(table: LoadedTable) -> None:
 # ----------------------------------------------------------------------
 # Building
 # ----------------------------------------------------------------------
-def _resolve_format(config, fmt=None, level=None):
-    """``(level, FPFormat)`` within one family config (local mirror of the
-    serve-layer resolver; this module must not import ``repro.serve``)."""
-    if fmt is not None and level is not None:
-        raise ValueError("pass either fmt or level, not both")
-    if fmt is None and level is None:
-        level = config.levels - 1
-    if isinstance(fmt, int):
-        level, fmt = fmt, None
-    if level is not None:
-        if not 0 <= level < config.levels:
-            raise ValueError(
-                f"level {level} out of range for {config.levels}-level "
-                f"family {config.name!r}"
-            )
-        return level, config.formats[level]
-    if isinstance(fmt, str):
-        want = fmt.lower()
-        for lvl, f in enumerate(config.formats):
-            if f.display_name.lower() == want:
-                return lvl, f
-        raise ValueError(
-            f"unknown format {fmt!r}; family {config.name!r} has "
-            f"{sorted(f.display_name.lower() for f in config.formats)}"
-        )
-    for lvl, f in enumerate(config.formats):
-        if f == fmt:
-            return lvl, f
-    raise ValueError(f"{fmt} is not a member of the {config.name!r} family")
-
-
 def write_table(path: Union[str, Path], meta: dict, bits: np.ndarray) -> Path:
     """Atomically write one ``.tbl`` file from finished result patterns."""
     path = Path(path)
@@ -365,13 +316,12 @@ def build_table(
     ``directory`` is where the JSON artifact is loaded from; ``out_dir``
     defaults to the same place so serving discovery finds the sidecar.
     """
-    from ..funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
+    from ..funcs import make_pipeline, resolve_family
     from ..obs import span as obs_span
 
-    config = family if isinstance(family, FamilyConfig) else FAMILY_CONFIGS[family]
-    level, fmt = _resolve_format(config, fmt, level)
-    if isinstance(mode, str):
-        mode = RoundingMode(mode.lower())
+    config = resolve_family(family)
+    level, fmt = config.resolve_level(fmt, level)
+    mode = parse_mode(mode)
     if fmt.total_bits > MAX_TABLE_BITS:
         raise TableError(
             f"{fmt.display_name} has 2^{fmt.total_bits} encodings; dense "
@@ -407,8 +357,8 @@ def build_table(
             "mode": mode.value,
             "dtype": table_dtype(fmt),
             "count": count,
-            "artifact_sha256": artifact_fingerprint(
-                fn, config.name, directory
+            "artifact_sha256": artifact_digest(
+                artifact_path(fn, config.name, directory)
             ),
         }
         path = write_table(
@@ -432,14 +382,8 @@ def available_tables(
 ) -> List[Dict[str, object]]:
     """Header meta of every readable ``.tbl`` in a directory (corrupt
     files are reported with an ``error`` key, never raised)."""
-    directory = Path(directory or ARTIFACT_DIR)
     out: List[Dict[str, object]] = []
-    if not directory.is_dir():
-        return out
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".tbl"):
-            continue
-        path = directory / name
+    for path in iter_table_paths(directory):
         try:
             meta = dict(read_table_meta(path))
         except TableError as e:

@@ -37,12 +37,13 @@ from __future__ import annotations
 import logging
 import os
 import sqlite3
-import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..obs import get_registry
+from ..resilience.checkpoint import quarantine_file
 from ..resilience.faults import maybe_fire, corrupt_file
 
 from ..fp.encode import FPValue
@@ -120,7 +121,12 @@ class OracleCache:
             # caller can report it instead of a rename blowing up here.
             if not os.path.exists(self.path):
                 raise
-            self.quarantined = self._quarantine("corrupt database")
+            self.quarantined = str(
+                quarantine_file(self.path, "corrupt database", "oracle cache")
+            )
+            # SQLite's droppings belong to the file just moved aside.
+            for suffix in ("-wal", "-shm"):
+                Path(self.path + suffix).unlink(missing_ok=True)
             self._conn = self._open_checked()
         self._pending: Dict[str, str] = {}
         self.hits = 0
@@ -174,26 +180,6 @@ class OracleCache:
             conn.close()
             raise
         return conn
-
-    def _quarantine(self, reason: str) -> str:
-        """Move the corrupt file (and WAL droppings) aside; warn loudly."""
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        target = f"{self.path}.corrupt-{stamp}"
-        n = 0
-        while os.path.exists(target):
-            n += 1
-            target = f"{self.path}.corrupt-{stamp}.{n}"
-        os.replace(self.path, target)
-        for suffix in ("-wal", "-shm"):
-            try:
-                os.unlink(self.path + suffix)
-            except FileNotFoundError:
-                pass
-        logger.warning(
-            "oracle cache %s is unusable (%s); quarantined to %s and "
-            "starting a fresh cache", self.path, reason, target,
-        )
-        return target
 
     # ------------------------------------------------------------------
     def get(

@@ -72,10 +72,17 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
 def quarantine_file(path: Union[str, Path], reason: str, kind: str) -> Path:
     """Move a damaged file aside (``<name>.corrupt-<stamp>``) so that the
     next reader rebuilds or skips it instead of tripping over it again;
-    ``kind`` names the file in the warning.  Returns the new path (the
-    old one if the rename failed)."""
+    ``kind`` names the file in the warning.  A second quarantine within
+    the same second gets ``<stamp>.1``, ``.2``, ..., so no earlier copy
+    is overwritten.  Returns the new path (the old one if the rename
+    failed)."""
     path = Path(path)
-    target = path.with_name(f"{path.name}.corrupt-{int(time.time())}")
+    stamp = f"{path.name}.corrupt-{int(time.time())}"
+    target = path.with_name(stamp)
+    n = 0
+    while target.exists():
+        n += 1
+        target = path.with_name(f"{stamp}.{n}")
     try:
         os.replace(path, target)
     except OSError:  # pragma: no cover - racing quarantines / ro media

@@ -72,11 +72,7 @@ def update_manifest(
 
 
 def incremental_hit(
-    out_dir: Union[str, Path],
-    manifest: Dict[str, dict],
-    fn: str,
-    inputs_hash: str,
-    artifact_name: str,
+    manifest: Dict[str, dict], fn: str, inputs_hash: str, path: Path
 ) -> Optional[Path]:
     """The reusable artifact for ``fn``, or None when it must be rebuilt.
 
@@ -90,7 +86,6 @@ def incremental_hit(
         return None
     if entry.get("inputs_hash") != inputs_hash:
         return None
-    path = Path(out_dir) / artifact_name
     recorded = entry.get("artifact_sha256")
     if recorded is None or artifact_digest(path) != recorded:
         return None

@@ -24,6 +24,12 @@ under a restart budget (:class:`FleetConfig` holds every timeout), and
 any worker answers ``health``, ``stats`` and ``metrics`` for the whole
 fleet.
 
+A request names its family, format or level, and rounding mode the way
+every other entry point does: :func:`repro.api.resolve_family`,
+:meth:`repro.funcs.FamilyConfig.resolve_level` and
+:func:`repro.fp.rounding.parse_mode` own those decisions, and this
+package re-exports none of them.
+
 See the README's "Serving" section for the wire protocol and topology.
 """
 
@@ -55,9 +61,6 @@ _EXPORTS = {
     "Tier": "tiers",
     "TierRegistry": "tiers",
     "default_tier_registry": "tiers",
-    "resolve_family": "registry",
-    "resolve_level_for": "registry",
-    "resolve_mode": "evaluator",
     "tune_gc_for_serving": "server",
 }
 
@@ -84,9 +87,6 @@ __all__ = [
     "Tier",
     "TierRegistry",
     "default_tier_registry",
-    "resolve_family",
-    "resolve_level_for",
-    "resolve_mode",
     "tune_gc_for_serving",
 ]
 

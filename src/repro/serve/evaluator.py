@@ -65,7 +65,7 @@ import numpy as np
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.rounding import RoundingMode
+from ..fp.rounding import RoundingMode, parse_mode
 from ..libm.vround import decode_bits_to_doubles, supports_vector_rounding
 from ..resilience.breaker import CircuitBreaker
 from .metrics import ServerMetrics
@@ -85,25 +85,11 @@ __all__ = [
     "BatchEvaluator",
     "BatchResult",
     "OracleUnavailable",
-    "resolve_mode",
 ]
 
 #: Wire-code → name table of the built-in tiers (codes are frozen; see
 #: :mod:`repro.serve.tiers`): what :attr:`BatchResult.tiers` reads.
 _WIRE_NAMES = default_tier_registry().wire_names()
-
-
-def resolve_mode(mode: Union[str, RoundingMode]) -> RoundingMode:
-    """A :class:`RoundingMode` from its enum or wire spelling (``"rne"``)."""
-    if isinstance(mode, RoundingMode):
-        return mode
-    try:
-        return RoundingMode(str(mode).lower())
-    except ValueError:
-        raise ValueError(
-            f"unknown rounding mode {mode!r}; choose from "
-            f"{[m.value for m in RoundingMode]}"
-        ) from None
 
 
 @dataclass(slots=True, eq=False)
@@ -241,8 +227,8 @@ class BatchEvaluator:
         """
         t0 = time.perf_counter()
         reg = self.registry
-        level, fmt = reg.resolve_level(fmt, level)
-        mode = resolve_mode(mode)
+        level, fmt = reg.family.resolve_level(fmt, level)
+        mode = parse_mode(mode)
         if fn not in reg.pipelines:
             raise KeyError(f"unknown function {fn!r}")
         xs = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64))

@@ -46,12 +46,13 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
+from ..funcs import FamilyLike, resolve_family
 from ..obs import merge_metrics_json, prometheus_from_json
 from ..parallel.pool import start_method
 from ..resilience.faults import maybe_crash
 from .client import AsyncServeClient
 from .metrics import fleet_registry
-from .registry import FamilyLike, ServingRegistry, resolve_family
+from .registry import ServingRegistry
 from .server import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,

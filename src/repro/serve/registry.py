@@ -23,6 +23,13 @@ when a table is absent or stale (built from a different artifact).
 Pipelines are constructible without artifacts, so a registry never fails
 to build: functions whose artifact file is absent are tracked in
 :attr:`ServingRegistry.missing` and served from the oracle tier.
+
+The registry resolves no request spelling itself: callers resolve a
+format or level with ``registry.family.resolve_level`` (see
+:class:`repro.funcs.FamilyConfig`).  A table is pinned to its artifact
+by :func:`repro.resilience.manifest.artifact_digest`, the digest the
+build manifest records, and a corrupt table is moved aside by
+:func:`repro.resilience.checkpoint.quarantine_file`.
 """
 
 from __future__ import annotations
@@ -30,21 +37,21 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..fp.format import FPFormat
 from ..fp.rounding import RoundingMode
-from ..funcs import FAMILY_CONFIGS, FamilyConfig, make_pipeline
+from ..funcs import FamilyLike, make_pipeline, resolve_family
 from ..funcs.base import FunctionPipeline
 from ..libm import tables as tbl
-from ..libm.artifacts import load_generated
+from ..libm.artifacts import artifact_path, load_generated
 from ..libm.compiled import CompiledFunction, CompiledUnavailable, load_compiled
 from ..libm.runtime import RlibmProgFunction
 from ..libm.vectorized import VectorizedFunction
 from ..libm.vround import supports_vector_rounding
 from ..mp.oracle import FUNCTION_NAMES, Oracle
-
-FamilyLike = Union[str, FamilyConfig]
+from ..resilience.checkpoint import quarantine_file
+from ..resilience.manifest import artifact_digest
 
 
 class KernelBuilding(Exception):
@@ -58,60 +65,6 @@ class KernelBuilding(Exception):
         super().__init__(f"compiled kernel for {fn!r} is being built")
         self.fn = fn
         self.done = done
-
-
-def resolve_family(family: FamilyLike) -> FamilyConfig:
-    """A :class:`FamilyConfig` from a config object or a registered name."""
-    if isinstance(family, FamilyConfig):
-        return family
-    try:
-        return FAMILY_CONFIGS[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; choose from {sorted(FAMILY_CONFIGS)}"
-        ) from None
-
-
-def resolve_level_for(
-    family: FamilyConfig,
-    fmt: Optional[Union[str, int, FPFormat]] = None,
-    level: Optional[int] = None,
-) -> Tuple[int, FPFormat]:
-    """``(level, format)`` from any request spelling, for one family.
-
-    Accepts a format name (``"p16"``/``"bfloat16"``), a level index, an
-    :class:`FPFormat`, or nothing (defaults to the widest format).
-    ``fmt`` given as an int is treated as a level.  Standalone so a
-    caller can resolve a request's level without loading any artifacts.
-    """
-    if fmt is not None and level is not None:
-        raise ValueError("pass either fmt or level, not both")
-    if fmt is None and level is None:
-        level = family.levels - 1
-    if isinstance(fmt, int):
-        level, fmt = fmt, None
-    if level is not None:
-        if not 0 <= level < family.levels:
-            raise ValueError(
-                f"level {level} out of range for {family.levels}-level"
-                f" family {family.name!r}"
-            )
-        return level, family.formats[level]
-    if isinstance(fmt, str):
-        want = fmt.lower()
-        for lvl, f in enumerate(family.formats):
-            if f.display_name.lower() == want:
-                return lvl, f
-        raise ValueError(
-            f"unknown format {fmt!r}; family {family.name!r} has"
-            f" {sorted(f.display_name.lower() for f in family.formats)}"
-        )
-    for lvl, f in enumerate(family.formats):
-        if f == fmt:
-            return lvl, f
-    raise ValueError(
-        f"{fmt} is not a member of the {family.name!r} family"
-    )
 
 
 class ServingRegistry:
@@ -198,17 +151,6 @@ class ServingRegistry:
         except KeyError:
             raise KeyError(f"unknown function {fn!r}") from None
 
-    def resolve_level(
-        self,
-        fmt: Optional[Union[str, int, FPFormat]] = None,
-        level: Optional[int] = None,
-    ) -> Tuple[int, FPFormat]:
-        """``(level, format)`` from any request spelling.
-
-        Delegates to :func:`resolve_level_for` on this registry's family.
-        """
-        return resolve_level_for(self.family, fmt, level)
-
     def vector_capable(self, fn: str, fmt: FPFormat) -> bool:
         """Can (fn, fmt) run the batched kernel + vector rounding tier?"""
         return fn in self.kernels and supports_vector_rounding(fmt)
@@ -216,13 +158,11 @@ class ServingRegistry:
     def _fingerprint(self, fn: str) -> Optional[str]:
         fp = self._fingerprints.get(fn)
         if fp is None and fn in self.scalars:
-            try:
-                fp = tbl.artifact_fingerprint(
-                    fn, self.family.name, self.directory
-                )
-            except OSError:  # pragma: no cover - artifact raced away
-                return None
-            self._fingerprints[fn] = fp
+            fp = artifact_digest(
+                artifact_path(fn, self.family.name, self.directory)
+            )
+            if fp is not None:
+                self._fingerprints[fn] = fp
         return fp
 
     def table_for(
@@ -256,7 +196,7 @@ class ServingRegistry:
                 except tbl.TableStale:
                     self.table_status[skey] = "stale"
                 except tbl.TableError as e:
-                    tbl.quarantine_table(path, str(e))
+                    quarantine_file(path, str(e), "table")
                     self.table_status[skey] = "corrupt"
         self._tables[key] = table
         return table

@@ -61,11 +61,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..fp.rounding import RoundingMode
+from ..fp.rounding import RoundingMode, parse_mode
 from ..obs import get_registry, get_tracer
 from ..obs import span as obs_span
 from ..resilience.faults import maybe_fire
-from .evaluator import BatchEvaluator, BatchResult, OracleUnavailable, resolve_mode
+from .evaluator import BatchEvaluator, BatchResult, OracleUnavailable
 from .frames import (
     FRAME_EVAL,
     FrameError,
@@ -556,10 +556,10 @@ class ServeServer:
 
     async def _op_eval(self, obj: dict) -> dict:
         fields = parse_eval_request(obj)
-        level, _fmt = self.registry.resolve_level(
+        level, _fmt = self.registry.family.resolve_level(
             fields["fmt"], fields["level"]
         )
-        mode = resolve_mode(fields["mode"])
+        mode = parse_mode(fields["mode"])
         result = await self.dispatcher.submit(
             fields["fn"], fields["inputs"], level, mode
         )

@@ -1,12 +1,14 @@
 """The comparison libraries: minimax, crlibm-style, generated adapters."""
 
+import random
+import time
 
 import pytest
 
 from repro.core import collect_constraints, generate_function
 from repro.core.rlibm_all import generate_rlibm_all
-from repro.fp import FPValue, IEEE_MODES, RoundingMode, T10, all_finite
-from repro.funcs import TINY_CONFIG, make_pipeline
+from repro.fp import IEEE_MODES, RoundingMode, T10, all_finite, sample_finite
+from repro.funcs import PAPER_CONFIG, TINY_CONFIG, make_pipeline
 from repro.libm.baselines import (
     CrlibmStyleLibrary,
     GeneratedLibrary,
@@ -16,6 +18,7 @@ from repro.libm.baselines import (
     reduced_domain,
     wide_family_for,
     wide_format_for,
+    wide_inputs_for,
 )
 
 
@@ -93,26 +96,35 @@ class TestCrlibmStyle:
         assert fam.levels == 1
         assert fam.name == "tinywide"
 
+    def test_wide_inputs_map_sampled_paper_levels(self):
+        # float32 cannot be enumerated: the caller's per-level inputs,
+        # sampled where a level is too large, are mapped into W as given.
+        rng = random.Random(0)
+        bf16, tf32, f32 = PAPER_CONFIG.formats
+        per_level = [
+            list(all_finite(bf16)),
+            sample_finite(tf32, 8192, rng),
+            sample_finite(f32, 8192, rng),
+        ]
+        wide = wide_family_for(PAPER_CONFIG)
+        t0 = time.perf_counter()
+        (mapped,) = wide_inputs_for(per_level, wide)
+        assert time.perf_counter() - t0 < 10
+        assert {w.fmt for w in mapped} == {wide.largest}
+        # Every W value equals its source value, in order, once each
+        # (both zeros are one value).
+        sources = dict.fromkeys(v.value for level in per_level for v in level)
+        assert [w.value for w in mapped] == list(sources)
+
     @pytest.fixture(scope="class")
     def crlibm_like(self, oracle):
         wide_family = wide_family_for(TINY_CONFIG, 4)
         pipe = make_pipeline("exp2", wide_family, oracle)
         # Generate from the tiny family's inputs expressed in W.
-        from repro.fp import exact_bits
-
-        wide_inputs = []
-        seen = set()
-        for fmt in TINY_CONFIG.formats:
-            for v in all_finite(fmt):
-                bits = exact_bits(v.value, wide_family.largest)
-                if bits is None:
-                    continue
-                if v.value < 0:
-                    bits |= wide_family.largest.sign_mask
-                if bits not in seen:
-                    seen.add(bits)
-                    wide_inputs.append(FPValue(wide_family.largest, bits))
-        gen = generate_function(pipe, inputs_per_level=[wide_inputs])
+        wide_inputs = wide_inputs_for(
+            [list(all_finite(fmt)) for fmt in TINY_CONFIG.formats], wide_family
+        )
+        gen = generate_function(pipe, inputs_per_level=wide_inputs)
         wide_lib = GeneratedLibrary({"exp2": pipe}, {"exp2": gen}, label="wide")
         return CrlibmStyleLibrary(wide_lib, wide_family.largest)
 

@@ -25,6 +25,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.libm.artifacts import ARTIFACT_DIR, available_artifacts, load_generat
 from repro.libm.vectorized import VectorizedFunction
 from repro.libm.vround import decode_bits_to_doubles
 from repro.mp.oracle import FUNCTION_NAMES
+from repro.resilience import checkpoint
 from repro.serve import (
     BatchEvaluator, ServeClient, ServerThread, ServingRegistry,
 )
@@ -326,6 +328,21 @@ def test_damaged_cached_object_quarantined_and_rebuilt(
     assert ev.registry.describe()["compiled"] == {"log2": "loaded"}
     assert len(list(fresh_cache.glob(f"{path.name}.corrupt-*"))) == 1
     assert path.read_bytes() == good  # rebuilt, byte for byte
+
+
+@needs_gcc
+def test_two_quarantines_in_one_second_keep_both(fresh_cache, monkeypatch):
+    # The second damaged copy must not overwrite the first one's evidence.
+    monkeypatch.setattr(checkpoint, "time", SimpleNamespace(time=lambda: 1.7e9))
+    _evaluate_log2()
+    (path,) = _sealed_objects(fresh_cache)
+    for _ in range(2):
+        (fresh_cache / "damaged").write_bytes(b"junk")
+        os.replace(fresh_cache / "damaged", path)
+        monkeypatch.setattr(compiled, "_LOADED", {})
+        _, res = _evaluate_log2()
+        assert res.tiers == ["compiled", "compiled"]
+    assert len(list(fresh_cache.glob(f"{path.name}.corrupt-*"))) == 2
 
 
 _BUILDER = textwrap.dedent("""

@@ -14,15 +14,18 @@ The acceptance bar for the table tier:
 
 import json
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.fp.rounding import RoundingMode
 from repro.funcs import PAPER_CONFIG, TINY_CONFIG
 from repro.libm import tables as tbl
 from repro.libm.artifacts import ARTIFACT_DIR, available_artifacts
 from repro.libm.vround import decode_bits_to_doubles
+from repro.resilience import checkpoint
 from repro.serve import BatchEvaluator, FleetThread, ServeClient, ServingRegistry
 
 from ..helpers import POLY_TIER
@@ -50,6 +53,13 @@ def tiny_dir(tmp_path):
 # File format
 # ----------------------------------------------------------------------
 class TestFormat:
+    def test_unknown_family_is_the_shared_error(self, tiny_dir):
+        with pytest.raises(ValueError) as want:
+            api.resolve_family("bogusfam")
+        with pytest.raises(ValueError) as got:
+            tbl.build_table("exp2", "bogusfam", directory=tiny_dir)
+        assert str(got.value) == str(want.value)
+
     def test_build_and_reopen_roundtrip(self, tiny_dir):
         path = tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
         assert path.name == "tiny_log2.t8.rne.tbl"
@@ -134,7 +144,7 @@ class TestBitIdentity:
                 fn, TINY_CONFIG, fmt=fmt_name, mode=mode, directory=tiny_dir
             )
             table = tbl.open_table(path)
-            fmt = reg.resolve_level(fmt_name, None)[1]
+            fmt = reg.family.resolve_level(fmt_name, None)[1]
             xs = decode_bits_to_doubles(
                 np.arange(table.meta["count"], dtype=np.int64), fmt
             )
@@ -153,7 +163,7 @@ class TestBitIdentity:
         reg = ServingRegistry("paper", tmp_path, names=(fn,))
         tabled = BatchEvaluator(reg)
         poly = BatchEvaluator(reg, tiers=("vector", "scalar", "oracle"))
-        fmt = reg.resolve_level("bfloat16", None)[1]
+        fmt = reg.family.resolve_level("bfloat16", None)[1]
         xs = decode_bits_to_doubles(np.arange(1 << 16, dtype=np.int64), fmt)
         a = tabled.evaluate(fn, xs, fmt="bfloat16")
         b = poly.evaluate(fn, xs, fmt="bfloat16")
@@ -239,6 +249,18 @@ class TestServingDegradation:
         ev2 = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
         assert ev2.evaluate("log2", [1.0], fmt="t8").tiers == ["table"]
 
+    def test_two_quarantines_in_one_second_keep_both(self, tiny_dir, monkeypatch):
+        # The second damaged copy must not overwrite the first one's evidence.
+        monkeypatch.setattr(
+            checkpoint, "time", SimpleNamespace(time=lambda: 1.7e9)
+        )
+        for _ in range(2):
+            path = tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
+            path.write_bytes(b"junk")
+            ev = BatchEvaluator(ServingRegistry("tiny", tiny_dir))
+            assert ev.evaluate("log2", [1.0], fmt="t8").tiers == [POLY_TIER]
+        assert len(list(tiny_dir.glob(f"{path.name}.corrupt-*"))) == 2
+
     def test_rebuild_after_quarantine(self, tiny_dir):
         path = tbl.build_table("log2", TINY_CONFIG, fmt="t8", directory=tiny_dir)
         path.write_bytes(b"junk")
@@ -253,7 +275,7 @@ class TestServingDegradation:
 # Fleet: mixed table/polynomial functions over the wire
 # ----------------------------------------------------------------------
 class TestFleetWithTables:
-    def test_mixed_tiers_across_shards(self, tiny_dir):
+    def test_mixed_tiers_across_workers(self, tiny_dir):
         # Build a table for exactly one function: every worker serves it
         # from the table tier and the other function from polynomials —
         # one client session sees both.

@@ -110,6 +110,16 @@ class TestTables:
         code, out = run_cli("tables", "list", "--dir", str(tmp_path))
         assert code == 1
 
+    def test_build_unknown_mode_is_the_shared_error(self, artifact_dir):
+        # The evaluator and the server word a bad mode the same way.
+        with pytest.raises(
+            SystemExit, match=r"unknown rounding mode 'bogus'; choose from \["
+        ):
+            run_cli(
+                "tables", "build", "--family", "tiny", "--functions", "exp2",
+                "--mode", "bogus", "--dir", str(artifact_dir),
+            )
+
     def test_build_wide_format_fails(self, artifact_dir):
         with pytest.raises(SystemExit):
             run_cli(
