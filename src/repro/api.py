@@ -322,6 +322,7 @@ def verify(
         sp.set(
             levels=len(reports),
             wrong=sum(rep.wrong for rep in reports),
+            oracle_reuses=sum(rep.oracle_reuses for rep in reports),
         )
     _flush(oracle)
     return reports

@@ -138,7 +138,8 @@ def cmd_verify(args) -> int:
                 if args.timings:
                     print(
                         f"  wall {rep.wall_seconds:9.3f}s  "
-                        f"oracle {rep.oracle_seconds:9.3f}s  [{rep.workers} workers]"
+                        f"oracle {rep.oracle_seconds:9.3f}s "
+                        f"({rep.oracle_reuses} reused)  [{rep.workers} workers]"
                     )
                 wrong += rep.wrong
     return 0 if wrong == 0 else 1
@@ -147,6 +148,10 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     """`eval`: evaluate a generated function at given inputs."""
     config = _family_of(args.family)
+    try:
+        level, fmt = config.resolve_level(level=args.level)
+    except ValueError as e:
+        raise SystemExit(str(e))
     evaluator = api.make_evaluator(
         config, args.dir, names=(args.function,)
     )
@@ -156,7 +161,6 @@ def cmd_eval(args) -> int:
         from .libm.artifacts import load_generated
 
         load_generated(args.function, config.name, args.dir)
-    level, fmt = config.resolve_level(level=args.level)
     for token in args.inputs:
         x = float(token)
         res = evaluator.evaluate(args.function, [x], level=level)

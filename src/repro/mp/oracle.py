@@ -3,12 +3,17 @@
 Implements Ziv's strategy on top of the rigorous enclosures in
 :mod:`repro.mp.functions`: evaluate at some working precision, check
 whether both interval endpoints round to the same bit pattern, and double
-the precision until they do.  One loop decides every requested rounding
-mode from the same enclosure (:meth:`Oracle._compute_all`); a single-mode
-query runs it on one mode.  Exactly-representable results are decided in
-closed form first (Lindemann-Weierstrass / Gelfond-Schneider / Niven
-guarantee that all remaining cases are transcendental, so the loop always
-terminates).
+the precision until they do.  One loop (:meth:`Oracle._compute`) decides
+a single mode or several modes from the same enclosure.  Exactly-
+representable results are decided in closed form first (Lindemann-
+Weierstrass / Gelfond-Schneider / Niven guarantee that all remaining
+cases are transcendental, so the loop always terminates).
+
+The enclosure a loop ends on is kept per ``(fn, x)`` and decides every
+later query on the same input, in any format and mode, whose rounding
+boundaries it does not straddle: the generator asks about each input at
+every level's round-to-odd target and the verifier under every IEEE mode
+of each level's own format, and one enclosure usually answers them all.
 """
 
 from __future__ import annotations
@@ -17,16 +22,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..fp.encode import FPValue
 from ..fp.format import FPFormat
-from ..fp.rounding import (
-    RoundingMode,
-    round_interval_bits,
-    round_ratio_bits,
-    round_real,
-)
+from ..fp.rounding import RoundingMode, round_interval_bits, round_ratio_bits
 from . import consts, functions
 
 
@@ -37,9 +37,12 @@ class OracleStats:
     how many computes needed more than their starting precision."""
 
     calls: int = 0
+    #: Queries the result memo missed and the disk cache did not answer.
     computes: int = 0
     memo_hits: int = 0
     disk_hits: int = 0
+    #: Computes decided by the input's cached enclosure, without a loop.
+    reuses: int = 0
     escalations: int = 0
     seconds: float = 0.0
 
@@ -49,6 +52,7 @@ class OracleStats:
         self.computes += other.computes
         self.memo_hits += other.memo_hits
         self.disk_hits += other.disk_hits
+        self.reuses += other.reuses
         self.escalations += other.escalations
         self.seconds += other.seconds
 
@@ -159,14 +163,56 @@ _TIGHT_VALUE_MAX_LOG2 = 1076
 _SHORTCUT_MARGIN = 8
 
 
+#: What one query asks for: a single mode's bit pattern, or a tuple of
+#: modes and a ``{mode: bits}`` dict.
+Want = Union[RoundingMode, Tuple[RoundingMode, ...]]
+
+
+def _round_enclosure(lo: int, hi: int, d: int, fmt: FPFormat, want: Want):
+    """The patterns every real in ``[lo / d, hi / d]`` rounds to under
+    ``want`` (an int for one mode, a dict for a tuple of them), or None
+    when the interval straddles a rounding boundary of any of them.
+    Rounding is monotone, so agreeing endpoints decide the whole interval.
+    """
+    if isinstance(want, RoundingMode):
+        bits = round_ratio_bits(lo, d, fmt, want)
+        if lo == hi or bits == round_ratio_bits(hi, d, fmt, want):
+            return bits
+        return None
+    # The shared split pays from two modes up; one mode takes the same
+    # two endpoint splits either way.
+    if len(want) > 1:
+        decided = round_interval_bits(lo, hi, d, fmt, want)
+        if decided is not None:
+            return decided
+    out = {}
+    for mode in want:
+        bits = _round_enclosure(lo, hi, d, fmt, mode)
+        if bits is None:
+            return None
+        out[mode] = bits
+    return out
+
+
 class Oracle:
-    """Correctly rounded evaluation of the ten elementary functions."""
+    """Correctly rounded evaluation of the ten elementary functions.
+
+    A query goes, in order, to the result memo (keyed on ``(fn, x, fmt,
+    mode)``), to the input's cached enclosure (keyed on ``fn`` and ``x``), and
+    only then to the range shortcut, the exact-value rules and the Ziv
+    loop; :class:`~repro.parallel.cache.CachedOracle` puts its disk
+    cache between the enclosure and the loop.
+    """
 
     def __init__(self, max_prec: int = 1 << 15):
         self.max_prec = max_prec
         self._rounded_cache: Dict[
             Tuple[str, Fraction, FPFormat, RoundingMode], FPValue
         ] = {}
+        #: ``(fn, num, den) -> (lo, hi, prec)``: the last Ziv loop's
+        #: enclosure of f(num/den), ``[lo, hi] * 2^-prec``, as plain ints
+        #: (an int key hashes in C; a ``Fraction`` runs Python code).
+        self._enclosures: Dict[Tuple[str, int, int], Tuple[int, int, int]] = {}
         self.stats = OracleStats()
 
     # ------------------------------------------------------------------
@@ -174,9 +220,13 @@ class Oracle:
         """A sound FI enclosure of f(x) at scale 2^-prec."""
         return functions.FUNCTIONS[fn](x, prec)
 
-    def initial_precision(self, fn: str, x: Fraction, fmt: FPFormat) -> int:
-        """Starting Ziv precision: relative needs plus magnitude slack."""
-        est = _log2_magnitude_estimate(fn, x)
+    def initial_precision(
+        self, fn: str, x: Fraction, fmt: FPFormat, est: Optional[float] = None
+    ) -> int:
+        """Starting Ziv precision: relative needs plus magnitude slack
+        (``est``: the caller's :func:`_log2_magnitude_estimate`)."""
+        if est is None:
+            est = _log2_magnitude_estimate(fn, x)
         # Absolute bits needed = relative precision minus the result's
         # magnitude (tiny results need more fractional bits).
         extra = max(0.0, -est)
@@ -192,11 +242,31 @@ class Oracle:
         if got is not None:
             self.stats.memo_hits += 1
             return got
+        self.stats.computes += 1
         t0 = time.perf_counter()
-        result = self._compute(fn, x, fmt, mode)
+        result = FPValue(fmt, self._resolve(fn, x, fmt, mode))
         self.stats.seconds += time.perf_counter() - t0
         self._rounded_cache[key] = result
         return result
+
+    def correctly_rounded_all(
+        self, fn: str, x: Fraction, fmt: FPFormat, modes=None
+    ) -> Dict[RoundingMode, FPValue]:
+        """Correctly rounded results for several modes from one enclosure.
+
+        Much cheaper than per-mode calls: the Ziv refinement runs once and
+        every mode's decision is read off the same interval, usually from
+        one split of each endpoint (:func:`round_interval_bits`).
+        """
+        modes = tuple(modes) if modes is not None else tuple(RoundingMode)
+        self.stats.calls += 1
+        self.stats.computes += 1
+        t0 = time.perf_counter()
+        try:
+            decided = self._resolve(fn, x, fmt, modes)
+            return {m: FPValue(fmt, bits) for m, bits in decided.items()}
+        finally:
+            self.stats.seconds += time.perf_counter() - t0
 
     def absorb(
         self,
@@ -209,12 +279,55 @@ class Oracle:
         not redo the Ziv loops the workers already ran)."""
         self._rounded_cache.update(items)
 
-    def _compute(self, fn: str, x: Fraction, fmt: FPFormat, mode: RoundingMode) -> FPValue:
-        """One compute: the all-modes Ziv loop on ``mode`` alone."""
-        self.stats.computes += 1
-        return self._compute_all(fn, x, fmt, (mode,))[mode]
+    def _resolve(self, fn: str, x: Fraction, fmt: FPFormat, want: Want):
+        """A result-memo miss: the cached enclosure, else a compute."""
+        got = self._reuse(fn, x, fmt, want)
+        return got if got is not None else self._compute(fn, x, fmt, want)
 
-    def _range_shortcut(self, fn: str, x: Fraction, fmt: FPFormat) -> Optional[Fraction]:
+    def _reuse(self, fn: str, x: Fraction, fmt: FPFormat, want: Want):
+        """``want`` read off the input's cached enclosure, or None."""
+        cached = self._enclosures.get((fn, x.numerator, x.denominator))
+        if cached is None:
+            return None
+        lo, hi, prec = cached
+        got = _round_enclosure(lo, hi, 1 << prec, fmt, want)
+        if got is not None:
+            self.stats.reuses += 1
+        return got
+
+    def _compute(self, fn: str, x: Fraction, fmt: FPFormat, want: Want):
+        """The range shortcut, the exact-value rules, then the Ziv loop,
+        which starts above the precision of any cached enclosure (that
+        one did not decide) and caches the enclosure it ends on."""
+        est = _log2_magnitude_estimate(fn, x)
+        # The shortcut goes first: it bounds |x| before exact_value
+        # raises 2 or 10 to an integral x, which is unbounded work.
+        value = self._range_shortcut(fn, x, fmt, est)
+        if value is None:
+            value = exact_value(fn, x)
+        if value is not None:
+            n, d = value.numerator, value.denominator
+            return _round_enclosure(n, n, d, fmt, want)
+        key = (fn, x.numerator, x.denominator)
+        cached = self._enclosures.get(key)
+        prec = start = self.initial_precision(fn, x, fmt, est)
+        while cached is not None and prec <= cached[2]:
+            prec *= 2
+        while prec <= self.max_prec:
+            fi = self.enclosure(fn, x, prec)
+            got = _round_enclosure(fi.lo, fi.hi, 1 << fi.prec, fmt, want)
+            if got is not None:
+                self.stats.escalations += prec > start
+                self._enclosures[key] = (fi.lo, fi.hi, fi.prec)
+                return got
+            prec *= 2
+        raise OraclePrecisionError(
+            f"{fn}({x}) undecided at {self.max_prec} bits for {want}"
+        )
+
+    def _range_shortcut(
+        self, fn: str, x: Fraction, fmt: FPFormat, est: Optional[float] = None
+    ) -> Optional[Fraction]:
         """A *representative* value for results provably far outside the
         format's finite range, where every value on the same side rounds
         identically under every mode.
@@ -229,6 +342,7 @@ class Oracle:
         log2|f(x)| is :data:`_SHORTCUT_MARGIN` binades inside both cuts
         (it is off by far less than one binade below ``_FLOAT_SAFE``, and
         by at most two for sinh/cosh), the enclosure is skipped.
+        ``est`` is the caller's :func:`_log2_magnitude_estimate`.
         """
         if fn not in ("exp", "exp2", "exp10", "sinh", "cosh"):
             return None
@@ -237,7 +351,8 @@ class Oracle:
         tiny_cut = fmt.emin - fmt.mantissa_bits - 2  # below min_subnormal/4
         huge_cut = fmt.emax + 2  # beyond 2 * max_value
         # Beyond _FLOAT_SAFE the estimate reads x as +-1e300: never inside.
-        est = _log2_magnitude_estimate(fn, x)
+        if est is None:
+            est = _log2_magnitude_estimate(fn, x)
         if tiny_cut + _SHORTCUT_MARGIN <= est <= huge_cut - _SHORTCUT_MARGIN:
             return None
         prec = 160
@@ -267,64 +382,6 @@ class Oracle:
             return None
         return -rep if negative else rep
 
-    def correctly_rounded_all(
-        self, fn: str, x: Fraction, fmt: FPFormat, modes=None
-    ) -> Dict[RoundingMode, FPValue]:
-        """Correctly rounded results for several modes from one enclosure.
-
-        Much cheaper than per-mode calls: the Ziv refinement runs once and
-        every mode's decision is read off the same interval, usually from
-        one split of each endpoint (:func:`round_interval_bits`).
-        """
-        modes = tuple(modes) if modes is not None else tuple(RoundingMode)
-        self.stats.calls += 1
-        self.stats.computes += 1
-        t0 = time.perf_counter()
-        try:
-            return self._compute_all(fn, x, fmt, modes)
-        finally:
-            self.stats.seconds += time.perf_counter() - t0
-
-    def _compute_all(
-        self, fn: str, x: Fraction, fmt: FPFormat, modes: Tuple[RoundingMode, ...]
-    ) -> Dict[RoundingMode, FPValue]:
-        # The shortcut goes first: it bounds |x| before exact_value
-        # raises 2 or 10 to an integral x, which is unbounded work.
-        shortcut = self._range_shortcut(fn, x, fmt)
-        if shortcut is not None:
-            return {m: round_real(shortcut, fmt, m) for m in modes}
-        exact = exact_value(fn, x)
-        if exact is not None:
-            return {m: round_real(exact, fmt, m) for m in modes}
-        out: Dict[RoundingMode, FPValue] = {}
-        prec = start = self.initial_precision(fn, x, fmt)
-        while prec <= self.max_prec:
-            self.stats.escalations += prec == 2 * start
-            fi = self.enclosure(fn, x, prec)
-            scale = 1 << fi.prec
-            # The shared split pays from two modes up; one mode takes the
-            # same two endpoint splits either way.
-            if len(modes) > 1:
-                decided = round_interval_bits(fi.lo, fi.hi, scale, fmt, modes)
-                if decided is not None:
-                    for m, bits in decided.items():
-                        out[m] = FPValue(fmt, bits)
-                    return out
-            undecided = []
-            for m in modes:
-                lo = round_ratio_bits(fi.lo, scale, fmt, m)
-                if lo == round_ratio_bits(fi.hi, scale, fmt, m):
-                    out[m] = FPValue(fmt, lo)
-                else:
-                    undecided.append(m)
-            if not undecided:
-                return out
-            modes = undecided
-            prec *= 2
-        raise OraclePrecisionError(
-            f"{fn}({x}) undecided at {self.max_prec} bits for {list(modes)}"
-        )
-
     def tight_value(self, fn: str, x: Fraction, rel_bits: int) -> Fraction:
         """A rational approximation of f(x) with ~rel_bits correct bits
         (midpoint of a sufficiently narrow enclosure); for reporting.
@@ -333,12 +390,13 @@ class Oracle:
         double range: exp2/exp10 of a huge integer would otherwise build
         its exact power, which never finishes.
         """
-        if abs(_log2_magnitude_estimate(fn, x)) > _TIGHT_VALUE_MAX_LOG2:
+        est = _log2_magnitude_estimate(fn, x)
+        if abs(est) > _TIGHT_VALUE_MAX_LOG2:
             raise OverflowError(f"{fn}({x}) is far outside the double range")
         exact = exact_value(fn, x)
         if exact is not None:
             return exact
-        prec = max(64, rel_bits + 16 + int(max(0.0, -_log2_magnitude_estimate(fn, x))))
+        prec = max(64, rel_bits + 16 + int(max(0.0, -est)))
         while prec <= self.max_prec:
             fi = self.enclosure(fn, x, prec)
             if fi.lo != 0 or fi.hi != 0:

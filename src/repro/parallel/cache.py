@@ -273,13 +273,13 @@ class OracleCache:
 class CachedOracle(Oracle):
     """An :class:`Oracle` with a persistent disk layer under the memo.
 
-    Lookup order: in-memory memo (inherited) -> disk cache -> Ziv compute
-    (the oracle's one loop, :meth:`Oracle._compute_all`, which single-mode
-    computes reach too).  With ``record_new=True`` every result resolved
-    below the memo (disk hits included) is also queued as a wire-format
-    entry; pool workers drain those per task and ship them to the
-    parent, whose own oracle absorbs them into its memo and persists
-    them.
+    Lookup order: in-memory memo -> the input's cached enclosure (both
+    inherited) -> disk cache -> Ziv compute (the oracle's one loop,
+    :meth:`Oracle._compute`).  Every result resolved below the memo but
+    not read from disk is queued for the disk.  With ``record_new=True``
+    each one (disk hits included) is also queued as a wire-format entry;
+    pool workers drain those per task and ship them to the parent, whose
+    own oracle absorbs them into its memo and persists them.
     """
 
     def __init__(
@@ -294,30 +294,42 @@ class CachedOracle(Oracle):
         self._new: List[RawEntry] = []
 
     # ------------------------------------------------------------------
-    def _compute_all(self, fn, x, fmt, modes):
-        if self.cache is not None:
-            out = {}
-            for m in modes:
-                got = self.cache.get(fn, x, fmt, m)
-                if got is None:
-                    break
-                out[m] = got
-            else:
+    def _resolve(self, fn, x, fmt, want):
+        got = self._reuse(fn, x, fmt, want)
+        if got is None and self.cache is not None:
+            got = self._disk_get(fn, x, fmt, want)
+            if got is not None:
                 self.stats.disk_hits += 1
                 self.stats.computes -= 1  # charged by the caller; undo
-                for m, v in out.items():
-                    self._record(fn, x, fmt, m, v)
-                return out
-        result = super()._compute_all(fn, x, fmt, modes)
-        for m, v in result.items():
-            if self.cache is not None:
-                self.cache.put(fn, x, fmt, m, v)
-            self._record(fn, x, fmt, m, v)
-        return result
+                self._record(fn, x, fmt, want, got)
+                return got
+        if got is None:
+            got = self._compute(fn, x, fmt, want)
+        if self.cache is not None:
+            for m, bits in _pairs(want, got):
+                self.cache.put(fn, x, fmt, m, FPValue(fmt, bits))
+        self._record(fn, x, fmt, want, got)
+        return got
 
-    def _record(self, fn, x, fmt, mode, result) -> None:
+    def _disk_get(self, fn, x, fmt, want):
+        """``want`` from the disk cache, or None unless every mode is there."""
+        if isinstance(want, RoundingMode):
+            got = self.cache.get(fn, x, fmt, want)
+            return None if got is None else got.bits
+        out = {}
+        for m in want:
+            got = self.cache.get(fn, x, fmt, m)
+            if got is None:
+                return None
+            out[m] = got.bits
+        return out
+
+    def _record(self, fn, x, fmt, want, got) -> None:
         if self.record_new:
-            self._new.append(raw_entry(fn, x, fmt, mode, result))
+            self._new.extend(
+                raw_entry(fn, x, fmt, m, FPValue(fmt, bits))
+                for m, bits in _pairs(want, got)
+            )
 
     def drain_new(self) -> List[RawEntry]:
         """Entries resolved since the last drain (workers ship these)."""
@@ -341,6 +353,11 @@ class CachedOracle(Oracle):
         """Flush and close the persistent layer, if any."""
         if self.cache is not None:
             self.cache.close()
+
+
+def _pairs(want, got):
+    """``(mode, bits)`` of a resolved query: one mode's pattern or a dict."""
+    return ((want, got),) if isinstance(want, RoundingMode) else got.items()
 
 
 def open_oracle(

@@ -454,7 +454,7 @@ def shard_verify(
     report = VerificationReport(library.label, fn, fmt, workers=jobs)
     report.by_mode = {m: 0 for m in modes}
     t0 = time.perf_counter()
-    oracle_sec0 = oracle.stats.seconds
+    oracle_sec0, reuses0 = oracle.stats.seconds, oracle.stats.reuses
 
     results = run_chunks(
         _verify_chunk,
@@ -475,4 +475,5 @@ def shard_verify(
         report.failures.extend(rep.failures[:room])
     report.wall_seconds = time.perf_counter() - t0
     report.oracle_seconds = oracle.stats.seconds - oracle_sec0
+    report.oracle_reuses = oracle.stats.reuses - reuses0
     return report

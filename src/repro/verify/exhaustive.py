@@ -50,9 +50,11 @@ class VerificationReport:
     failures: List[Failure] = field(default_factory=list)
     by_mode: Dict[RoundingMode, int] = field(default_factory=dict)
     #: Sweep wall-clock and the share of it the oracle's Ziv loops took
-    #: (summed across workers for sharded sweeps).
+    #: (summed across workers for sharded sweeps), and how many oracle
+    #: queries an already cached enclosure decided.
     wall_seconds: float = 0.0
     oracle_seconds: float = 0.0
+    oracle_reuses: int = 0
     #: Processes the sweep ran on: 1 is in-process.
     workers: int = 1
 
@@ -110,7 +112,7 @@ def verify_exhaustive(
                 canonical_zeros, max_recorded_failures, jobs=workers,
             )
     t0 = time.perf_counter()
-    oracle_sec0 = oracle.stats.seconds
+    oracle_sec0, reuses0 = oracle.stats.seconds, oracle.stats.reuses
     modes = tuple(modes)
     report = VerificationReport(library.label, fn, fmt)
     report.by_mode = {m: 0 for m in modes}
@@ -139,6 +141,7 @@ def verify_exhaustive(
         )
     report.wall_seconds = time.perf_counter() - t0
     report.oracle_seconds = oracle.stats.seconds - oracle_sec0
+    report.oracle_reuses = oracle.stats.reuses - reuses0
     return report
 
 

@@ -55,6 +55,16 @@ class TestEval:
         assert code == 0
         assert "1" in out
 
+    @pytest.mark.parametrize("level", ["-1", "5"])
+    def test_eval_rejects_missing_level(self, artifact_dir, level):
+        with pytest.raises(
+            SystemExit, match=rf"^level {level} out of range for 2-level family 'tiny'$"
+        ):
+            run_cli(
+                "eval", "exp2", "1.0", "--family", "tiny", "--level", level,
+                "--dir", str(artifact_dir),
+            )
+
 
 class TestCodegen:
     def test_emits_c(self, artifact_dir):
